@@ -3,14 +3,10 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "numeric/lu.h"
-#include "numeric/matrix.h"
+#include "ckt/mna.h"
+#include "numeric/sparse_lu.h"
 
 namespace rlcx::ckt {
-
-namespace {
-constexpr double kGmin = 1e-12;
-}
 
 std::vector<std::vector<double>> transfer_moments(const Netlist& nl,
                                                   int order,
@@ -19,92 +15,31 @@ std::vector<std::vector<double>> transfer_moments(const Netlist& nl,
   if (active_source >= nl.vsources().size())
     throw std::out_of_range("transfer_moments: source index");
 
-  const int nn = nl.node_count() - 1;
-  const std::size_t nv = nl.vsources().size();
-  const std::size_t nli = nl.inductors().size();
-  const std::size_t dim = static_cast<std::size_t>(nn) + nv + nli;
+  // G (inductors shorted at DC) is factored once; C carries the
+  // capacitances and -L.
+  const Mna mna(nl);
+  numeric::SparseLu lu(mna.matrix(0.0));
+  std::vector<numeric::Triplet> c;
+  mna.stamp_c(1.0, c);
+  const numeric::CscMatrix cm =
+      numeric::CscMatrix::from_triplets(mna.dim(), c);
 
-  auto vrow = [](NodeId n) { return static_cast<std::size_t>(n - 1); };
-  const std::size_t vsrc0 = static_cast<std::size_t>(nn);
-  const std::size_t ind0 = vsrc0 + nv;
-
-  // G: resistors + source/inductor incidence (inductors shorted at DC).
-  RealMatrix g(dim, dim);
-  for (int n = 1; n <= nn; ++n) g(vrow(n), vrow(n)) += kGmin;
-  for (const Resistor& r : nl.resistors()) {
-    const double y = 1.0 / r.ohms;
-    if (r.a != kGround) g(vrow(r.a), vrow(r.a)) += y;
-    if (r.b != kGround) g(vrow(r.b), vrow(r.b)) += y;
-    if (r.a != kGround && r.b != kGround) {
-      g(vrow(r.a), vrow(r.b)) -= y;
-      g(vrow(r.b), vrow(r.a)) -= y;
-    }
-  }
-  for (std::size_t k = 0; k < nv; ++k) {
-    const VoltageSource& vs = nl.vsources()[k];
-    const std::size_t row = vsrc0 + k;
-    if (vs.a != kGround) {
-      g(vrow(vs.a), row) += 1.0;
-      g(row, vrow(vs.a)) += 1.0;
-    }
-    if (vs.b != kGround) {
-      g(vrow(vs.b), row) -= 1.0;
-      g(row, vrow(vs.b)) -= 1.0;
-    }
-  }
-  for (std::size_t j = 0; j < nli; ++j) {
-    const Inductor& l = nl.inductors()[j];
-    const std::size_t row = ind0 + j;
-    if (l.a != kGround) {
-      g(vrow(l.a), row) += 1.0;
-      g(row, vrow(l.a)) += 1.0;
-    }
-    if (l.b != kGround) {
-      g(vrow(l.b), row) -= 1.0;
-      g(row, vrow(l.b)) -= 1.0;
-    }
-  }
-
-  // C: capacitors into node rows, -L into inductor branch rows.
-  RealMatrix cm(dim, dim);
-  for (const Capacitor& c : nl.capacitors()) {
-    if (c.a != kGround) cm(vrow(c.a), vrow(c.a)) += c.farads;
-    if (c.b != kGround) cm(vrow(c.b), vrow(c.b)) += c.farads;
-    if (c.a != kGround && c.b != kGround) {
-      cm(vrow(c.a), vrow(c.b)) -= c.farads;
-      cm(vrow(c.b), vrow(c.a)) -= c.farads;
-    }
-  }
-  RealMatrix lmat(nli, nli);
-  for (std::size_t j = 0; j < nli; ++j)
-    lmat(j, j) = nl.inductors()[j].henries;
-  for (const MutualInductance& m : nl.mutuals()) {
-    lmat(m.l1, m.l2) += m.henries;
-    lmat(m.l2, m.l1) += m.henries;
-  }
-  for (std::size_t j = 0; j < nli; ++j)
-    for (std::size_t m = 0; m < nli; ++m)
-      cm(ind0 + j, ind0 + m) -= lmat(j, m);
-
-  LuDecomposition<double> lu(std::move(g));
-
-  std::vector<double> rhs(dim, 0.0);
-  rhs[vsrc0 + active_source] = 1.0;
-  std::vector<double> x = lu.solve(rhs);
+  std::vector<double> x(mna.dim(), 0.0);
+  x[mna.vsource_row(active_source)] = 1.0;
+  lu.solve(x);
 
   std::vector<std::vector<double>> moments;
   auto collect = [&](const std::vector<double>& xs) {
     std::vector<double> row(static_cast<std::size_t>(nl.node_count()), 0.0);
-    for (int n = 1; n <= nn; ++n)
-      row[static_cast<std::size_t>(n)] = xs[vrow(n)];
+    for (NodeId n = 1; n < nl.node_count(); ++n)
+      row[static_cast<std::size_t>(n)] = xs[mna.node_row(n)];
     return row;
   };
   moments.push_back(collect(x));
   for (int k = 1; k <= order; ++k) {
-    const std::vector<double> cx = cm * x;
-    std::vector<double> neg(dim);
-    for (std::size_t i = 0; i < dim; ++i) neg[i] = -cx[i];
-    x = lu.solve(neg);
+    x = cm.multiply(x);
+    for (double& v : x) v = -v;
+    lu.solve(x);
     moments.push_back(collect(x));
   }
   return moments;

@@ -1,39 +1,36 @@
 #include "ckt/transient.h"
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
+#include "ckt/mna.h"
 #include "diag/error.h"
-#include "numeric/lu.h"
-#include "numeric/matrix.h"
+#include "numeric/sparse_lu.h"
 #include "run/control.h"
 
 namespace rlcx::ckt {
 
-namespace {
-
-/// Tiny conductance from every node to ground, so nodes that connect only
-/// through capacitors (sink loads) keep the DC and MNA matrices regular.
-constexpr double kGmin = 1e-12;
-
-}  // namespace
-
 TransientResult::TransientResult(double dt, std::size_t steps, int nodes)
     : dt_(dt), steps_(steps),
-      samples_(static_cast<std::size_t>(nodes),
-               std::vector<double>(steps, 0.0)) {}
+      samples_(steps, std::vector<double>(static_cast<std::size_t>(nodes),
+                                          0.0)) {}
 
 Waveform TransientResult::waveform(NodeId n) const {
-  return Waveform(dt_, samples_.at(static_cast<std::size_t>(n)));
+  std::vector<double> w(steps_);
+  for (std::size_t s = 0; s < steps_; ++s) w[s] = voltage(n, s);
+  return Waveform(dt_, std::move(w));
 }
 
 double TransientResult::voltage(NodeId n, std::size_t step) const {
-  return samples_.at(static_cast<std::size_t>(n)).at(step);
+  return samples_.at(step).at(static_cast<std::size_t>(n));
 }
 
 void TransientResult::set_voltage(NodeId n, std::size_t step, double v) {
-  samples_.at(static_cast<std::size_t>(n)).at(step) = v;
+  samples_.at(step).at(static_cast<std::size_t>(n)) = v;
 }
 
 namespace {
@@ -70,125 +67,40 @@ TransientResult simulate(const Netlist& nl, const TransientOptions& opt) {
     throw diag::UsageError("transient", "t_stop must be >= dt");
   nl.validate();
 
-  const int nn = nl.node_count() - 1;  // unknown node voltages (ground = 0)
-  const std::size_t nv = nl.vsources().size();
-  const std::size_t nlind = nl.inductors().size();
-  const std::size_t dim = static_cast<std::size_t>(nn) + nv + nlind;
+  const Mna mna(nl);
+  const std::size_t dim = mna.dim();
   if (dim == 0)
     throw diag::UsageError("transient", "empty netlist: nothing to simulate");
 
+  const int nn = nl.node_count() - 1;  // unknown node voltages (ground = 0)
+  const std::size_t nv = nl.vsources().size();
+  const std::size_t nlind = nl.inductors().size();
   const double dt = opt.dt;
   const std::size_t steps =
       static_cast<std::size_t>(std::ceil(opt.t_stop / dt)) + 1;
 
-  auto vrow = [&](NodeId n) { return static_cast<std::size_t>(n - 1); };
-  const std::size_t vsrc0 = static_cast<std::size_t>(nn);
-  const std::size_t ind0 = vsrc0 + nv;
+  // Trapezoidal inductor history: each inductor walks its own column of
+  // the inductance matrix (self plus couplings) with 2 L / dt precomputed.
+  const numeric::CscMatrix lmat = mna.inductance();
+  std::vector<double> hist_coef(lmat.values());
+  for (double& c : hist_coef) c = 2.0 * c / dt;
 
-  // Dense mutual-inductance matrix over the inductor branches.
-  RealMatrix lmat(nlind, nlind);
-  for (std::size_t j = 0; j < nlind; ++j)
-    lmat(j, j) = nl.inductors()[j].henries;
-  for (const MutualInductance& m : nl.mutuals()) {
-    lmat(m.l1, m.l2) += m.henries;
-    lmat(m.l2, m.l1) += m.henries;
-  }
-
-  // ---- Transient system matrix (constant: fixed dt, linear circuit) ----
-  RealMatrix a(dim, dim);
-  for (int n = 1; n <= nn; ++n) a(vrow(n), vrow(n)) += kGmin;
-
-  auto stamp_conductance = [&](NodeId p, NodeId q, double g) {
-    if (p != kGround) a(vrow(p), vrow(p)) += g;
-    if (q != kGround) a(vrow(q), vrow(q)) += g;
-    if (p != kGround && q != kGround) {
-      a(vrow(p), vrow(q)) -= g;
-      a(vrow(q), vrow(p)) -= g;
-    }
-  };
-
-  for (const Resistor& r : nl.resistors())
-    stamp_conductance(r.a, r.b, 1.0 / r.ohms);
-  for (const Capacitor& c : nl.capacitors())
-    stamp_conductance(c.a, c.b, 2.0 * c.farads / dt);
-
-  for (std::size_t k = 0; k < nv; ++k) {
-    const VoltageSource& vs = nl.vsources()[k];
-    const std::size_t row = vsrc0 + k;
-    if (vs.a != kGround) {
-      a(vrow(vs.a), row) += 1.0;
-      a(row, vrow(vs.a)) += 1.0;
-    }
-    if (vs.b != kGround) {
-      a(vrow(vs.b), row) -= 1.0;
-      a(row, vrow(vs.b)) -= 1.0;
-    }
-  }
-
-  for (std::size_t j = 0; j < nlind; ++j) {
-    const Inductor& l = nl.inductors()[j];
-    const std::size_t row = ind0 + j;
-    if (l.a != kGround) {
-      a(vrow(l.a), row) += 1.0;  // KCL: current leaves node a
-      a(row, vrow(l.a)) += 1.0;  // branch voltage v_a - v_b
-    }
-    if (l.b != kGround) {
-      a(vrow(l.b), row) -= 1.0;
-      a(row, vrow(l.b)) -= 1.0;
-    }
-    for (std::size_t m = 0; m < nlind; ++m)
-      a(row, ind0 + m) -= 2.0 * lmat(j, m) / dt;
-  }
-
-  LuDecomposition<double> lu(std::move(a));
+  // Transient system G + (2/dt) C: constant for a fixed dt, factored once.
+  numeric::SparseLu lu(mna.matrix(2.0 / dt));
 
   // ---- DC operating point at t = 0: caps open, inductors shorted ----
   std::vector<double> x0(dim, 0.0);
   {
-    RealMatrix adc(dim, dim);
-    for (int n = 1; n <= nn; ++n) adc(vrow(n), vrow(n)) += kGmin;
-    auto stamp_dc = [&](NodeId p, NodeId q, double g) {
-      if (p != kGround) adc(vrow(p), vrow(p)) += g;
-      if (q != kGround) adc(vrow(q), vrow(q)) += g;
-      if (p != kGround && q != kGround) {
-        adc(vrow(p), vrow(q)) -= g;
-        adc(vrow(q), vrow(p)) -= g;
-      }
-    };
-    for (const Resistor& r : nl.resistors()) stamp_dc(r.a, r.b, 1.0 / r.ohms);
-    std::vector<double> rhs(dim, 0.0);
-    for (std::size_t k = 0; k < nv; ++k) {
-      const VoltageSource& vs = nl.vsources()[k];
-      const std::size_t row = vsrc0 + k;
-      if (vs.a != kGround) {
-        adc(vrow(vs.a), row) += 1.0;
-        adc(row, vrow(vs.a)) += 1.0;
-      }
-      if (vs.b != kGround) {
-        adc(vrow(vs.b), row) -= 1.0;
-        adc(row, vrow(vs.b)) -= 1.0;
-      }
-      rhs[row] = vs.waveform.eval(0.0);
-    }
-    for (std::size_t j = 0; j < nlind; ++j) {
-      const Inductor& l = nl.inductors()[j];
-      const std::size_t row = ind0 + j;
-      if (l.a != kGround) {
-        adc(vrow(l.a), row) += 1.0;
-        adc(row, vrow(l.a)) += 1.0;
-      }
-      if (l.b != kGround) {
-        adc(vrow(l.b), row) -= 1.0;
-        adc(row, vrow(l.b)) -= 1.0;
-      }
-      // Short at DC: v_a - v_b = 0 (row has only the voltage terms).
-    }
-    // Isolated "inductor row all zero" cannot happen: both ends grounded is
-    // rejected by the netlist (self-loop).  But an inductor from ground to
-    // ground-adjacent... keep the matrix regular with a tiny series term.
-    for (std::size_t j = 0; j < nlind; ++j) adc(ind0 + j, ind0 + j) -= 1e-9;
-    LuDecomposition<double> ludc(std::move(adc));
-    x0 = ludc.solve(rhs);
+    std::vector<numeric::Triplet> t;
+    mna.stamp_g(t);
+    // A tiny series term keeps the system regular when inductors close a
+    // loop (a short circuit at DC).
+    for (std::size_t j = 0; j < nlind; ++j)
+      t.push_back({mna.inductor_row(j), mna.inductor_row(j), -1e-9});
+    numeric::SparseLu ludc(numeric::CscMatrix::from_triplets(dim, t));
+    for (std::size_t k = 0; k < nv; ++k)
+      x0[mna.vsource_row(k)] = nl.vsources()[k].waveform.eval(0.0);
+    ludc.solve(x0);
     check_step(nl, x0, 0, 0.0, opt.divergence_limit);
   }
 
@@ -200,7 +112,7 @@ TransientResult simulate(const Netlist& nl, const TransientOptions& opt) {
   std::vector<double> cap_v(nl.capacitors().size(), 0.0);
   std::vector<double> cap_i(nl.capacitors().size(), 0.0);
   auto node_v = [&](const std::vector<double>& xs, NodeId n) {
-    return n == kGround ? 0.0 : xs[vrow(n)];
+    return n == kGround ? 0.0 : xs[mna.node_row(n)];
   };
   for (std::size_t c = 0; c < nl.capacitors().size(); ++c) {
     const Capacitor& cap = nl.capacitors()[c];
@@ -209,37 +121,36 @@ TransientResult simulate(const Netlist& nl, const TransientOptions& opt) {
   }
   std::vector<double> ind_i(nlind, 0.0), ind_v(nlind, 0.0);
   for (std::size_t j = 0; j < nlind; ++j) {
-    ind_i[j] = x0[ind0 + j];
+    ind_i[j] = x0[mna.inductor_row(j)];
     ind_v[j] = 0.0;  // DC: shorted
   }
 
   for (int n = 1; n <= nn; ++n) result.set_voltage(n, 0, node_v(x0, n));
 
-  std::vector<double> rhs(dim, 0.0);
   for (std::size_t step = 1; step < steps; ++step) {
     // Step boundary: companion state and the result waveforms are
     // consistent here, so a cancelled march unwinds cleanly.
     run::checkpoint("transient");
     const double t = dt * static_cast<double>(step);
-    std::fill(rhs.begin(), rhs.end(), 0.0);
+    std::fill(x.begin(), x.end(), 0.0);
 
     for (std::size_t c = 0; c < nl.capacitors().size(); ++c) {
       const Capacitor& cap = nl.capacitors()[c];
       const double geq = 2.0 * cap.farads / dt;
       const double ieq = geq * cap_v[c] + cap_i[c];
-      if (cap.a != kGround) rhs[vrow(cap.a)] += ieq;
-      if (cap.b != kGround) rhs[vrow(cap.b)] -= ieq;
+      if (cap.a != kGround) x[mna.node_row(cap.a)] += ieq;
+      if (cap.b != kGround) x[mna.node_row(cap.b)] -= ieq;
     }
     for (std::size_t k = 0; k < nv; ++k)
-      rhs[vsrc0 + k] = nl.vsources()[k].waveform.eval(t);
+      x[mna.vsource_row(k)] = nl.vsources()[k].waveform.eval(t);
     for (std::size_t j = 0; j < nlind; ++j) {
       double hist = -ind_v[j];
-      for (std::size_t m = 0; m < nlind; ++m)
-        hist -= 2.0 * lmat(j, m) / dt * ind_i[m];
-      rhs[ind0 + j] = hist;
+      for (std::size_t p = lmat.col_ptr()[j]; p < lmat.col_ptr()[j + 1]; ++p)
+        hist -= hist_coef[p] * ind_i[lmat.row_idx()[p]];
+      x[mna.inductor_row(j)] = hist;
     }
 
-    x = lu.solve(rhs);
+    lu.solve(x);
     check_step(nl, x, step, t, opt.divergence_limit);
 
     for (std::size_t c = 0; c < nl.capacitors().size(); ++c) {
@@ -252,7 +163,7 @@ TransientResult simulate(const Netlist& nl, const TransientOptions& opt) {
     }
     for (std::size_t j = 0; j < nlind; ++j) {
       const Inductor& l = nl.inductors()[j];
-      ind_i[j] = x[ind0 + j];
+      ind_i[j] = x[mna.inductor_row(j)];
       ind_v[j] = node_v(x, l.a) - node_v(x, l.b);
     }
 

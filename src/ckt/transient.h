@@ -1,10 +1,13 @@
 // Transient simulation of linear RLC netlists: MNA with trapezoidal
 // integration, the same numerical core SPICE applies to this circuit class.
 //
-// The system matrix is constant for a fixed timestep, so it is factored
-// once and every step is a single back-substitution — simulating the
-// paper's clocktrees (hundreds of nodes, thousands of steps) takes
-// milliseconds.
+// The system matrix G + (2/dt) C (ckt/mna.h) is constant for a fixed
+// timestep, so it is factored once — sparse LU in a minimum-degree order
+// (numeric/sparse_lu.h) — and every step is one O(nnz(L+U)) solve plus an
+// O(couplings) inductor-history update.  On one Intel Xeon core with CPW
+// H-trees and 4-section ladders (BENCH_transient.json, ~1170 steps), a
+// 16-sink RLC tree (MNA dim 1057) simulates in ~35 ms, 128 sinks (dim
+// 8673) in ~0.3 s and 512 sinks (dim 34785) in ~1.3 s.
 #pragma once
 
 #include <vector>
@@ -42,7 +45,10 @@ class TransientResult {
  private:
   double dt_;
   std::size_t steps_;
-  std::vector<std::vector<double>> samples_;  // [node][step]
+  // Step-major, so the march writes each step's node voltages contiguously.
+  // One row per step rather than one flat block: a multi-MB block moves
+  // glibc's mmap threshold and raised the daemon's peak RSS by ~2 MiB.
+  std::vector<std::vector<double>> samples_;  // [step][node]
 };
 
 /// Run a transient analysis.  The initial state is the DC operating point at

@@ -1,6 +1,7 @@
 // LU decomposition with partial pivoting, templated over the scalar type so
-// the same code factors the real MNA matrices of the circuit simulator and
-// the complex filament impedance matrices of the loop solver.
+// the same code factors the complex filament impedance matrices of the loop
+// solver, the complex AC systems of the circuit simulator and real dense
+// systems (the transient's sparse MNA path is numeric/sparse_lu.h).
 //
 // The factorisation is cache-blocked (right-looking with a panel of
 // kPanelWidth columns and a column-tiled trailing update): the O(n^3) bulk
@@ -87,8 +88,7 @@ inline void rank_update(std::complex<double>* dst,
 }  // namespace detail
 
 /// In-place LU factorisation of a square matrix with row pivoting.
-/// Factor once, then solve() any number of right-hand sides — the transient
-/// simulator relies on this (one factorisation per timestep size).
+/// Factor once, then solve() any number of right-hand sides.
 template <typename T>
 class LuDecomposition {
  public:

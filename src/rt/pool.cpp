@@ -89,6 +89,9 @@ void Pool::run_task(Task& task) {
   } catch (...) {
     error = std::current_exception();
   }
+  // Release the closure's captures before the group can observe completion:
+  // once task_done returns, the waiter may already have moved on.
+  task.fn = nullptr;
   if (task.group != nullptr) task.group->task_done(std::move(error));
 }
 
@@ -232,16 +235,15 @@ void TaskGroup::run(std::function<void()> fn) {
 }
 
 void TaskGroup::task_done(std::exception_ptr error) {
-  if (error) {
-    std::lock_guard<std::mutex> lock(impl_->m);
-    if (!impl_->first_error) impl_->first_error = std::move(error);
-  }
-  if (impl_->pending.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    // Notify under the lock so a waiter cannot miss the final decrement
-    // between its predicate check and its sleep.
-    std::lock_guard<std::mutex> lock(impl_->m);
+  // Decrement and notify under the group mutex.  wait() takes the same
+  // mutex after it sees pending == 0, so it cannot return — and the group
+  // cannot be destroyed — until this call has released the lock and stopped
+  // touching *impl_.  Decrementing before locking let the last worker race
+  // the group's destructor to the mutex.
+  std::lock_guard<std::mutex> lock(impl_->m);
+  if (error && !impl_->first_error) impl_->first_error = std::move(error);
+  if (impl_->pending.fetch_sub(1, std::memory_order_acq_rel) == 1)
     impl_->cv.notify_all();
-  }
 }
 
 void TaskGroup::wait() {

@@ -96,9 +96,24 @@ Server::Server(ServeConfig config, std::ostream& diag)
 
 Server::~Server() {
   shutdown_.request();
-  std::lock_guard<std::mutex> lock(threads_m_);
-  for (std::thread& t : connections_)
+  join_connections();
+}
+
+/// Joins every connection thread.  The joins happen outside threads_m_:
+/// a connection thread's last act is to take that mutex and announce
+/// itself finished, so joining it under the lock deadlocks whenever the
+/// drain starts before a connection (the one that carried `shutdown`,
+/// typically) has finished.
+void Server::join_connections() {
+  std::vector<std::thread> threads;
+  {
+    std::lock_guard<std::mutex> lock(threads_m_);
+    threads.swap(connections_);
+  }
+  for (std::thread& t : threads)
     if (t.joinable()) t.join();
+  std::lock_guard<std::mutex> lock(threads_m_);
+  finished_.clear();
 }
 
 /// Joins connection threads that have announced completion, so a
@@ -208,13 +223,7 @@ int Server::run_socket() {
   }
 
   ::close(listen_fd);
-  {
-    std::lock_guard<std::mutex> lock(threads_m_);
-    for (std::thread& t : connections_)
-      if (t.joinable()) t.join();
-    connections_.clear();
-    finished_.clear();
-  }
+  join_connections();
   ::unlink(path.c_str());
   diag_ << "rlcx serve: drained, "
         << served_.load(std::memory_order_relaxed)

@@ -101,6 +101,7 @@ class Server {
   void record_request(std::uint64_t seq,
                       const std::vector<std::string>& tokens, int status);
   void reap_finished_locked();
+  void join_connections();
 
   ServeConfig config_;
   std::ostream& diag_;

@@ -6,6 +6,7 @@
 #include "cap/cap_tables.h"
 #include "geom/builders.h"
 #include "numeric/units.h"
+#include "support/scratch_dir.h"
 
 namespace rlcx::cap {
 namespace {
@@ -86,7 +87,8 @@ TEST(CapTables, RoundTripThroughStream) {
 }
 
 TEST(CapTables, FileRoundTripAndErrors) {
-  const std::string path = "/tmp/rlcx_cap_tables.txt";
+  const testing::ScratchDir scratch("rlcx_cap_tables");
+  const std::string path = scratch.file("cap_tables.txt");
   tables().save_file(path);
   const CapTables r = CapTables::load_file(path);
   EXPECT_FALSE(r.empty());

@@ -1,9 +1,18 @@
-// Validation of the transient engine against closed-form circuit theory.
+// Validation of the transient engine against closed-form circuit theory,
+// and of the sparse MNA path against the dense-LU oracle
+// (tests/support/dense_transient_reference) on CPW H-trees.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
+#include "ckt/moments.h"
 #include "ckt/transient.h"
+#include "diag/error.h"
+#include "run/control.h"
+#include "run/fault_injection.h"
+#include "support/dense_transient_reference.h"
+#include "support/htree_fixture.h"
 
 namespace rlcx::ckt {
 namespace {
@@ -227,6 +236,189 @@ TEST(Transient, EnergyConservationLcTank) {
     late_peak = std::max(late_peak, std::abs(v.sample(i)));
   EXPECT_LE(late_peak, std::abs(v.max()) + 1e-9);
 }
+
+
+// ---- Sparse vs dense oracle -------------------------------------------
+
+struct HTreeCase {
+  std::size_t sinks;
+  bool inductance;
+  bool alternate;
+};
+
+std::string case_name(const ::testing::TestParamInfo<HTreeCase>& info) {
+  return std::to_string(info.param.sinks) + "sinks_" +
+         (info.param.inductance ? "RLC" : "RC") +
+         (info.param.alternate ? "_alternating" : "_one_layer");
+}
+
+class SparseVsDense : public ::testing::TestWithParam<HTreeCase> {};
+
+TEST_P(SparseVsDense, HTreeWaveformsMatchAtEveryNodeAndStep) {
+  const HTreeCase c = GetParam();
+  const clocktree::HTreeSpec spec = testing::cpw_htree(c.sinks, c.alternate);
+  const Netlist nl = testing::htree_netlist(spec, c.inductance).netlist;
+  // The skew analysis's step (t_rise / 50) over the ramp and the first
+  // reflections: past the 50 % crossing of every sink.
+  TransientOptions opt;
+  opt.dt = spec.driver.t_rise / 50.0;
+  opt.t_stop = 4.0 * spec.driver.t_rise;
+  const std::string mismatch = testing::compare_waveforms(
+      nl, simulate(nl, opt), testing::dense_transient_reference(nl, opt));
+  EXPECT_TRUE(mismatch.empty()) << mismatch;
+}
+
+std::vector<HTreeCase> htree_cases() {
+  std::vector<HTreeCase> out;
+  for (std::size_t sinks : {4, 8, 16, 32})
+    for (bool inductance : {true, false})
+      for (bool alternate : {false, true})
+        out.push_back({sinks, inductance, alternate});
+  return out;
+}
+
+INSTANTIATE_TEST_SUITE_P(CpwHTrees, SparseVsDense,
+                         ::testing::ValuesIn(htree_cases()), case_name);
+
+TEST(Transient, IsBitIdenticalAcrossRuns) {
+  const clocktree::HTreeSpec spec = testing::cpw_htree(8, true);
+  const Netlist nl = testing::htree_netlist(spec, true).netlist;
+  TransientOptions opt;
+  opt.dt = spec.driver.t_rise / 50.0;
+  opt.t_stop = 2.0 * spec.driver.t_rise;
+  const TransientResult a = simulate(nl, opt);
+  const TransientResult b = simulate(nl, opt);
+  for (NodeId n = 1; n < nl.node_count(); ++n)
+    for (std::size_t s = 0; s < a.steps(); ++s)
+      ASSERT_EQ(a.voltage(n, s), b.voltage(n, s)) << n << " " << s;
+}
+
+TEST(Transient, ParallelVoltageSourcesAreSingular) {
+  // Two ideal sources across the same node pair: their branch currents are
+  // indistinguishable, so the MNA system is exactly singular.
+  Netlist nl;
+  const NodeId in = nl.add_node("in");
+  nl.add_vsource(in, kGround, SourceWaveform::ramp(1.0, 10e-12));
+  nl.add_vsource(in, kGround, SourceWaveform::ramp(1.0, 10e-12));
+  nl.add_resistor(in, kGround, 50.0);
+  TransientOptions opt;
+  opt.t_stop = 1e-10;
+  opt.dt = 1e-12;
+  EXPECT_THROW(simulate(nl, opt), diag::SingularSystem);
+  EXPECT_THROW(testing::dense_transient_reference(nl, opt),
+               diag::SingularSystem);
+}
+
+TEST(Transient, DivergenceNamesTheOraclesFirstRunawayStepAndNode) {
+  // Three inductors whose pairwise couplings are each legal (|k| < 1) but
+  // whose inductance matrix is indefinite: the negative-energy mode grows
+  // without bound.  The guard must stop at the first step where the dense
+  // oracle (which has no guard) leaves the 1 kV bound, on the same node.
+  Netlist nl;
+  const NodeId in = nl.add_node("in");
+  nl.add_vsource(in, kGround, SourceWaveform::ramp(1.0, 10e-12));
+  std::size_t ind[3];
+  for (int j = 0; j < 3; ++j) {
+    const NodeId n = nl.add_node("n" + std::to_string(j));
+    nl.add_resistor(in, n, 10.0);
+    ind[j] = nl.add_inductor(n, kGround, 1e-9);
+  }
+  nl.add_coupling(ind[0], ind[1], 0.9);
+  nl.add_coupling(ind[0], ind[2], 0.9);
+  nl.add_coupling(ind[1], ind[2], -0.9);
+  TransientOptions opt;
+  opt.t_stop = 5e-9;
+  opt.dt = 1e-12;
+
+  const TransientResult ref = testing::dense_transient_reference(nl, opt);
+  std::size_t step = 0;
+  NodeId node = 0;
+  for (std::size_t s = 0; s < ref.steps() && node == 0; ++s)
+    for (NodeId n = 1; n < nl.node_count() && node == 0; ++n)
+      if (!(std::abs(ref.voltage(n, s)) <= opt.divergence_limit)) {
+        step = s;
+        node = n;
+      }
+  ASSERT_NE(node, 0) << "the oracle must diverge within t_stop";
+  try {
+    simulate(nl, opt);
+    FAIL() << "the divergence guard must halt the march";
+  } catch (const diag::NumericError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("at step " + std::to_string(step) + " "),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find("node '" + nl.node_name(node) + "'"),
+              std::string::npos)
+        << what;
+  }
+}
+
+TEST(Transient, CancellationStopsAtAStepBoundary) {
+  // The fault schedule cancels at the 40th checkpoint, which is the top of
+  // step 40: no checkpoint runs after it, so the march unwound before
+  // starting another step.
+  const clocktree::HTreeSpec spec = testing::cpw_htree(4, false);
+  const Netlist nl = testing::htree_netlist(spec, true).netlist;
+  TransientOptions opt;
+  opt.dt = spec.driver.t_rise / 50.0;
+  opt.t_stop = 2.0 * spec.driver.t_rise;
+  run::RunControl rc;
+  run::ScopedRunControl scope(rc);
+  run::FaultInjector::global().set_schedule("cancel:40");
+  EXPECT_THROW(simulate(nl, opt), diag::CancelledError);
+  EXPECT_EQ(run::FaultInjector::global().calls("cancel"), 40u);
+  EXPECT_EQ(run::FaultInjector::global().triggered("cancel"), 1u);
+  run::FaultInjector::global().clear();
+}
+
+// D2M tracks the 50 % arrival of a near-step-driven RC tree within
+// kD2mTolerance at every depth: EXPERIMENTS.md (A5, bench_moments) puts
+// D2M within 0.4 % of transient on the extracted RC netlist, and the
+// CPW trees of 2-6 levels land within 0.15 % (docs/performance.md).
+constexpr double kD2mTolerance = 0.004;
+
+class RcTreeD2m : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(RcTreeD2m, SinkArrivalsMatchD2m) {
+  const std::size_t levels = GetParam();
+  clocktree::HTreeSpec spec =
+      testing::cpw_htree(std::size_t{1} << (levels - 1), false);
+  const clocktree::TreeNetlist tree = testing::htree_netlist(spec, false);
+  // Same tree, driven by a near-step: a 1 ps ramp at the driver input.
+  Netlist nl;
+  for (NodeId n = 1; n < tree.netlist.node_count(); ++n) nl.add_node();
+  const NodeId clk = tree.netlist.vsources()[0].a;
+  nl.add_vsource(clk, kGround, SourceWaveform::ramp(1.0, 1e-12));
+  for (const Resistor& r : tree.netlist.resistors())
+    nl.add_resistor(r.a, r.b, r.ohms);
+  for (const Capacitor& c : tree.netlist.capacitors())
+    nl.add_capacitor(c.a, c.b, c.farads);
+
+  const auto m = transfer_moments(nl, 2);
+  TransientOptions opt;
+  opt.dt = 0.25e-12;
+  opt.t_stop = 0.0;
+  for (const NodeId sink : tree.sinks) {
+    const double d2m = std::log(2.0) *
+                       m[1][static_cast<std::size_t>(sink)] *
+                       m[1][static_cast<std::size_t>(sink)] /
+                       std::sqrt(m[2][static_cast<std::size_t>(sink)]);
+    opt.t_stop = std::max(opt.t_stop, 4.0 * d2m);
+  }
+  const TransientResult res = simulate(nl, opt);
+  for (const NodeId sink : tree.sinks) {
+    const auto t50 = res.waveform(sink).first_rise_through(0.5);
+    ASSERT_TRUE(t50.has_value());
+    // The ramp's midpoint, 0.5 ps, is the step's effective start.
+    const double arrival = *t50 - 0.5e-12;
+    EXPECT_NEAR(d2m_delay(nl, sink), arrival, kD2mTolerance * arrival)
+        << "sink node " << sink << " of a " << levels << "-level tree";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Depths, RcTreeD2m,
+                         ::testing::Range<std::size_t>(2, 7));
 
 }  // namespace
 }  // namespace rlcx::ckt

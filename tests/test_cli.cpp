@@ -7,6 +7,7 @@
 
 #include "cli/cli.h"
 #include "run/fault_injection.h"
+#include "support/scratch_dir.h"
 
 namespace rlcx::cli {
 namespace {
@@ -78,7 +79,8 @@ TEST(Cli, ExtractRejectsBadStructure) {
 }
 
 TEST(Cli, ExtractWritesSpiceDeck) {
-  const std::string path = "/tmp/rlcx_cli_test.sp";
+  const testing::ScratchDir scratch("rlcx_cli");
+  const std::string path = scratch.file("test.sp");
   const Result r = drive({"extract", "--length-um", "500", "--spice", path});
   EXPECT_EQ(r.code, 0) << r.err;
   std::ifstream f(path);
@@ -110,7 +112,8 @@ TEST(Cli, DelayRcVsRlcOrdering) {
 }
 
 TEST(Cli, DelayWritesCsv) {
-  const std::string path = "/tmp/rlcx_cli_wave.csv";
+  const testing::ScratchDir scratch("rlcx_cli");
+  const std::string path = scratch.file("wave.csv");
   const Result r = drive({"delay", "--length-um", "500", "--csv", path});
   EXPECT_EQ(r.code, 0) << r.err;
   std::ifstream f(path);
@@ -171,12 +174,9 @@ TEST(Cli, ExtractTracesRejectEmptyItems) {
 }
 
 TEST(Cli, TableCacheColdWarmAndMaintenance) {
-  const std::string dir =
-      (std::filesystem::path(::testing::TempDir()) / "rlcx_cli_cache")
-          .string();
-  std::error_code ec;
-  std::filesystem::remove_all(dir, ec);
-  const std::string out_path = "/tmp/rlcx_cli_cached_tables.tbl";
+  const testing::ScratchDir scratch("rlcx_cli_cache");
+  const std::string dir = scratch.file("cache");
+  const std::string out_path = scratch.file("cached_tables.tbl");
 
   const std::vector<std::string> build{"tables", "--out", out_path,
                                        "--points", "2", "--table-cache",
@@ -212,7 +212,6 @@ TEST(Cli, TableCacheColdWarmAndMaintenance) {
   EXPECT_NE(purge.out.find("purged 1"), std::string::npos);
   const Result stat2 = drive({"cache", "--dir", dir});
   EXPECT_NE(stat2.out.find("0 entries"), std::string::npos);
-  std::filesystem::remove_all(dir, ec);
 }
 
 TEST(Cli, CacheCommandRequiresDir) {
@@ -224,7 +223,8 @@ TEST(Cli, CacheCommandRequiresDir) {
 TEST(Cli, TablesRequireOutAndBuild) {
   const Result missing = drive({"tables"});
   EXPECT_EQ(missing.code, 2);
-  const std::string path = "/tmp/rlcx_cli_tables.txt";
+  const testing::ScratchDir scratch("rlcx_cli");
+  const std::string path = scratch.file("tables.txt");
   const Result r = drive({"tables", "--out", path, "--points", "2",
                           "--planes", "none"});
   EXPECT_EQ(r.code, 0) << r.err;
@@ -259,11 +259,8 @@ TEST(CliExitCodes, UnknownExtrapolationPolicyIsUsage) {
 }
 
 TEST(CliExitCodes, ExtrapolationPolicyGovernsOutOfGridQueries) {
-  const std::string dir =
-      (std::filesystem::path(::testing::TempDir()) / "rlcx_cli_extrap")
-          .string();
-  std::error_code ec;
-  std::filesystem::remove_all(dir, ec);
+  const testing::ScratchDir scratch("rlcx_cli_extrap");
+  const std::string dir = scratch.file("cache");
 
   // Characterise a tiny grid (widths 1..20 um), then ask for a 50 um trace.
   const std::vector<std::string> base{
@@ -301,15 +298,11 @@ TEST(CliExitCodes, ExtrapolationPolicyGovernsOutOfGridQueries) {
   const Result clamped = drive(clamp);
   EXPECT_EQ(clamped.code, 0) << clamped.err;
   EXPECT_EQ(clamped.err.find("warning:"), std::string::npos) << clamped.err;
-  std::filesystem::remove_all(dir, ec);
 }
 
 TEST(CliExitCodes, CorruptCacheRecoversByDefaultAndFailsUnderStrict) {
-  const std::string dir =
-      (std::filesystem::path(::testing::TempDir()) / "rlcx_cli_corrupt")
-          .string();
-  std::error_code ec;
-  std::filesystem::remove_all(dir, ec);
+  const testing::ScratchDir scratch("rlcx_cli_corrupt");
+  const std::string dir = scratch.file("cache");
   const std::vector<std::string> base{"extract",    "--structure", "cpw",
                                       "--length-um", "1000",       "--points",
                                       "2",          "--table-cache", dir};
@@ -342,7 +335,6 @@ TEST(CliExitCodes, CorruptCacheRecoversByDefaultAndFailsUnderStrict) {
   const Result hard = drive(strict);
   EXPECT_EQ(hard.code, 3) << hard.err;
   EXPECT_NE(hard.err.find("[cache]"), std::string::npos) << hard.err;
-  std::filesystem::remove_all(dir, ec);
 }
 
 TEST(CliBatch, RequiresTableCache) {
@@ -352,11 +344,8 @@ TEST(CliBatch, RequiresTableCache) {
 }
 
 TEST(CliBatch, CampaignJournalGuardAndResume) {
-  const std::string dir =
-      (std::filesystem::path(::testing::TempDir()) / "rlcx_cli_batch")
-          .string();
-  std::error_code ec;
-  std::filesystem::remove_all(dir, ec);
+  const testing::ScratchDir scratch("rlcx_cli_batch");
+  const std::string dir = scratch.file("cache");
   const std::vector<std::string> base{"batch",     "--table-cache", dir,
                                       "--layers",  "6",             "--points",
                                       "2",         "--planes-list", "none"};
@@ -382,18 +371,14 @@ TEST(CliBatch, CampaignJournalGuardAndResume) {
   EXPECT_NE(resumed.out.find("1 resumed from journal, 0 field solves"),
             std::string::npos)
       << resumed.out;
-  std::filesystem::remove_all(dir, ec);
 }
 
 TEST(CliBatch, CancelledCampaignExitsFiveAndResumes) {
   struct InjectorReset {
     ~InjectorReset() { run::FaultInjector::global().clear(); }
   } injector_reset;
-  const std::string dir =
-      (std::filesystem::path(::testing::TempDir()) / "rlcx_cli_batch_cancel")
-          .string();
-  std::error_code ec;
-  std::filesystem::remove_all(dir, ec);
+  const testing::ScratchDir scratch("rlcx_cli_batch_cancel");
+  const std::string dir = scratch.file("cache");
   const std::vector<std::string> base{"batch",     "--table-cache", dir,
                                       "--layers",  "6,4",           "--points",
                                       "2",         "--planes-list", "none"};
@@ -412,21 +397,16 @@ TEST(CliBatch, CancelledCampaignExitsFiveAndResumes) {
   ASSERT_EQ(resumed.code, 0) << resumed.err;
   EXPECT_NE(resumed.out.find("2 completed ids"), std::string::npos)
       << resumed.out;
-  std::filesystem::remove_all(dir, ec);
 }
 
 TEST(CliBatch, ExpiredDeadlineExitsFive) {
-  const std::string dir =
-      (std::filesystem::path(::testing::TempDir()) / "rlcx_cli_batch_dl")
-          .string();
-  std::error_code ec;
-  std::filesystem::remove_all(dir, ec);
+  const testing::ScratchDir scratch("rlcx_cli_batch_dl");
+  const std::string dir = scratch.file("cache");
   const Result r = drive({"batch", "--table-cache", dir, "--layers", "6",
                           "--points", "2", "--planes-list", "none",
                           "--deadline-s", "0"});
   EXPECT_EQ(r.code, 5) << r.err;
   EXPECT_NE(r.err.find("[deadline]"), std::string::npos) << r.err;
-  std::filesystem::remove_all(dir, ec);
 }
 
 TEST(CliBatch, DeadlineAppliesToEveryCommand) {

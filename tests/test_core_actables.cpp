@@ -9,6 +9,7 @@
 #include "geom/builders.h"
 #include "numeric/units.h"
 #include "solver/frequency.h"
+#include "support/scratch_dir.h"
 
 namespace rlcx::core {
 namespace {
@@ -119,7 +120,8 @@ TEST(TablesBundle, EmptyResistanceTableRoundTrips) {
 }
 
 TEST(TablesBundle, FileRoundTripAndErrors) {
-  const std::string path = "/tmp/rlcx_tables_bundle.txt";
+  const testing::ScratchDir scratch("rlcx_tables_bundle");
+  const std::string path = scratch.file("bundle.txt");
   tables().save_file(path);
   const InductanceTables r = InductanceTables::load_file(path);
   EXPECT_EQ(r.self.dims(), 2u);

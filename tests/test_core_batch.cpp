@@ -18,6 +18,7 @@
 #include "run/control.h"
 #include "run/fault_injection.h"
 #include "run/journal.h"
+#include "support/scratch_dir.h"
 
 namespace rlcx::core {
 namespace {
@@ -25,18 +26,7 @@ namespace {
 namespace fs = std::filesystem;
 using units::um;
 
-struct ScratchDir {
-  std::string path;
-  explicit ScratchDir(const std::string& name)
-      : path((fs::path(::testing::TempDir()) / name).string()) {
-    std::error_code ec;
-    fs::remove_all(path, ec);
-  }
-  ~ScratchDir() {
-    std::error_code ec;
-    fs::remove_all(path, ec);
-  }
-};
+using testing::ScratchDir;
 
 TableGrid tiny_grid() {
   TableGrid g;

@@ -9,6 +9,7 @@
 
 #include "core/table.h"
 #include "diag/error.h"
+#include "support/scratch_dir.h"
 
 namespace rlcx::core {
 namespace {
@@ -87,7 +88,8 @@ TEST(NdTable, LoadRejectsGarbage) {
 
 TEST(NdTable, FileRoundTrip) {
   const NdTable t = make_2d();
-  const std::string path = "/tmp/rlcx_table_test.txt";
+  const testing::ScratchDir scratch("rlcx_table");
+  const std::string path = scratch.file("table.txt");
   t.save_file(path);
   const NdTable r = NdTable::load_file(path);
   EXPECT_NEAR(r.lookup({2.0, 15.0}), t.lookup({2.0, 15.0}), 1e-12);
@@ -211,8 +213,9 @@ TEST(NdTableBinary, RejectsNonFiniteValues) {
 
 TEST(NdTableBinary, LoadFileSniffsBothFormats) {
   const NdTable t = make_2d();
-  const std::string bin_path = "/tmp/rlcx_table_test_bin.tbl";
-  const std::string txt_path = "/tmp/rlcx_table_test_txt.tbl";
+  const testing::ScratchDir scratch("rlcx_table");
+  const std::string bin_path = scratch.file("bin.tbl");
+  const std::string txt_path = scratch.file("txt.tbl");
   t.save_file_binary(bin_path);
   t.save_file(txt_path);
   const NdTable rb = NdTable::load_file(bin_path);

@@ -13,6 +13,7 @@
 #include "geom/technology.h"
 #include "numeric/units.h"
 #include "run/fault_injection.h"
+#include "support/scratch_dir.h"
 
 namespace rlcx::core {
 namespace {
@@ -20,19 +21,7 @@ namespace {
 namespace fs = std::filesystem;
 using units::um;
 
-// A fresh cache directory per test, removed on destruction.
-struct ScratchDir {
-  std::string path;
-  explicit ScratchDir(const std::string& name)
-      : path((fs::path(::testing::TempDir()) / name).string()) {
-    std::error_code ec;
-    fs::remove_all(path, ec);
-  }
-  ~ScratchDir() {
-    std::error_code ec;
-    fs::remove_all(path, ec);
-  }
-};
+using testing::ScratchDir;
 
 // The smallest legal grid (2 points per axis -> 16 two-trace solves) over
 // short narrow traces keeps each build fast.

@@ -36,6 +36,7 @@
 #include "run/journal.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
+#include "support/scratch_dir.h"
 
 namespace rlcx {
 namespace {
@@ -43,19 +44,7 @@ namespace {
 namespace fs = std::filesystem;
 using units::um;
 
-struct ScratchDir {
-  std::string path;
-  explicit ScratchDir(const std::string& name)
-      : path((fs::path(::testing::TempDir()) / name).string()) {
-    std::error_code ec;
-    fs::remove_all(path, ec);
-    fs::create_directories(path);
-  }
-  ~ScratchDir() {
-    std::error_code ec;
-    fs::remove_all(path, ec);
-  }
-};
+using testing::ScratchDir;
 
 struct InjectorReset {
   ~InjectorReset() { run::FaultInjector::global().clear(); }

@@ -27,6 +27,7 @@
 #include "numeric/lu.h"
 #include "numeric/units.h"
 #include "run/fault_injection.h"
+#include "support/scratch_dir.h"
 
 namespace rlcx {
 namespace {
@@ -36,18 +37,7 @@ using units::um;
 
 // ---- Cache corruption ------------------------------------------------
 
-struct ScratchDir {
-  std::string path;
-  explicit ScratchDir(const std::string& name)
-      : path((fs::path(::testing::TempDir()) / name).string()) {
-    std::error_code ec;
-    fs::remove_all(path, ec);
-  }
-  ~ScratchDir() {
-    std::error_code ec;
-    fs::remove_all(path, ec);
-  }
-};
+using testing::ScratchDir;
 
 core::TableGrid tiny_grid() {
   core::TableGrid g;

@@ -12,6 +12,7 @@
 #include "geom/builders.h"
 #include "numeric/units.h"
 #include "solver/block_solver.h"
+#include "support/dense_transient_reference.h"
 
 namespace rlcx {
 namespace {
@@ -127,6 +128,83 @@ INSTANTIATE_TEST_SUITE_P(Seeds, PipelineFuzz,
                                            FuzzCase{8}, FuzzCase{13},
                                            FuzzCase{21}, FuzzCase{34},
                                            FuzzCase{55}, FuzzCase{89}));
+
+// Seeded random RLCK netlists through the sparse transient and the dense
+// oracle: a random spanning tree of R/L/C branches plus extra cross
+// branches, a grounded ramp source and a floating one (between two
+// non-ground nodes), and mutual K between randomly chosen — generally
+// non-adjacent — inductors.  Each inductor takes part in at most two
+// couplings of |k| <= 0.3, so L stays positive definite and the circuit
+// passive.  Every node's waveform must match the oracle at every step.
+class TransientFuzz : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(TransientFuzz, SparseMatchesDenseOracle) {
+  std::mt19937_64 rng(GetParam());
+  auto uni = [&](double lo, double hi) {
+    return std::uniform_real_distribution<double>(lo, hi)(rng);
+  };
+  auto pick = [&](int lo, int hi) {
+    return std::uniform_int_distribution<int>(lo, hi)(rng);
+  };
+  auto log_uni = [&](double lo, double hi) {
+    return std::exp(uni(std::log(lo), std::log(hi)));
+  };
+
+  ckt::Netlist nl;
+  const int nodes = pick(4, 24);
+  for (int n = 0; n < nodes; ++n) nl.add_node();
+  std::vector<std::size_t> inductors;
+  auto branch = [&](ckt::NodeId a, ckt::NodeId b) {
+    switch (pick(0, 2)) {
+      case 0: nl.add_resistor(a, b, log_uni(1.0, 1e3)); break;
+      case 1: nl.add_capacitor(a, b, log_uni(1e-15, 1e-12)); break;
+      default: inductors.push_back(nl.add_inductor(a, b, log_uni(1e-11, 1e-9)));
+    }
+  };
+  // Node 1 is driven; every other node hangs off an earlier one (or
+  // ground), so nothing dangles.
+  nl.add_vsource(1, ckt::kGround,
+                 ckt::SourceWaveform::ramp(uni(0.5, 2.0), uni(5e-12, 50e-12)));
+  for (int n = 2; n <= nodes; ++n) branch(n, pick(0, n - 1));
+  for (int e = pick(0, nodes); e > 0; --e) {
+    const int a = pick(0, nodes), b = pick(1, nodes);
+    if (a != b) branch(a, b);
+  }
+  // Floating source between two distinct nodes other than the driven one.
+  const int fa = pick(2, nodes);
+  int fb = pick(2, nodes);
+  if (fb == fa) fb = fa == 2 ? 3 : 2;
+  nl.add_vsource(fa, fb, ckt::SourceWaveform::ramp(uni(-1.0, 1.0),
+                                                   uni(5e-12, 50e-12)));
+  // Every branch needs some damping or it rings forever; a resistor in
+  // parallel with each inductor keeps the march well conditioned.
+  for (const std::size_t j : inductors)
+    nl.add_resistor(nl.inductors()[j].a, nl.inductors()[j].b,
+                    log_uni(10.0, 1e4));
+  std::vector<int> couplings(inductors.size(), 0);
+  for (int e = static_cast<int>(inductors.size()); e > 0; --e) {
+    if (inductors.size() < 2) break;
+    const std::size_t i = static_cast<std::size_t>(
+        pick(0, static_cast<int>(inductors.size()) - 1));
+    const std::size_t j = static_cast<std::size_t>(
+        pick(0, static_cast<int>(inductors.size()) - 1));
+    if (i == j || couplings[i] == 2 || couplings[j] == 2) continue;
+    ++couplings[i];
+    ++couplings[j];
+    nl.add_coupling(inductors[i], inductors[j],
+                    (pick(0, 1) == 0 ? 1.0 : -1.0) * uni(0.05, 0.3));
+  }
+
+  ckt::TransientOptions opt;
+  opt.dt = 1e-12;
+  opt.t_stop = 200e-12;
+  const std::string mismatch = testing::compare_waveforms(
+      nl, ckt::simulate(nl, opt), testing::dense_transient_reference(nl, opt));
+  EXPECT_TRUE(mismatch.empty()) << "seed " << GetParam() << ": " << mismatch;
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, TransientFuzz,
+                         ::testing::Range<std::uint64_t>(1, 33));
 
 }  // namespace
 }  // namespace rlcx

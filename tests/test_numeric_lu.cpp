@@ -1,4 +1,5 @@
-// The blocked LU against the textbook scalar oracle (numeric/lu_reference.h).
+// The blocked LU against the textbook scalar oracle (numeric/lu_reference.h),
+// and the sparse LU of the circuit simulator against the dense LU.
 //
 // The cache-blocked factorisation reorders floating-point sums, so it is not
 // bit-identical to the reference for systems wider than one panel — but it
@@ -7,8 +8,10 @@
 // condition-estimate contracts of the scalar version.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <complex>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include <cstdlib>
@@ -19,6 +22,7 @@
 #include "numeric/lu_simd.h"
 #include "numeric/matrix.h"
 #include "numeric/simd.h"
+#include "numeric/sparse_lu.h"
 
 namespace rlcx {
 namespace {
@@ -360,6 +364,71 @@ TEST(LuSimd, ComplexMultiRhsAgreesAcrossSimdModes) {
   for (std::size_t i = 0; i < n; ++i)
     for (std::size_t j = 0; j < nrhs; ++j)
       EXPECT_EQ(x_scalar(i, j), x_avx2(i, j));
+}
+
+// ---- Sparse LU (numeric/sparse_lu.h) against the dense LU -------------
+
+/// A random sparse system with MNA's awkward features: ~4 entries per
+/// column, a third of the diagonals structurally zero, and duplicates.
+std::vector<numeric::Triplet> random_sparse(std::size_t n, Rng& rng) {
+  std::vector<numeric::Triplet> t;
+  for (std::size_t j = 0; j < n; ++j) {
+    if (j % 3 != 0) t.push_back({j, j, 4.0 + rng.next()});
+    t.push_back({(j + 1) % n, j, 1.0 + 0.5 * rng.next()});
+    t.push_back({j, (j + 1) % n, 1.0 + 0.5 * rng.next()});
+    const auto far = static_cast<std::size_t>(
+        (0.5 + 0.5 * rng.next()) * static_cast<double>(n - 1));
+    t.push_back({far, j, rng.next()});
+    t.push_back({far, j, rng.next()});  // duplicate: summed
+  }
+  return t;
+}
+
+TEST(SparseLu, AgreesWithDenseLuIncludingZeroDiagonals) {
+  for (std::size_t n : {1, 2, 7, 40, 300}) {
+    Rng rng(n);
+    const std::vector<numeric::Triplet> t = n == 1
+        ? std::vector<numeric::Triplet>{{0, 0, 2.5}}
+        : random_sparse(n, rng);
+    RealMatrix dense(n, n);
+    for (const numeric::Triplet& e : t) dense(e.row, e.col) += e.value;
+    std::vector<double> b(n);
+    for (double& v : b) v = rng.next();
+
+    numeric::SparseLu lu(numeric::CscMatrix::from_triplets(n, t));
+    std::vector<double> x = b;
+    lu.solve(x);
+    const std::vector<double> want = LuDecomposition<double>(dense).solve(b);
+    for (std::size_t i = 0; i < n; ++i)
+      EXPECT_NEAR(x[i], want[i], 1e-12 * (1.0 + std::abs(want[i])))
+          << "n=" << n << " i=" << i;
+  }
+}
+
+TEST(SparseLu, TripletsSumDuplicatesAndMultiply) {
+  const numeric::CscMatrix a = numeric::CscMatrix::from_triplets(
+      3, {{0, 0, 1.0}, {2, 1, 2.0}, {0, 0, 3.0}, {1, 2, -1.0}, {2, 1, 0.5}});
+  EXPECT_EQ(a.nnz(), 3u);
+  EXPECT_EQ(a.multiply({1.0, 2.0, 3.0}), (std::vector<double>{4.0, -3.0, 5.0}));
+  EXPECT_THROW(numeric::CscMatrix::from_triplets(2, {{2, 0, 1.0}}),
+               diag::UsageError);
+}
+
+TEST(SparseLu, SingularColumnIsNamed) {
+  // Columns 1 and 2 are identical: elimination leaves column 2 with no
+  // usable pivot (exactly zero), whichever of the two is ordered first.
+  const numeric::CscMatrix a = numeric::CscMatrix::from_triplets(
+      3, {{0, 0, 2.0}, {0, 1, 1.0}, {0, 2, 1.0}, {1, 0, 1.0}});
+  try {
+    numeric::SparseLu lu(a);
+    FAIL() << "a singular matrix must be rejected";
+  } catch (const diag::SingularSystem& e) {
+    EXPECT_EQ(e.dimension(), 3u);
+    EXPECT_TRUE(e.column() == 1 || e.column() == 2) << e.column();
+  }
+  const numeric::CscMatrix nan = numeric::CscMatrix::from_triplets(
+      2, {{0, 0, std::numeric_limits<double>::quiet_NaN()}, {1, 1, 1.0}});
+  EXPECT_THROW(numeric::SparseLu{nan}, diag::SingularSystem);
 }
 
 }  // namespace

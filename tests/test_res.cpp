@@ -44,6 +44,7 @@
 #include "serve/protocol.h"
 #include "serve/table_store.h"
 #include "solver/block_solver.h"
+#include "support/scratch_dir.h"
 
 namespace rlcx {
 namespace {
@@ -124,18 +125,7 @@ core::TableGrid tiny_grid(double length_scale = 1.0) {
   return g;
 }
 
-struct ScratchDir {
-  std::string path;
-  explicit ScratchDir(const std::string& name)
-      : path((fs::path(::testing::TempDir()) / name).string()) {
-    std::error_code ec;
-    fs::remove_all(path, ec);
-  }
-  ~ScratchDir() {
-    std::error_code ec;
-    fs::remove_all(path, ec);
-  }
-};
+using testing::ScratchDir;
 
 // ---- Accounting ------------------------------------------------------
 

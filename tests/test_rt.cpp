@@ -236,5 +236,24 @@ TEST(TaskGroup, NestedRunExecutesInline) {
   EXPECT_EQ(inner.load(), 4);
 }
 
+TEST(TaskGroup, ShortLivedGroupsSurviveImmediateDestruction) {
+  // Each group dies the moment wait() returns, while the worker that ran
+  // its last task may still be inside task_done.  Completion must be
+  // published under the group's lock so that the destructor cannot free
+  // the group under that worker (ASan and TSan CI jobs run this).
+  Pool pool(4);
+  std::atomic<long> sum{0};
+  long expect = 0;
+  for (int g = 0; g < 10000; ++g) {
+    const int tasks = 1 + g % 3;
+    TaskGroup group(pool);
+    for (int t = 0; t < tasks; ++t)
+      group.run([&sum, g] { sum.fetch_add(g, std::memory_order_relaxed); });
+    group.wait();
+    expect += static_cast<long>(tasks) * g;
+  }
+  EXPECT_EQ(sum.load(), expect);
+}
+
 }  // namespace
 }  // namespace rlcx::rt

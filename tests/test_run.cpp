@@ -15,24 +15,14 @@
 #include "run/fault_injection.h"
 #include "run/journal.h"
 #include "run/signal.h"
+#include "support/scratch_dir.h"
 
 namespace rlcx::run {
 namespace {
 
 namespace fs = std::filesystem;
 
-struct ScratchDir {
-  std::string path;
-  explicit ScratchDir(const std::string& name)
-      : path((fs::path(::testing::TempDir()) / name).string()) {
-    std::error_code ec;
-    fs::remove_all(path, ec);
-  }
-  ~ScratchDir() {
-    std::error_code ec;
-    fs::remove_all(path, ec);
-  }
-};
+using testing::ScratchDir;
 
 // Collects warning messages emitted while alive (instead of stderr).
 struct WarningCapture {

@@ -9,8 +9,10 @@
 
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <set>
 #include <sstream>
 #include <string>
@@ -27,6 +29,7 @@
 #include "serve/protocol.h"
 #include "serve/server.h"
 #include "serve/table_store.h"
+#include "support/scratch_dir.h"
 
 namespace rlcx::serve {
 namespace {
@@ -229,24 +232,7 @@ TEST(Admission, BoundsAreValidated) {
 // Full request path through Server::handle_connection over an in-memory
 // transport (the same bytes a socket would carry).
 
-struct TempDir {
-  std::filesystem::path path;
-  TempDir() {
-    path = std::filesystem::temp_directory_path() /
-           ("rlcx_test_serve_" +
-            std::to_string(::testing::UnitTest::GetInstance()->random_seed()) +
-            "_" + std::to_string(counter()++));
-    std::filesystem::create_directories(path);
-  }
-  ~TempDir() {
-    std::error_code ec;
-    std::filesystem::remove_all(path, ec);
-  }
-  static int& counter() {
-    static int c = 0;
-    return c;
-  }
-};
+using testing::ScratchDir;
 
 std::vector<std::string> extract_argv() {
   // A signals-only bus: planes kNone, no grounds, so the request is a
@@ -255,9 +241,9 @@ std::vector<std::string> extract_argv() {
           "--traces", "s:10,s:5",    "--spacings", "2"};
 }
 
-ServeConfig test_config(const TempDir& dir) {
+ServeConfig test_config(const ScratchDir& dir) {
   ServeConfig cfg;
-  cfg.cache_dir = (dir.path / "cache").string();
+  cfg.cache_dir = dir.file("cache");
   cfg.max_tables = 4;
   cfg.max_active = 2;
   cfg.queue_depth = 4;
@@ -282,7 +268,7 @@ std::string from_structure_line(const std::string& text) {
 }
 
 TEST(ServeFlow, WarmResultIsBitIdenticalToColdCli) {
-  const TempDir dir;
+  const ScratchDir dir("rlcx_serve");
   const ServeConfig cfg = test_config(dir);
 
   // Cold: the one-shot CLI path through the on-disk cache.
@@ -319,7 +305,7 @@ TEST(ServeFlow, WarmResultIsBitIdenticalToColdCli) {
 }
 
 TEST(ServeFlow, MalformedPayloadGetsErrorFrameAndConnectionSurvives) {
-  const TempDir dir;
+  const ScratchDir dir("rlcx_serve");
   std::ostringstream diag;
   Server server(test_config(dir), diag);
   const std::vector<Frame> replies =
@@ -336,7 +322,7 @@ TEST(ServeFlow, MalformedPayloadGetsErrorFrameAndConnectionSurvives) {
 }
 
 TEST(ServeFlow, LostSyncClosesConnectionAfterErrorFrame) {
-  const TempDir dir;
+  const ScratchDir dir("rlcx_serve");
   std::ostringstream diag;
   Server server(test_config(dir), diag);
   // Bad magic, then a well-formed ping that must NOT be answered: the
@@ -349,7 +335,7 @@ TEST(ServeFlow, LostSyncClosesConnectionAfterErrorFrame) {
 }
 
 TEST(ServeFlow, DisallowedCommandsStayOffTheWire) {
-  const TempDir dir;
+  const ScratchDir dir("rlcx_serve");
   std::ostringstream diag;
   Server server(test_config(dir), diag);
   for (const char* cmd : {"batch", "tables", "cache", "serve", "query"}) {
@@ -364,7 +350,7 @@ TEST(ServeFlow, DisallowedCommandsStayOffTheWire) {
 }
 
 TEST(ServeFlow, ExpiredRequestDeadlineReturnsStatusFive) {
-  const TempDir dir;
+  const ScratchDir dir("rlcx_serve");
   ServeConfig cfg = test_config(dir);
   cfg.request_deadline_s = 1e-6;  // expired before the first checkpoint
   std::ostringstream diag;
@@ -382,7 +368,7 @@ TEST(ServeFlow, ExpiredRequestDeadlineReturnsStatusFive) {
 }
 
 TEST(ServeFlow, AdmissionOverflowReturnsStatusSix) {
-  const TempDir dir;
+  const ScratchDir dir("rlcx_serve");
   ServeConfig cfg = test_config(dir);
   cfg.max_active = 1;
   cfg.queue_depth = 0;
@@ -409,7 +395,7 @@ TEST(ServeFlow, AdmissionOverflowReturnsStatusSix) {
 }
 
 TEST(ServeFlow, ShutdownRequestDrainsTheConnection) {
-  const TempDir dir;
+  const ScratchDir dir("rlcx_serve");
   std::ostringstream diag;
   Server server(test_config(dir), diag);
   const std::vector<Frame> replies =
@@ -423,7 +409,7 @@ TEST(ServeFlow, ShutdownRequestDrainsTheConnection) {
 }
 
 TEST(ServeFlow, EveryRequestIsJournaled) {
-  const TempDir dir;
+  const ScratchDir dir("rlcx_serve");
   const ServeConfig cfg = test_config(dir);
   {
     std::ostringstream diag;
@@ -438,7 +424,7 @@ TEST(ServeFlow, EveryRequestIsJournaled) {
 }
 
 TEST(ServeFlow, StatsReportWarmStoreAndAdmissionCounters) {
-  const TempDir dir;
+  const ScratchDir dir("rlcx_serve");
   std::ostringstream diag;
   Server server(test_config(dir), diag);
   const std::vector<Frame> replies = drive(
@@ -463,7 +449,7 @@ TEST(ServeHardening, PeerGoneBeforeReplyDoesNotKillTheDaemon) {
   // without reading the reply makes the daemon's reply write hit a dead
   // socket.  Without MSG_NOSIGNAL that raises SIGPIPE and kills this whole
   // test binary — surviving to the assertions below IS the test.
-  const TempDir dir;
+  const ScratchDir dir("rlcx_serve");
   std::ostringstream diag;
   Server server(test_config(dir), diag);
   int fds[2];
@@ -487,7 +473,7 @@ TEST(ServeHardening, PeerGoneBeforeReplyDoesNotKillTheDaemon) {
 }
 
 TEST(ServeHardening, SlowLorisConnectionIsDroppedWithTypedGoodbye) {
-  const TempDir dir;
+  const ScratchDir dir("rlcx_serve");
   ServeConfig cfg = test_config(dir);
   cfg.idle_timeout_s = 0.2;
   std::ostringstream diag;
@@ -520,7 +506,7 @@ TEST(ServeHardening, SlowLorisConnectionIsDroppedWithTypedGoodbye) {
 }
 
 TEST(ServeHardening, HealthAnswersWithoutAnAdmissionSlot) {
-  const TempDir dir;
+  const ScratchDir dir("rlcx_serve");
   ServeConfig cfg = test_config(dir);
   cfg.max_active = 1;
   cfg.queue_depth = 0;
@@ -554,9 +540,9 @@ TEST(ServeHardening, TransientAcceptFailureBacksOffAndRecovers) {
   struct InjectorReset {
     ~InjectorReset() { run::FaultInjector::global().clear(); }
   } reset;
-  const TempDir dir;
+  const ScratchDir dir("rlcx_serve");
   ServeConfig cfg = test_config(dir);
-  cfg.socket_path = (dir.path / "s.sock").string();
+  cfg.socket_path = dir.file("s.sock");
   std::ostringstream diag;
   Server server(cfg, diag);
   // The first accept() reports EMFILE (injected): the loop must back off
@@ -576,6 +562,47 @@ TEST(ServeHardening, TransientAcceptFailureBacksOffAndRecovers) {
     client.request({"shutdown"});
   }
   daemon.join();
+}
+
+TEST(ServeHardening, DrainJoinsAConnectionStillOpenAtShutdown) {
+  // A connection thread's last act is to take the daemon's thread-list
+  // mutex and announce itself finished.  Client `open` keeps its
+  // connection idle past the `shutdown`; when the accept loop sees the
+  // shutdown first (both poll in 100 ms slices), it drains while that
+  // connection thread has yet to finish, and must join it without holding
+  // the mutex it needs.  Which poll wakes first varies, so several daemons
+  // with staggered request times make the race all but certain.
+  for (int cycle = 0; cycle < 8; ++cycle) {
+    const ScratchDir dir("rlcx_serve");
+    ServeConfig cfg = test_config(dir);
+    cfg.socket_path = dir.file("s.sock");
+    std::ostringstream diag;
+    Server server(cfg, diag);
+    std::promise<void> drained;
+    std::future<void> done = drained.get_future();
+    std::thread daemon([&] {
+      server.run_socket();
+      drained.set_value();
+    });
+    for (int i = 0; i < 500 && !std::filesystem::exists(cfg.socket_path);
+         ++i)
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    ASSERT_TRUE(std::filesystem::exists(cfg.socket_path));
+    Client open(cfg.socket_path);
+    {
+      Client closer(cfg.socket_path);
+      std::this_thread::sleep_for(std::chrono::milliseconds(20 + 10 * cycle));
+      EXPECT_EQ(open.request({"ping"}).status, 0);
+      closer.request({"shutdown"});
+    }
+    if (done.wait_for(std::chrono::seconds(10)) !=
+        std::future_status::ready) {
+      // Deadlocked: the daemon thread can be neither joined nor abandoned.
+      ADD_FAILURE() << "run_socket did not drain within 10 s";
+      std::abort();
+    }
+    daemon.join();
+  }
 }
 
 }  // namespace
