@@ -4,15 +4,23 @@
 // Part 1 times the partial-inductance matrix fill on a uniform skin-depth
 // style mesh, memo off vs memo on, single-threaded (rt::SerialRegion), and
 // checks the two fills agree element-exactly (the translation-only key's
-// contract on a uniform mesh).  Part 2 times complex LU factorisation plus
-// a multi-RHS solve, blocked LuDecomposition vs the textbook ReferenceLu,
-// and checks the solutions agree to 1e-13 relative.  Output is JSON so CI
-// and plotting scripts can consume it directly; the committed baseline
-// lives in BENCH_peec.json.
+// contract on a uniform mesh).  Part 2 times the cold (memo-off) fill of
+// the batch engine against the scalar libm kernels.  Part 3 runs one
+// serial planes-below table build on a small grid and records its
+// deterministic kernel counters.  Part 4 times complex LU factorisation
+// plus a multi-RHS solve, blocked LuDecomposition vs the textbook
+// ReferenceLu, and checks the solutions agree to 1e-13 relative.  Output
+// is JSON so CI and plotting scripts can consume it directly; the
+// committed baseline lives in BENCH_peec.json.
 //
 // Flags / environment:
 //   --smoke               tiny sizes, for the CI tier-1 job (seconds, not
 //                         minutes; speedup numbers are not meaningful there)
+//   --check FILE          exit 1 unless the table build's counters (pair
+//                         lookups, kernel evaluations, volume and filament
+//                         terms) appear verbatim in FILE, the committed
+//                         baseline; the build is the same with or without
+//                         --smoke, and wall time is never gated
 //   RLCX_BENCH_MESH=N     override the cross-section mesh to N x N cells
 //   RLCX_BENCH_LU=N       override the LU system size
 #include <chrono>
@@ -22,10 +30,14 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
+#include <sstream>
+#include <string>
 #include <vector>
 
+#include "core/table_builder.h"
+#include "geom/technology.h"
 #include "numeric/lu.h"
-#include "numeric/lu_reference.h"
 #include "numeric/matrix.h"
 #include "numeric/simd.h"
 #include "peec/assembly.h"
@@ -33,6 +45,8 @@
 #include "peec/mesh.h"
 #include "peec/partial_inductance.h"
 #include "rt/pool.h"
+#include "solver/frequency.h"
+#include "support/lu_reference.h"
 
 using namespace rlcx;
 using C = std::complex<double>;
@@ -140,7 +154,8 @@ struct ColdResult {
   double wall_simd = 0.0;        ///< batch engine, auto dispatch
   const char* simd_mode = "";    ///< what auto resolved to
   std::size_t pairs = 0;         ///< upper-triangle bar pairs per fill
-  std::size_t kernel_terms = 0;  ///< chunk-pair kernel terms per fill
+  std::size_t kernel_terms = 0;  ///< engine kernel terms per fill
+  std::size_t legacy_terms = 0;  ///< chunk pairs the libm sweep sums
   double max_rel_dev = 0.0;      ///< engine (simd) vs legacy, scale-relative
   double simd_vs_scalar_dev = 0.0;  ///< engine simd vs engine scalar (bitwise)
   std::size_t filaments = 0;
@@ -150,9 +165,9 @@ struct ColdResult {
 /// kernel evaluation.  This isolates raw kernel throughput — the quantity
 /// the batch engine vectorizes — from the memo's class collapsing.  The
 /// legacy baseline walks the pairs through the scalar libm kernels
-/// (self_partial_chunked / mutual_partial_chunked), the PR-4 hot path;
-/// the engine fills run the same geometry through the batch evaluator at
-/// forced-scalar and auto-dispatched SIMD modes.
+/// (self_partial / mutual_partial), which sum every chunk pair; the engine
+/// fills run the same geometry through the batch evaluator, which sums one
+/// term per chunk offset, at forced-scalar and auto-dispatched SIMD modes.
 ColdResult run_cold(std::size_t nw, std::size_t nt, int reps) {
   const std::vector<peec::Filament> fils = uniform_mesh(nw, nt);
   rt::SerialRegion serial;
@@ -165,20 +180,25 @@ ColdResult run_cold(std::size_t nw, std::size_t nt, int reps) {
   r.pairs = n * (n + 1) / 2;
   r.simd_mode = peec::batch_simd_name();
 
-  // Precompute chunk lists once; both paths receive identical chunking.
-  std::vector<std::vector<peec::Bar>> chunks(n);
-  for (std::size_t i = 0; i < n; ++i)
-    chunks[i] = peec::chunk_lengthwise(fils[i].bar, opt.max_aspect);
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto c = static_cast<std::size_t>(
+        peec::chunk_count(fils[i].bar, opt.max_aspect));
+    r.legacy_terms += c * (c + 1) / 2;
+    for (std::size_t j = i + 1; j < n; ++j) {
+      const peec::PairChunking pc =
+          peec::pair_chunking(fils[i].bar, fils[j].bar, opt.max_aspect);
+      r.legacy_terms += static_cast<std::size_t>(pc.n1 * pc.n2);
+    }
+  }
 
   RealMatrix legacy(n, n);
   r.wall_legacy = 1e300;
   for (int rep = 0; rep < reps; ++rep) {
     const auto t0 = std::chrono::steady_clock::now();
     for (std::size_t i = 0; i < n; ++i) {
-      legacy(i, i) = peec::self_partial_chunked(chunks[i], opt);
+      legacy(i, i) = peec::self_partial(fils[i].bar, opt);
       for (std::size_t j = i + 1; j < n; ++j) {
-        const double v = peec::mutual_partial_chunked(
-            fils[i].bar, fils[j].bar, chunks[i], chunks[j], opt);
+        const double v = peec::mutual_partial(fils[i].bar, fils[j].bar, opt);
         legacy(i, j) = legacy(j, i) = v;
       }
     }
@@ -234,6 +254,60 @@ ColdResult run_cold(std::size_t nw, std::size_t nt, int reps) {
   return r;
 }
 
+struct TableBuildResult {
+  std::size_t points = 0;
+  std::size_t pair_lookups = 0;
+  std::size_t kernel_evals = 0;
+  std::size_t volume_terms = 0;
+  std::size_t filament_terms = 0;
+  double wall_s = 0.0;
+
+  /// The deterministic part, as printed in the JSON (the --check key).
+  std::string counters() const {
+    std::ostringstream s;
+    s << "\"points\": " << points << ", \"pair_lookups\": " << pair_lookups
+      << ", \"kernel_evals\": " << kernel_evals
+      << ", \"volume_terms\": " << volume_terms
+      << ", \"filament_terms\": " << filament_terms;
+    return s.str();
+  }
+};
+
+/// One serial build_tables of layer 6 over a ground plane (loop mode, the
+/// largest fills of a characterisation) over widths 1/4.47/20 um, spacings
+/// 0.5/10 um and lengths 775/6000 um (36 points), at the significant
+/// frequency of a 150 ps edge.  Its counters are a pure function of the geometry and the PEEC
+/// engine, so they are identical with and without --smoke.
+TableBuildResult run_table_build() {
+  core::TableGrid grid;
+  grid.widths = {1e-6, 4.47e-6, 20e-6};
+  grid.spacings = {0.5e-6, 10e-6};
+  grid.lengths = {775e-6, 6000e-6};
+  solver::SolveOptions sopt;
+  sopt.frequency = solver::significant_frequency(150e-12);
+  const geom::Technology tech = geom::Technology::generic_025um();
+
+  core::BuildStats stats;
+  const auto t0 = std::chrono::steady_clock::now();
+  (void)core::build_tables(tech, 6, geom::PlaneConfig::kBelow, grid, sopt,
+                           /*threads=*/1, &stats);
+  TableBuildResult r;
+  r.wall_s = now_wall(t0);
+  r.points = stats.solves;
+  r.pair_lookups = stats.pair_lookups;
+  r.kernel_evals = stats.kernel_evals;
+  r.volume_terms = stats.batch_volume_terms;
+  r.filament_terms = stats.batch_filament_terms;
+  return r;
+}
+
+std::string read_file(const char* path) {
+  std::ifstream in(path);
+  std::ostringstream s;
+  s << in.rdbuf();
+  return s.str();
+}
+
 struct LuResult {
   double wall_ref = 0.0;
   double wall_blocked = 0.0;
@@ -284,8 +358,22 @@ LuResult run_lu(std::size_t n, std::size_t nrhs) {
 
 int main(int argc, char** argv) {
   bool smoke = false;
-  for (int i = 1; i < argc; ++i)
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
+  const char* check = nullptr;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--smoke") == 0) {
+      smoke = true;
+    } else if (std::strcmp(argv[i], "--check") == 0 && i + 1 < argc) {
+      check = argv[++i];
+    } else {
+      std::fprintf(stderr, "usage: bench_peec_fill [--smoke] [--check FILE]\n");
+      return 2;
+    }
+  }
+  const std::string baseline = check != nullptr ? read_file(check) : "";
+  if (check != nullptr && baseline.empty()) {
+    std::fprintf(stderr, "FAIL: cannot read %s\n", check);
+    return 1;
+  }
 
   const std::size_t mesh = static_cast<std::size_t>(
       env_int("RLCX_BENCH_MESH", smoke ? 8 : 16));
@@ -303,6 +391,7 @@ int main(int argc, char** argv) {
   // Cold-fill kernel throughput on the 8x8 (64-strip) microstrip mesh —
   // the acceptance case for the batch engine; smoke keeps one rep.
   const ColdResult cold = run_cold(8, 8, smoke ? 1 : 5);
+  const TableBuildResult build = run_table_build();
   std::vector<LuResult> lus;
   for (const std::size_t n : lu_sizes) lus.push_back(run_lu(n, lu_nrhs));
 
@@ -323,12 +412,13 @@ int main(int argc, char** argv) {
   std::printf("    \"filaments\": %zu,\n", cold.filaments);
   std::printf("    \"pairs\": %zu,\n", cold.pairs);
   std::printf("    \"kernel_terms\": %zu,\n", cold.kernel_terms);
+  std::printf("    \"legacy_terms\": %zu,\n", cold.legacy_terms);
   std::printf("    \"simd_mode\": \"%s\",\n", cold.simd_mode);
   std::printf("    \"wall_s_legacy\": %.4f,\n", cold.wall_legacy);
   std::printf("    \"wall_s_engine_scalar\": %.4f,\n", cold.wall_scalar);
   std::printf("    \"wall_s_engine_simd\": %.4f,\n", cold.wall_simd);
   std::printf("    \"terms_per_s_legacy\": %.3e,\n",
-              static_cast<double>(cold.kernel_terms) / cold.wall_legacy);
+              static_cast<double>(cold.legacy_terms) / cold.wall_legacy);
   std::printf("    \"terms_per_s_engine_simd\": %.3e,\n",
               static_cast<double>(cold.kernel_terms) / cold.wall_simd);
   std::printf("    \"speedup_engine_scalar\": %.2f,\n",
@@ -338,6 +428,8 @@ int main(int argc, char** argv) {
   std::printf("    \"max_rel_dev_vs_legacy\": %.3e,\n", cold.max_rel_dev);
   std::printf("    \"simd_vs_scalar_dev\": %.3e\n", cold.simd_vs_scalar_dev);
   std::printf("  },\n");
+  std::printf("  \"table_build\": {%s, \"wall_s\": %.4f},\n",
+              build.counters().c_str(), build.wall_s);
   std::printf("  \"lu\": [\n");
   for (std::size_t i = 0; i < lus.size(); ++i) {
     const LuResult& lu = lus[i];
@@ -368,6 +460,12 @@ int main(int argc, char** argv) {
   // noise floor, one decade above the per-bracket ~1e-8.
   if (cold.max_rel_dev > 1e-6) {
     std::fprintf(stderr, "FAIL: batch engine deviates from legacy kernels\n");
+    return 1;
+  }
+  if (check != nullptr &&
+      baseline.find(build.counters()) == std::string::npos) {
+    std::fprintf(stderr, "FAIL: table-build counters differ from %s: %s\n",
+                 check, build.counters().c_str());
     return 1;
   }
   for (const LuResult& lu : lus)

@@ -15,9 +15,8 @@
 namespace rlcx::ckt {
 
 TransientResult::TransientResult(double dt, std::size_t steps, int nodes)
-    : dt_(dt), steps_(steps),
-      samples_(steps, std::vector<double>(static_cast<std::size_t>(nodes),
-                                          0.0)) {}
+    : dt_(dt), steps_(steps), nodes_(static_cast<std::size_t>(nodes)),
+      samples_(steps * nodes_, 0.0) {}
 
 Waveform TransientResult::waveform(NodeId n) const {
   std::vector<double> w(steps_);
@@ -26,11 +25,19 @@ Waveform TransientResult::waveform(NodeId n) const {
 }
 
 double TransientResult::voltage(NodeId n, std::size_t step) const {
-  return samples_.at(step).at(static_cast<std::size_t>(n));
+  return samples_[index(n, step)];
 }
 
 void TransientResult::set_voltage(NodeId n, std::size_t step, double v) {
-  samples_.at(step).at(static_cast<std::size_t>(n)) = v;
+  samples_[index(n, step)] = v;
+}
+
+std::size_t TransientResult::index(NodeId n, std::size_t step) const {
+  const auto node = static_cast<std::size_t>(n);
+  if (step >= steps_ || node >= nodes_)
+    throw std::out_of_range("TransientResult: step " + std::to_string(step) +
+                            " node " + std::to_string(n) + " out of range");
+  return step * nodes_ + node;
 }
 
 namespace {

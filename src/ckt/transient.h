@@ -43,12 +43,16 @@ class TransientResult {
   void set_voltage(NodeId n, std::size_t step, double v);
 
  private:
+  std::size_t index(NodeId n, std::size_t step) const;
+
   double dt_;
   std::size_t steps_;
+  std::size_t nodes_;
   // Step-major, so the march writes each step's node voltages contiguously.
-  // One row per step rather than one flat block: a multi-MB block moves
-  // glibc's mmap threshold and raised the daemon's peak RSS by ~2 MiB.
-  std::vector<std::vector<double>> samples_;  // [step][node]
+  // One block rather than one row per step: glibc trimmed the thousands of
+  // freed rows back to the OS after every simulate, and the next one (a
+  // daemon request, a skew pass) faulted them all in again.
+  std::vector<double> samples_;  // [step * nodes_ + node]
 };
 
 /// Run a transient analysis.  The initial state is the DC operating point at

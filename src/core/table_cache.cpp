@@ -25,8 +25,9 @@ namespace {
 
 // Bumping this invalidates every existing entry; do so whenever the entry
 // layout or anything influencing table values outside the keyed inputs
-// changes (docs/table-format.md).
-constexpr int kCacheKeyVersion = 1;
+// changes (docs/table-format.md).  Version 2: the PEEC engine cuts aligned
+// bar pairs at one common chunk count, which moves table values by ~1e-4.
+constexpr int kCacheKeyVersion = 2;
 
 std::string hex16(std::uint64_t v) {
   char buf[17];

@@ -31,14 +31,8 @@ constexpr std::uint32_t kNoSlot = std::numeric_limits<std::uint32_t>::max();
 KernelMatrix::KernelMatrix(std::vector<peec::Filament> filaments,
                            const peec::PartialOptions& opt)
     : filaments_(std::move(filaments)), opt_(opt) {
-  // Representative-based memoization needs translation-only keys (the
-  // header explains why); the fold never changes values beyond ~1e-9.
-  opt_.memo_fold_symmetries = false;
   quantum_ = fill_scale(filaments_) * opt_.memo_rel_tol;
   memo_ = opt_.memo && quantum_ > 0.0;
-  chunks_.reserve(filaments_.size());
-  for (const peec::Filament& f : filaments_)
-    chunks_.push_back(peec::chunk_lengthwise(f.bar, opt_.max_aspect));
   if (!memo_) return;
   // Replay the dense fill's serial pass-1 scan so every class gets the
   // identical representative pair (see the header on why this is what
@@ -53,7 +47,7 @@ KernelMatrix::KernelMatrix(std::vector<peec::Filament> filaments,
       const peec::Bar& bj = filaments_[j].bar;
       if (bi.axis != bj.axis) continue;  // exact zero, no kernel
       pair_reps_.try_emplace(
-          peec::make_pair_key(bi, bj, quantum_, /*fold_symmetries=*/false),
+          peec::make_pair_key(bi, bj, quantum_),
           Rep{static_cast<std::uint32_t>(i), static_cast<std::uint32_t>(j)});
     }
   }
@@ -87,15 +81,16 @@ void KernelMatrix::row(std::size_t i, const std::size_t* cols,
     for (std::size_t k = 0; k < count; ++k) {
       const std::size_t j = cols[k];
       if (i == j) {
-        slot_of[k] = static_cast<std::uint32_t>(ev.add_self(chunks_[i], opt_));
+        slot_of[k] =
+            static_cast<std::uint32_t>(ev.add_self(filaments_[i].bar, opt_));
         continue;
       }
       if (filaments_[i].bar.axis != filaments_[j].bar.axis) continue;
       // Canonical orientation (see pair_value): serve the lower triangle
       // through the upper one.
       const std::size_t a = std::min(i, j), b = std::max(i, j);
-      slot_of[k] = static_cast<std::uint32_t>(ev.add_pair(
-          filaments_[a].bar, filaments_[b].bar, chunks_[a], chunks_[b], opt_));
+      slot_of[k] = static_cast<std::uint32_t>(
+          ev.add_pair(filaments_[a].bar, filaments_[b].bar, opt_));
     }
     std::vector<double> values(ev.slots());
     ev.run(values.data());
@@ -136,7 +131,7 @@ void KernelMatrix::row(std::size_t i, const std::size_t* cols,
     const peec::PairKey key =
         self ? peec::make_self_key(bi, quantum_)
              : peec::make_pair_key(filaments_[a].bar, filaments_[b].bar,
-                                   quantum_, /*fold_symmetries=*/false);
+                                   quantum_);
     Shard& shard = shards_[peec::PairKeyHash{}(key) % kShards];
     auto& map = self ? shard.self_map : shard.pair_map;
     bool found = false;
@@ -158,10 +153,9 @@ void KernelMatrix::row(std::size_t i, const std::size_t* cols,
     if (inserted) {
       const Rep rep = (self ? self_reps_ : pair_reps_).at(key);
       if (self) {
-        ev.add_self(chunks_[rep.i], opt_);
+        ev.add_self(filaments_[rep.i].bar, opt_);
       } else {
-        ev.add_pair(filaments_[rep.i].bar, filaments_[rep.j].bar,
-                    chunks_[rep.i], chunks_[rep.j], opt_);
+        ev.add_pair(filaments_[rep.i].bar, filaments_[rep.j].bar, opt_);
       }
       misses.push_back({key, self, it->second});
     } else {
@@ -224,9 +218,8 @@ double KernelMatrix::pair_value(std::size_t i, std::size_t j) const {
     evals_.fetch_add(1, std::memory_order_relaxed);
     return evaluate(i, j);
   }
-  return memo_lookup(false,
-                     peec::make_pair_key(filaments_[i].bar, filaments_[j].bar,
-                                         quantum_, /*fold_symmetries=*/false));
+  return memo_lookup(false, peec::make_pair_key(filaments_[i].bar,
+                                                filaments_[j].bar, quantum_));
 }
 
 double KernelMatrix::memo_lookup(bool self, const peec::PairKey& key) const {
@@ -258,10 +251,9 @@ double KernelMatrix::memo_lookup(bool self, const peec::PairKey& key) const {
 double KernelMatrix::evaluate(std::size_t i, std::size_t j) const {
   peec::BatchEvaluator ev;
   if (i == j) {
-    ev.add_self(chunks_[i], opt_);
+    ev.add_self(filaments_[i].bar, opt_);
   } else {
-    ev.add_pair(filaments_[i].bar, filaments_[j].bar, chunks_[i], chunks_[j],
-                opt_);
+    ev.add_pair(filaments_[i].bar, filaments_[j].bar, opt_);
   }
   double value = 0.0;
   ev.run(&value);

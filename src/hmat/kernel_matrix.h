@@ -38,9 +38,6 @@ namespace rlcx::hmat {
 
 class KernelMatrix {
  public:
-  /// The options' memo_fold_symmetries is ignored (forced off): folded
-  /// classes agree only to ~1e-9, and first-writer-wins memoization is
-  /// deterministic only for translation-only (bit-exact) classes.
   KernelMatrix(std::vector<peec::Filament> filaments,
                const peec::PartialOptions& opt);
 
@@ -84,7 +81,6 @@ class KernelMatrix {
   using RepMap = std::unordered_map<peec::PairKey, Rep, peec::PairKeyHash>;
 
   std::vector<peec::Filament> filaments_;
-  std::vector<std::vector<peec::Bar>> chunks_;  ///< hoisted per-bar chunking
   peec::PartialOptions opt_;
   double quantum_ = 0.0;  ///< fill scale x memo_rel_tol; 0 disables the memo
   bool memo_ = false;

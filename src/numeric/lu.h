@@ -9,7 +9,7 @@
 // panel instead of once per column, which is what makes the dense complex
 // solves of the PEEC hot path memory-bandwidth-friendly.  For systems no
 // larger than one panel the arithmetic degenerates to exactly the textbook
-// scalar elimination (see numeric/lu_reference.h, kept as the oracle);
+// scalar elimination (tests/support/lu_reference.h, the test oracle);
 // larger systems agree with it to last-ulp reordering (docs/performance.md).
 #pragma once
 

@@ -90,13 +90,6 @@ RealMatrix partial_inductance_matrix(const std::vector<Filament>& filaments,
   RealMatrix lp(n, n);
   FillStats local;
 
-  // Chunk every bar exactly once; both fill paths evaluate pairs against
-  // these lists (chunk_lengthwise depends only on the bar, so this is
-  // bit-identical to chunking inside each pair evaluation).
-  std::vector<std::vector<Bar>> chunks(n);
-  for (std::size_t i = 0; i < n; ++i)
-    chunks[i] = chunk_lengthwise(filaments[i].bar, opt.max_aspect);
-
   const double scale = fill_scale(filaments);
   const double quantum = scale * opt.memo_rel_tol;
   const bool memo = opt.memo && quantum > 0.0;
@@ -114,10 +107,9 @@ RealMatrix partial_inductance_matrix(const std::vector<Filament>& filaments,
       std::vector<double> row;
       for (std::size_t i = lo; i < hi; ++i) {
         ev.clear();
-        ev.add_self(chunks[i], opt);
+        ev.add_self(filaments[i].bar, opt);
         for (std::size_t j = i + 1; j < n; ++j)
-          ev.add_pair(filaments[i].bar, filaments[j].bar, chunks[i],
-                      chunks[j], opt);
+          ev.add_pair(filaments[i].bar, filaments[j].bar, opt);
         row.resize(ev.slots());
         ev.run(row.data(), pool);
         lp(i, i) = row[0];
@@ -168,9 +160,8 @@ RealMatrix partial_inductance_matrix(const std::vector<Filament>& filaments,
         // coincident-bar layout error, and must reach the kernel's
         // disjointness guard instead of silently reusing a self value.
         auto& ids = i == j ? self_ids : pair_ids;
-        const PairKey key =
-            i == j ? make_self_key(bi, quantum)
-                   : make_pair_key(bi, bj, quantum, opt.memo_fold_symmetries);
+        const PairKey key = i == j ? make_self_key(bi, quantum)
+                                   : make_pair_key(bi, bj, quantum);
         const auto [it, inserted] =
             ids.try_emplace(key, static_cast<std::uint32_t>(classes.size()));
         if (inserted) {
@@ -199,10 +190,9 @@ RealMatrix partial_inductance_matrix(const std::vector<Filament>& filaments,
       };
       for (const ClassRec& r : classes) {
         if (r.i == r.j) {
-          ev.add_self(chunks[r.i], opt);
+          ev.add_self(filaments[r.i].bar, opt);
         } else {
-          ev.add_pair(filaments[r.i].bar, filaments[r.j].bar, chunks[r.i],
-                      chunks[r.j], opt);
+          ev.add_pair(filaments[r.i].bar, filaments[r.j].bar, opt);
         }
         if (ev.volume_entries() + ev.filament_entries() >= kBatchFlushEntries)
           flush();

@@ -48,11 +48,12 @@ void reset_fill_stats_total();
 /// orientation signs folded in (Lp_ij = s_i s_j M_ij).  The O(n^2) fill is
 /// the extraction hot spot; two optimisations apply (see
 /// docs/performance.md):
-///   * every bar is chunked lengthwise once per fill, not once per pair;
-///   * with opt.memo (default on), pairs are grouped into translation/
-///     reflection/exchange-invariant relative-geometry classes (PairKey)
-///     and the kernel runs once per class — on a regular mesh that is
-///     O(n) evaluations for the O(n^2) fill.
+///   * the batch engine sums aligned bar pairs over chunk offsets, not
+///     over every chunk pair (BatchEvaluator in kernel_batch.h);
+///   * with opt.memo (default on), pairs are grouped into translation-
+///     invariant relative-geometry classes (PairKey) and the kernel runs
+///     once per class — on a regular mesh that is O(n) evaluations for the
+///     O(n^2) fill.
 /// Class evaluations fan out across `pool` (nullptr = the process-global
 /// pool) once the fill is big enough to pay for the trip; the class list
 /// and representatives are fixed by a serial scan, so the result is
@@ -65,8 +66,8 @@ RealMatrix partial_inductance_matrix(const std::vector<Filament>& filaments,
 
 /// Resident bytes of the dense fill's result for n filaments (the n x n
 /// RealMatrix above).  Feeds the memory budget's cost model
-/// (docs/robustness.md "Resource governance"); the memo and chunk lists
-/// are lower-order and not counted.
+/// (docs/robustness.md "Resource governance"); the memo and the engine's
+/// batches are lower-order and not counted.
 std::size_t estimate_fill_bytes(std::size_t filaments);
 
 }  // namespace rlcx::peec

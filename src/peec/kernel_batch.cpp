@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstdlib>
 
 #include "numeric/simd.h"
 #include "rt/parallel.h"
@@ -130,28 +131,40 @@ void BatchEvaluator::append_chunk_pair(const Bar& p, const Bar& q,
   }
 }
 
-std::size_t BatchEvaluator::add_self(const std::vector<Bar>& chunks,
+std::size_t BatchEvaluator::add_self(const Bar& bar,
                                      const PartialOptions& opt) {
   const std::size_t slot = begin_slot(/*self=*/true);
-  // Same sweep as self_partial_chunked: diagonal term, then each (i, j > i)
-  // pair once with weight 2.
-  for (std::size_t i = 0; i < chunks.size(); ++i) {
-    append_chunk_pair(chunks[i], chunks[i], opt, 1.0);
-    for (std::size_t j = i + 1; j < chunks.size(); ++j)
-      append_chunk_pair(chunks[i], chunks[j], opt, 2.0);
-  }
+  // Chunk pair (i, i + d) of equal chunks depends on d alone: the (i, i)
+  // diagonal occurs n times and each off-diagonal offset 2(n - d) times in
+  // self_partial's symmetric sweep.
+  const int n = chunk_count(bar, opt.max_aspect);
+  const Bar first = chunk_at(bar, n, 0);
+  for (int d = 0; d < n; ++d)
+    append_chunk_pair(first, chunk_at(bar, n, d), opt,
+                      d == 0 ? n : 2.0 * (n - d));
   return slot;
 }
 
 std::size_t BatchEvaluator::add_pair(const Bar& b1, const Bar& b2,
-                                     const std::vector<Bar>& c1,
-                                     const std::vector<Bar>& c2,
                                      const PartialOptions& opt) {
   const std::size_t slot = begin_slot(/*self=*/false);
   if (b1.axis != b2.axis) return slot;  // empty slot evaluates to exactly 0
   detail::check_pair_disjoint(b1, b2);
-  for (const Bar& p : c1)
-    for (const Bar& q : c2) append_chunk_pair(p, q, opt, 1.0);
+  const PairChunking pc = pair_chunking(b1, b2, opt.max_aspect);
+  if (pc.aligned) {
+    // Both bars cut at one step: chunk pair (k, k + d) depends on d alone
+    // and occurs n - |d| times in the n x n sweep.
+    const int n = pc.n1;
+    for (int d = 1 - n; d < n; ++d)
+      append_chunk_pair(chunk_at(b1, n, std::max(0, -d)),
+                        chunk_at(b2, n, std::max(0, d)), opt, n - std::abs(d));
+    return slot;
+  }
+  for (int i = 0; i < pc.n1; ++i) {
+    const Bar p = chunk_at(b1, pc.n1, i);
+    for (int j = 0; j < pc.n2; ++j)
+      append_chunk_pair(p, chunk_at(b2, pc.n2, j), opt, 1.0);
+  }
   return slot;
 }
 

@@ -113,25 +113,26 @@ void reset_batch_stats_total();
 /// dispatches to; convenience for reports.
 const char* batch_simd_name();
 
-/// Collects class evaluations (self or mutual bar pairs with their chunk
-/// lists precomputed), flattens their chunk decompositions into SoA
-/// batches, and evaluates them all in run().  Append order defines slot
-/// order; the per-slot reduction runs in the recorded chunk-pair order —
-/// the same (i, i), (i, j > i) sweep self_partial_chunked uses and the
-/// same row-major sweep mutual_partial_chunked uses.  Not thread-safe;
-/// one evaluator per thread (they are cheap, plain vectors).
+/// Collects class evaluations (self or mutual bar pairs), flattens their
+/// chunk decompositions into SoA batches, and evaluates them all in run().
+/// Bars are chunked by pair_chunking (partial_inductance.h).  A self and an
+/// aligned pair append one chunk-pair term per axial chunk offset d,
+/// weighted by how many chunk pairs share that offset; any other pair
+/// appends its full row-major n1 x n2 chunk sweep.  Append order defines
+/// slot order, and each slot is reduced in its recorded term order.  Not
+/// thread-safe; one evaluator per thread (they are cheap, plain vectors).
 class BatchEvaluator {
  public:
-  /// Appends the self class of a bar with the given chunk list; returns
-  /// the slot index its value will occupy in run()'s results.
-  std::size_t add_self(const std::vector<Bar>& chunks,
-                       const PartialOptions& opt);
+  /// Appends the self class of a bar: terms for offsets d = 0 .. n-1 of its
+  /// n chunks, weighted n (d = 0) and 2(n - d).  Returns the slot index its
+  /// value will occupy in run()'s results.
+  std::size_t add_self(const Bar& bar, const PartialOptions& opt);
 
-  /// Appends the mutual class of two bars (chunk lists precomputed).
+  /// Appends the mutual class of two bars: an aligned pair gets terms for
+  /// d in (-n, n) weighted n - |d|, any other pair the full chunk sweep.
   /// Orthogonal bars get an empty slot that evaluates to exactly 0.
   /// Throws diag::GeometryError for overlapping distinct bars.
   std::size_t add_pair(const Bar& b1, const Bar& b2,
-                       const std::vector<Bar>& c1, const std::vector<Bar>& c2,
                        const PartialOptions& opt);
 
   std::size_t slots() const { return slot_begin_.size(); }
@@ -154,8 +155,8 @@ class BatchEvaluator {
                          const PartialOptions& opt, double weight);
 
   // One flattened chunk-pair term of a slot: index into the volume batch
-  // (kFilamentBit clear) or the filament batch (set), and the +1/+2
-  // weight the chunk sweep applies.
+  // (kFilamentBit clear) or the filament batch (set), and the number of
+  // chunk pairs of the sweep the term stands for.
   static constexpr std::uint32_t kFilamentBit = 0x80000000u;
   struct Term {
     std::uint32_t idx;

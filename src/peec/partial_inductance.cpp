@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <sstream>
 #include <stdexcept>
-#include <tuple>
 #include <vector>
 
 #include "diag/error.h"
@@ -160,20 +159,35 @@ double ruehli_self(double length, double width, double thickness) {
          (std::log(2.0 * length / wt) + 0.5 + 0.2235 * wt / length);
 }
 
-// Split a bar lengthwise into chunks whose aspect ratio stays reasonable.
-std::vector<Bar> chunk_lengthwise(const Bar& b, double max_aspect) {
+int chunk_count(const Bar& b, double max_aspect) {
   const double max_len = max_aspect * std::max(b.t_width, b.z_thick);
-  const int n = std::max(1, static_cast<int>(std::ceil(b.length / max_len)));
+  return std::max(1, static_cast<int>(std::ceil(b.length / max_len)));
+}
+
+Bar chunk_at(const Bar& b, int n, int k) {
+  const double step = b.length / n;
+  Bar c = b;
+  c.a_min = b.a_min + k * step;
+  c.length = step;
+  return c;
+}
+
+std::vector<Bar> chunk_lengthwise(const Bar& b, double max_aspect) {
+  const int n = chunk_count(b, max_aspect);
   std::vector<Bar> out;
   out.reserve(static_cast<std::size_t>(n));
-  const double step = b.length / n;
-  for (int i = 0; i < n; ++i) {
-    Bar c = b;
-    c.a_min = b.a_min + i * step;
-    c.length = step;
-    out.push_back(c);
-  }
+  for (int k = 0; k < n; ++k) out.push_back(chunk_at(b, n, k));
   return out;
+}
+
+PairChunking pair_chunking(const Bar& b1, const Bar& b2, double max_aspect) {
+  PairChunking pc;
+  pc.n1 = chunk_count(b1, max_aspect);
+  pc.n2 = chunk_count(b2, max_aspect);
+  pc.aligned = b1.axis == b2.axis && b1.a_min == b2.a_min &&
+               b1.length == b2.length;
+  if (pc.aligned) pc.n1 = pc.n2 = std::max(pc.n1, pc.n2);
+  return pc;
 }
 
 namespace {
@@ -241,10 +255,10 @@ double check_finite_value(double value, const char* what) {
 
 }  // namespace detail
 
-double self_partial_chunked(const std::vector<Bar>& chunks,
-                            const PartialOptions& opt) {
+double self_partial(const Bar& bar, const PartialOptions& opt) {
   // L = sum over all chunk pairs (including self terms): the exact series
   // decomposition of partial inductance.
+  const std::vector<Bar> chunks = chunk_lengthwise(bar, opt.max_aspect);
   double total = 0.0;
   for (std::size_t i = 0; i < chunks.size(); ++i) {
     total += chunk_mutual(chunks[i], chunks[i], opt);
@@ -254,27 +268,18 @@ double self_partial_chunked(const std::vector<Bar>& chunks,
   return detail::check_finite_value(total, "self partial inductance");
 }
 
-double mutual_partial_chunked(const Bar& b1, const Bar& b2,
-                              const std::vector<Bar>& c1,
-                              const std::vector<Bar>& c2,
-                              const PartialOptions& opt) {
-  if (b1.axis != b2.axis) return 0.0;  // orthogonal bars do not couple
-  detail::check_pair_disjoint(b1, b2);
-  double total = 0.0;
-  for (const Bar& p : c1)
-    for (const Bar& q : c2) total += chunk_mutual(p, q, opt);
-  return detail::check_finite_value(total, "mutual partial inductance");
-}
-
-double self_partial(const Bar& bar, const PartialOptions& opt) {
-  return self_partial_chunked(chunk_lengthwise(bar, opt.max_aspect), opt);
-}
-
 double mutual_partial(const Bar& b1, const Bar& b2,
                       const PartialOptions& opt) {
   if (b1.axis != b2.axis) return 0.0;  // orthogonal bars do not couple
-  return mutual_partial_chunked(b1, b2, chunk_lengthwise(b1, opt.max_aspect),
-                                chunk_lengthwise(b2, opt.max_aspect), opt);
+  detail::check_pair_disjoint(b1, b2);
+  const PairChunking pc = pair_chunking(b1, b2, opt.max_aspect);
+  double total = 0.0;
+  for (int i = 0; i < pc.n1; ++i) {
+    const Bar p = chunk_at(b1, pc.n1, i);
+    for (int j = 0; j < pc.n2; ++j)
+      total += chunk_mutual(p, chunk_at(b2, pc.n2, j), opt);
+  }
+  return detail::check_finite_value(total, "mutual partial inductance");
 }
 
 namespace {
@@ -307,8 +312,7 @@ PairKey make_self_key(const Bar& bar, double quantum) {
   return k;
 }
 
-PairKey make_pair_key(const Bar& b1, const Bar& b2, double quantum,
-                      bool fold_symmetries) {
+PairKey make_pair_key(const Bar& b1, const Bar& b2, double quantum) {
   PairKey k;
   k.w1 = quantize(b1.t_width, quantum);
   k.h1 = quantize(b1.z_thick, quantum);
@@ -319,23 +323,6 @@ PairKey make_pair_key(const Bar& b1, const Bar& b2, double quantum,
   k.dt = quantize(b2.t_center() - b1.t_center(), quantum);
   k.dz = quantize(b2.z_center() - b1.z_center(), quantum);
   k.da = quantize(b2.a_center() - b1.a_center(), quantum);
-  if (!fold_symmetries) return k;
-  // Mirror symmetry about each coordinate plane through bar 1's center
-  // negates that center offset and changes nothing else, so the absolute
-  // offsets are canonical per axis.  llround is odd, so quantizing before
-  // taking the magnitude keeps reflected copies in the same bucket.
-  k.dt = std::abs(k.dt);
-  k.dz = std::abs(k.dz);
-  k.da = std::abs(k.da);
-  // Reciprocity: exchanging the bars negates every offset (absorbed by the
-  // magnitudes above) and swaps the dimension triples — order them.
-  const auto t1 = std::tie(k.w1, k.h1, k.l1);
-  const auto t2 = std::tie(k.w2, k.h2, k.l2);
-  if (t2 < t1) {
-    std::swap(k.w1, k.w2);
-    std::swap(k.h1, k.h2);
-    std::swap(k.l1, k.l2);
-  }
   return k;
 }
 

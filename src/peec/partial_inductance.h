@@ -32,14 +32,6 @@ struct PartialOptions {
   /// fills (partial_inductance_matrix).  On a regular mesh this turns the
   /// O(n^2) pair fill into O(unique classes) kernel evaluations.
   bool memo = true;
-  /// Additionally fold per-axis mirror reflections and bar exchange into
-  /// the pair key (the kernel's remaining symmetries).  Roughly doubles
-  /// the reuse on symmetric structures, but a mirrored pair sums the
-  /// 64-term bracket's mutually-cancelling terms in a different order, so
-  /// the fill then matches the direct fill only to the kernel's
-  /// cancellation-noise floor (~1e-9 relative) instead of bit-exactly —
-  /// which is why it is opt-in (see docs/performance.md).
-  bool memo_fold_symmetries = false;
   /// Relative tolerance of the PairKey quantization, in units of the fill's
   /// largest geometric extent.  1e-12 is ~4 decades above coordinate
   /// round-off (so translated copies of the same pair land in one class)
@@ -64,34 +56,46 @@ double filament_mutual(double l1, double l2, double s, double r);
 /// l >> w+t; used only as an independent sanity check in tests.
 double ruehli_self(double length, double width, double thickness);
 
-/// Self partial inductance [H] of a bar (exact kernel with subdivision).
+/// Self partial inductance [H] of a bar (exact kernel, summed over every
+/// chunk pair of chunk_lengthwise) — the libm oracle of the batch engine.
 double self_partial(const Bar& bar, const PartialOptions& opt = {});
 
 /// Mutual partial inductance [H] between two bars.  Returns 0 for
 /// orthogonal bars (the paper's layer-N±1 argument).  The sign is geometric
 /// (positive for parallel co-directed currents); callers flip it when their
-/// branch orientations oppose.
+/// branch orientations oppose.  Sums every chunk pair of pair_chunking's
+/// decomposition with the libm kernels — the batch engine's oracle.
 double mutual_partial(const Bar& b1, const Bar& b2,
                       const PartialOptions& opt = {});
 
 // ---------------------------------------------------------------------------
-// Hoisted-chunking building blocks.  Matrix fills chunk every bar once and
-// evaluate pairs against the precomputed chunk lists; self_partial /
-// mutual_partial are thin wrappers, so both paths are bit-identical.
+// Lengthwise chunking.  One rule decides how every bar and bar pair is cut
+// into chunks; the batch engine (kernel_batch.h) and the scalar oracles
+// above both follow it, so they sum the same chunk decomposition.
 
-/// Lengthwise subdivision of a bar into chunks of bounded aspect ratio.
+/// Number of equal lengthwise chunks that keeps a bar's chunk
+/// length / max(width, thickness) within max_aspect (at least 1).
+int chunk_count(const Bar& b, double max_aspect);
+
+/// Chunk k of a bar cut lengthwise into n equal chunks.
+Bar chunk_at(const Bar& b, int n, int k);
+
+/// The chunk_count(b, max_aspect) chunks of a bar, in axial order.
 std::vector<Bar> chunk_lengthwise(const Bar& b, double max_aspect);
 
-/// self_partial with the chunk list precomputed by chunk_lengthwise.
-double self_partial_chunked(const std::vector<Bar>& chunks,
-                            const PartialOptions& opt);
-
-/// mutual_partial with both chunk lists precomputed.  b1/b2 are the
-/// unchunked bars (needed for the axis and disjointness checks).
-double mutual_partial_chunked(const Bar& b1, const Bar& b2,
-                              const std::vector<Bar>& c1,
-                              const std::vector<Bar>& c2,
-                              const PartialOptions& opt);
+/// How a same-axis pair is chunked.  Aligned bars (equal a_min and equal
+/// length, as every pair of one conductor block is) are both cut into
+/// n = max(n1, n2) chunks, so chunk pair (k, k + d) depends on the offset
+/// d alone — the engine sums one term per offset (partial inductance is
+/// translation-invariant along the axis).  Other pairs keep their own
+/// per-bar counts and are summed over all n1 x n2 chunk pairs.  Every
+/// chunk respects max_aspect either way.
+struct PairChunking {
+  int n1 = 1;
+  int n2 = 1;
+  bool aligned = false;
+};
+PairChunking pair_chunking(const Bar& b1, const Bar& b2, double max_aspect);
 
 // ---------------------------------------------------------------------------
 // Relative-geometry memoization.
@@ -99,18 +103,13 @@ double mutual_partial_chunked(const Bar& b1, const Bar& b2,
 // The kernel value for a same-axis bar pair is a function of the two
 // cross-sections, the two lengths, and the center-to-center offset vector
 // only — never of absolute position (paper Foundations 1-2: translation
-// invariance).  It is furthermore unchanged by reflecting any coordinate
-// axis (mirror isometry) and by exchanging the bars (reciprocity).
-// PairKey always canonicalizes under translation (dimensions and signed
-// center offsets quantized to a relative tolerance); with fold_symmetries
-// it additionally takes |center offsets| and puts the bar with the
-// lexicographically smaller (width, thickness, length) triple first.
-// Translation-equal pairs on a regular mesh present bit-identical inputs
-// to the kernel, so the translation-only key preserves the direct fill
-// bit-for-bit; mirror/exchange-equal pairs are mathematically equal but
-// sum the bracket's cancelling terms in a different order, so folding
-// them trades bit-reproducibility (down to the kernel's ~1e-9 relative
-// cancellation noise) for roughly double the reuse.
+// invariance).  PairKey canonicalizes under translation: dimensions and
+// signed center offsets quantized to a relative tolerance.  Translation-
+// equal pairs on a regular mesh present bit-identical inputs to the
+// kernel, so the memoized fill preserves the direct fill bit-for-bit.
+// (Mirror reflections and bar exchange are symmetries of the kernel too,
+// but a mirrored pair sums the bracket's cancelling terms in a different
+// order, so folding them would trade that bit-exactness away.)
 
 struct PairKey {
   // Quantized bar dimensions (bar 1, then bar 2) and center offsets, all
@@ -127,10 +126,8 @@ struct PairKeyHash {
 
 /// Canonical key of a same-axis pair; `quantum` is the absolute geometric
 /// tolerance (fill scale × PartialOptions::memo_rel_tol).  Any translated
-/// copy of the pair maps to the same key; with fold_symmetries, mirrored
-/// copies and both orderings do too.
-PairKey make_pair_key(const Bar& b1, const Bar& b2, double quantum,
-                      bool fold_symmetries = false);
+/// copy of the pair maps to the same key.
+PairKey make_pair_key(const Bar& b1, const Bar& b2, double quantum);
 
 /// Key of a bar's self class: (w, h, l) quantized, offsets zero.
 PairKey make_self_key(const Bar& bar, double quantum);

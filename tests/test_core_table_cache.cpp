@@ -96,6 +96,36 @@ TEST(TableCache, MissOnChangedFrequency) {
   EXPECT_EQ(cache.list().size(), 2u);
 }
 
+TEST(TableCache, EntryKeyedUnderOlderVersionIsAMiss) {
+  // Table values moved (the engine's chunk-offset collapse) while no keyed
+  // input changed, so the key version was bumped: an entry stored under
+  // the version-1 key text must never be served for today's inputs.
+  const ScratchDir dir("rlcx_cache_version");
+  const geom::Technology tech = geom::Technology::generic_025um();
+  const TableGrid grid = tiny_grid();
+  const solver::SolveOptions opt = fast_options();
+
+  const std::string key =
+      TableCache::key_text(tech, 6, geom::PlaneConfig::kNone, grid, opt);
+  const std::string current = "rlcx-cache-key 2\n";
+  ASSERT_EQ(key.compare(0, current.size(), current), 0);
+  const std::string v1_key =
+      "rlcx-cache-key 1\n" + key.substr(current.size());
+
+  TableCache cache(dir.path);
+  ASSERT_TRUE(cache.store(
+      v1_key, build_tables(tech, 6, geom::PlaneConfig::kNone, grid, opt)));
+  EXPECT_NE(TableCache::key_id(v1_key), TableCache::key_id(key));
+  EXPECT_FALSE(cache.load(key).has_value());
+
+  reset_table_build_solve_count();
+  build_tables_cached(tech, 6, geom::PlaneConfig::kNone, grid, opt, cache);
+  EXPECT_EQ(table_build_solve_count(), 16u);
+  EXPECT_EQ(cache.stats().hits, 0u);
+  EXPECT_EQ(cache.stats().misses, 2u);
+  EXPECT_EQ(cache.list().size(), 2u);
+}
+
 TEST(TableCache, KeyTextCoversEveryInput) {
   const geom::Technology tech = geom::Technology::generic_025um();
   const TableGrid grid = tiny_grid();

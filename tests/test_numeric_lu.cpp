@@ -1,5 +1,6 @@
-// The blocked LU against the textbook scalar oracle (numeric/lu_reference.h),
-// and the sparse LU of the circuit simulator against the dense LU.
+// The blocked LU against the textbook scalar oracle
+// (tests/support/lu_reference.h), and the sparse LU of the circuit
+// simulator against the dense LU.
 //
 // The cache-blocked factorisation reorders floating-point sums, so it is not
 // bit-identical to the reference for systems wider than one panel — but it
@@ -18,11 +19,11 @@
 
 #include "diag/error.h"
 #include "numeric/lu.h"
-#include "numeric/lu_reference.h"
 #include "numeric/lu_simd.h"
 #include "numeric/matrix.h"
 #include "numeric/simd.h"
 #include "numeric/sparse_lu.h"
+#include "support/lu_reference.h"
 
 namespace rlcx {
 namespace {

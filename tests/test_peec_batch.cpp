@@ -2,11 +2,11 @@
 //
 // Three layers of checks, mirroring the engine's contracts:
 //   * accuracy — engine values vs the scalar libm kernels
-//     (hoer_love_mutual / filament_mutual / *_partial_chunked), which stay
-//     in the tree precisely to serve as the independent oracle; agreement
-//     is to the Hoer-Love cancellation-noise floor (~1e-8 relative),
-//     including the v -> 0 and rho -> |v| boundary geometries where the
-//     branch-free rewrite's guarded selects take over;
+//     (hoer_love_mutual / filament_mutual / self_partial / mutual_partial),
+//     which stay in the tree precisely to serve as the independent oracle;
+//     agreement is to the Hoer-Love cancellation-noise floor (~1e-8
+//     relative), including the v -> 0 and rho -> |v| boundary geometries
+//     where the branch-free rewrite's guarded selects take over;
 //   * bit-identity — RLCX_SIMD=scalar / avx2 / avx512 paths must produce
 //     identical doubles (EXPECT_EQ, no tolerance), and results must be
 //     independent of pool width and batch composition;
@@ -47,7 +47,7 @@ Bar make_bar(double w, double t, double l, double x = 0.0, double z = 0.0,
 
 double batch_self(const Bar& b, const PartialOptions& opt = {}) {
   BatchEvaluator ev;
-  ev.add_self(chunk_lengthwise(b, opt.max_aspect), opt);
+  ev.add_self(b, opt);
   double v = 0.0;
   ev.run(&v);
   return v;
@@ -56,8 +56,7 @@ double batch_self(const Bar& b, const PartialOptions& opt = {}) {
 double batch_pair(const Bar& b1, const Bar& b2,
                   const PartialOptions& opt = {}) {
   BatchEvaluator ev;
-  ev.add_pair(b1, b2, chunk_lengthwise(b1, opt.max_aspect),
-              chunk_lengthwise(b2, opt.max_aspect), opt);
+  ev.add_pair(b1, b2, opt);
   double v = 0.0;
   ev.run(&v);
   return v;
@@ -127,8 +126,7 @@ TEST(BatchEngine, SelfMatchesScalarOracle) {
       make_bar(um(0.5), um(4), um(800), um(3), um(1)),
   };
   for (const Bar& b : shapes) {
-    const double oracle =
-        self_partial_chunked(chunk_lengthwise(b, opt.max_aspect), opt);
+    const double oracle = self_partial(b, opt);
     // Chunked selves sum collinear touching-chunk mutual terms whose
     // brackets cancel almost completely, so the noise floor of the total
     // is another decade up from the per-bracket floor.
@@ -142,9 +140,7 @@ TEST(BatchEngine, NearPairMatchesScalarOracle) {
   const Bar b1 = make_bar(um(2), um(0.5), um(400));
   // Close lateral neighbour: the Hoer-Love volume path.
   const Bar b2 = make_bar(um(2), um(0.5), um(400), um(3));
-  const auto c1 = chunk_lengthwise(b1, opt.max_aspect);
-  const auto c2 = chunk_lengthwise(b2, opt.max_aspect);
-  const double oracle = mutual_partial_chunked(b1, b2, c1, c2, opt);
+  const double oracle = mutual_partial(b1, b2, opt);
   EXPECT_NEAR(batch_pair(b1, b2, opt), oracle,
               kOracleRelTol * std::abs(oracle));
 }
@@ -154,9 +150,7 @@ TEST(BatchEngine, FarPairMatchesScalarOracle) {
   const Bar b1 = make_bar(um(2), um(0.5), um(400));
   // Far lateral neighbour: the filament fast path (r > 0).
   const Bar b2 = make_bar(um(2), um(0.5), um(400), um(100));
-  const auto c1 = chunk_lengthwise(b1, opt.max_aspect);
-  const auto c2 = chunk_lengthwise(b2, opt.max_aspect);
-  const double oracle = mutual_partial_chunked(b1, b2, c1, c2, opt);
+  const double oracle = mutual_partial(b1, b2, opt);
   EXPECT_NEAR(batch_pair(b1, b2, opt), oracle,
               kOracleRelTol * std::abs(oracle));
 }
@@ -167,9 +161,7 @@ TEST(BatchEngine, CollinearFarPairMatchesScalarOracle) {
   // collinear closed form's select).
   const Bar b1 = make_bar(um(2), um(0.5), um(100));
   const Bar b2 = make_bar(um(2), um(0.5), um(100), 0.0, 0.0, um(300));
-  const auto c1 = chunk_lengthwise(b1, opt.max_aspect);
-  const auto c2 = chunk_lengthwise(b2, opt.max_aspect);
-  const double oracle = mutual_partial_chunked(b1, b2, c1, c2, opt);
+  const double oracle = mutual_partial(b1, b2, opt);
   EXPECT_NEAR(batch_pair(b1, b2, opt), oracle,
               kOracleRelTol * std::abs(oracle));
 }
@@ -181,11 +173,80 @@ TEST(BatchEngine, LongChunkedPairMatchesScalarOracle) {
   // inside a single slot.
   const Bar b1 = make_bar(um(1), um(0.5), um(6000));
   const Bar b2 = make_bar(um(1), um(0.5), um(6000), um(2.5));
-  const auto c1 = chunk_lengthwise(b1, opt.max_aspect);
-  const auto c2 = chunk_lengthwise(b2, opt.max_aspect);
-  const double oracle = mutual_partial_chunked(b1, b2, c1, c2, opt);
+  const double oracle = mutual_partial(b1, b2, opt);
   EXPECT_NEAR(batch_pair(b1, b2, opt), oracle,
               kOracleRelTol * std::abs(oracle));
+}
+
+// ---------------------------------------------------------------------------
+// Chunk-offset collapse: a self or an aligned pair appends one term per
+// chunk offset; every other pair appends its full chunk sweep.  The scalar
+// oracle sums every chunk pair of the same pair_chunking decomposition.
+
+std::size_t batch_terms(const Bar& b1, const Bar& b2,
+                        const PartialOptions& opt) {
+  BatchEvaluator ev;
+  ev.add_pair(b1, b2, opt);
+  return ev.volume_entries() + ev.filament_entries();
+}
+
+TEST(ChunkOffsetCollapse, AlignedPairWithUnequalChunkCountsMatchesOracle) {
+  PartialOptions opt;
+  // A 1 x 1 um filament chunks at 47, a 6.7 x 1 um one at 7: the aligned
+  // pair is cut at the common count 47 for both bars.
+  const Bar thin = make_bar(um(1), um(1), um(6000));
+  ASSERT_EQ(chunk_count(thin, opt.max_aspect), 47);
+  for (const double spacing : {0.5, 200.0}) {  // near (volume), far (filament)
+    const Bar wide = make_bar(um(6.7), um(1), um(6000), um(1 + spacing));
+    ASSERT_EQ(chunk_count(wide, opt.max_aspect), 7);
+    const PairChunking pc = pair_chunking(thin, wide, opt.max_aspect);
+    EXPECT_TRUE(pc.aligned);
+    EXPECT_EQ(pc.n1, 47);
+    EXPECT_EQ(pc.n2, 47);
+    EXPECT_EQ(batch_terms(thin, wide, opt), 2u * 47u - 1u);
+    const double oracle = mutual_partial(thin, wide, opt);
+    EXPECT_NEAR(batch_pair(thin, wide, opt), oracle,
+                kOracleRelTol * std::abs(oracle))
+        << "spacing " << spacing << " um";
+    // Exchanging the bars reverses the offsets, not the value.
+    EXPECT_NEAR(batch_pair(wide, thin, opt), oracle,
+                kOracleRelTol * std::abs(oracle));
+  }
+}
+
+TEST(ChunkOffsetCollapse, LongSelfOneTermPerOffsetMatchesOracle) {
+  PartialOptions opt;
+  // A skin-depth sized filament of a 6000 um clock segment: 94 chunks.
+  const Bar b = make_bar(um(0.5), um(0.25), um(6000), um(3), um(1));
+  const int n = chunk_count(b, opt.max_aspect);
+  ASSERT_EQ(n, 94);
+  BatchEvaluator ev;
+  ev.add_self(b, opt);
+  EXPECT_EQ(ev.volume_entries() + ev.filament_entries(),
+            static_cast<std::size_t>(n));
+  const double oracle = self_partial(b, opt);
+  EXPECT_NEAR(batch_self(b, opt), oracle, 1e-6 * std::abs(oracle));
+}
+
+TEST(ChunkOffsetCollapse, NonAlignedPairsTakeTheFullSweep) {
+  PartialOptions opt;
+  const Bar b1 = make_bar(um(1), um(0.5), um(1000));
+  const int n1 = chunk_count(b1, opt.max_aspect);
+  // Axially offset (same length) and unequal lengths (same start): each
+  // bar keeps its own count and every chunk pair is a term.
+  const Bar shifted = make_bar(um(1), um(0.5), um(1000), um(2), 0.0, um(10));
+  const Bar shorter = make_bar(um(2), um(0.5), um(700), um(3));
+  for (const Bar& b2 : {shifted, shorter}) {
+    const PairChunking pc = pair_chunking(b1, b2, opt.max_aspect);
+    EXPECT_FALSE(pc.aligned);
+    EXPECT_EQ(pc.n1, n1);
+    EXPECT_EQ(pc.n2, chunk_count(b2, opt.max_aspect));
+    EXPECT_EQ(batch_terms(b1, b2, opt),
+              static_cast<std::size_t>(pc.n1 * pc.n2));
+    const double oracle = mutual_partial(b1, b2, opt);
+    EXPECT_NEAR(batch_pair(b1, b2, opt), oracle,
+                kOracleRelTol * std::abs(oracle));
+  }
 }
 
 TEST(BatchEngine, OrthogonalPairIsExactlyZero) {
@@ -342,17 +403,14 @@ TEST(BatchEngine, BatchCompositionDoesNotChangeValues) {
   const Bar b1 = make_bar(um(1), um(0.5), um(300));
   const Bar b2 = make_bar(um(1), um(0.5), um(300), um(2));
   const Bar b3 = make_bar(um(1), um(0.5), um(300), um(40));
-  const auto c1 = chunk_lengthwise(b1, opt.max_aspect);
-  const auto c2 = chunk_lengthwise(b2, opt.max_aspect);
-  const auto c3 = chunk_lengthwise(b3, opt.max_aspect);
 
   const double alone = batch_pair(b1, b2, opt);
 
   BatchEvaluator ev;
-  ev.add_self(c1, opt);
-  const std::size_t slot = ev.add_pair(b1, b2, c1, c2, opt);
-  ev.add_pair(b1, b3, c1, c3, opt);
-  ev.add_pair(b2, b3, c2, c3, opt);
+  ev.add_self(b1, opt);
+  const std::size_t slot = ev.add_pair(b1, b2, opt);
+  ev.add_pair(b1, b3, opt);
+  ev.add_pair(b2, b3, opt);
   std::vector<double> vals(ev.slots());
   ev.run(vals.data());
   EXPECT_EQ(vals[slot], alone);
@@ -362,7 +420,7 @@ TEST(BatchEngine, BatchCompositionDoesNotChangeValues) {
   ev.clear();
   EXPECT_EQ(ev.slots(), 0u);
   EXPECT_EQ(ev.volume_entries() + ev.filament_entries(), 0u);
-  const std::size_t slot2 = ev.add_pair(b1, b2, c1, c2, opt);
+  const std::size_t slot2 = ev.add_pair(b1, b2, opt);
   std::vector<double> vals2(ev.slots());
   ev.run(vals2.data());
   EXPECT_EQ(vals2[slot2], alone);
@@ -372,10 +430,8 @@ TEST(BatchEngine, StatsCountTermsAndRuns) {
   PartialOptions opt;
   const Bar b1 = make_bar(um(1), um(0.5), um(300));
   const Bar b2 = make_bar(um(1), um(0.5), um(300), um(2));
-  const auto c1 = chunk_lengthwise(b1, opt.max_aspect);
-  const auto c2 = chunk_lengthwise(b2, opt.max_aspect);
   BatchEvaluator ev;
-  ev.add_pair(b1, b2, c1, c2, opt);
+  ev.add_pair(b1, b2, opt);
   const std::size_t terms = ev.volume_entries() + ev.filament_entries();
   EXPECT_GT(terms, 0u);
   const BatchStats before = batch_stats_total();
@@ -396,10 +452,7 @@ TEST(BatchEngine, DegenerateDimensionsThrowAtAppend) {
   BatchEvaluator ev;
   const Bar good = make_bar(um(1), um(0.5), um(100));
   const Bar zero_width = make_bar(0.0, um(0.5), um(100), um(5));
-  EXPECT_THROW(ev.add_pair(good, zero_width,
-                           chunk_lengthwise(good, opt.max_aspect),
-                           {zero_width}, opt),
-               diag::GeometryError);
+  EXPECT_THROW(ev.add_pair(good, zero_width, opt), diag::GeometryError);
 }
 
 TEST(BatchEngine, OverlappingBarsThrowAtAppend) {
@@ -407,9 +460,7 @@ TEST(BatchEngine, OverlappingBarsThrowAtAppend) {
   BatchEvaluator ev;
   const Bar b1 = make_bar(um(2), um(0.5), um(100));
   const Bar b2 = make_bar(um(2), um(0.5), um(100), um(1));  // overlaps b1
-  EXPECT_THROW(ev.add_pair(b1, b2, chunk_lengthwise(b1, opt.max_aspect),
-                           chunk_lengthwise(b2, opt.max_aspect), opt),
-               diag::GeometryError);
+  EXPECT_THROW(ev.add_pair(b1, b2, opt), diag::GeometryError);
 }
 
 TEST(BatchEngine, MemoizedFillStaysElementExactToDirectFill) {

@@ -1,20 +1,21 @@
 // The relative-geometry kernel memo (PairKey) and the two-pass matrix fill.
 //
 // Contracts pinned here:
-//  * PairKey is invariant under translation, and — only with
-//    fold_symmetries — under per-axis mirror reflection and bar exchange;
-//    it separates genuinely different geometry;
-//  * the default memoized fill equals the direct fill element-exactly — on
-//    a dyadic uniform mesh (where translation-equal pairs are bit-identical
-//    and the memo collapses them) and on a perturbed mesh (where every pair
-//    is its own class); the opt-in symmetry folding reorders the bracket
-//    for mirrored pairs, so it agrees to a tight tolerance instead;
+//  * PairKey is invariant under translation only (not under mirror
+//    reflection or bar exchange), and separates genuinely different
+//    geometry;
+//  * the memoized fill equals the direct fill element-exactly — on a
+//    dyadic uniform mesh (where translation-equal pairs are bit-identical
+//    and the memo collapses them), on a perturbed mesh (where every pair
+//    is its own class) and on a graded skin-depth mesh whose filaments
+//    chunk at different counts;
 //  * the memo hit rate clears 90 % on a skin-depth-meshed microstrip block
 //    (the geometry the paper's tables are built from);
 //  * the fill is element-exact deterministic across pool widths.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <set>
 #include <vector>
 
 #include "diag/error.h"
@@ -52,18 +53,16 @@ TEST(PairKey, TranslationInvariant) {
   EXPECT_EQ(make_pair_key(a1, b1, q), make_pair_key(a2, b2, q));
 }
 
-TEST(PairKey, ExchangeAndMirrorInvariantWhenFolded) {
+TEST(PairKey, MirrorAndExchangeKeptApart) {
+  // The key is translation-only: mirrored copies and the exchanged pair
+  // are mathematically equal but sum the bracket's cancelling terms in a
+  // different order, so merging them would break the memo's bit-exactness.
   const double q = 1e-12;
   const Bar a = make_bar(1.0, 0.5, 40.0, 0.0, 0.0);
   const Bar b = make_bar(2.0, 0.25, 40.0, 3.0, 1.5, 5.0);
-  const PairKey k = make_pair_key(a, b, q, /*fold_symmetries=*/true);
-  EXPECT_EQ(k, make_pair_key(b, a, q, true));
   // Mirror the pair about the t = 0 plane (centers negate, widths keep).
   const Bar am = make_bar(1.0, 0.5, 40.0, -1.0, 0.0);
   const Bar bm = make_bar(2.0, 0.25, 40.0, -5.0, 1.5, 5.0);
-  EXPECT_EQ(k, make_pair_key(am, bm, q, true));
-  // The default (translation-only) key deliberately keeps mirrored copies
-  // apart: their kernel evaluations differ in the last ulp.
   EXPECT_NE(make_pair_key(a, b, q), make_pair_key(am, bm, q));
   EXPECT_NE(make_pair_key(a, b, q), make_pair_key(b, a, q));
 }
@@ -149,36 +148,6 @@ TEST(MemoFill, ElementExactOnPerturbedMesh) {
       EXPECT_EQ(direct(i, j), memo(i, j)) << "(" << i << "," << j << ")";
 }
 
-TEST(MemoFill, SymmetryFoldingTightToleranceAndMoreReuse) {
-  // Folding mirror/exchange symmetries merges classes whose kernel inputs
-  // are reflections of each other — mathematically equal, but the bracket
-  // sums its 64 mutually-cancelling terms in a different order, so the
-  // agreement is limited by the kernel's cancellation noise (~1e-9 of the
-  // matrix scale here), not by one ulp.  The folded fill must stay within
-  // that noise floor and must evaluate strictly fewer kernels than the
-  // translation-only key.
-  const std::vector<Filament> fils = dyadic_mesh();
-  PartialOptions opt;
-  opt.memo = false;
-  const RealMatrix direct = partial_inductance_matrix(fils, opt);
-  opt.memo = true;
-  FillStats plain;
-  partial_inductance_matrix(fils, opt, nullptr, &plain);
-  opt.memo_fold_symmetries = true;
-  FillStats folded;
-  const RealMatrix fold = partial_inductance_matrix(fils, opt, nullptr, &folded);
-
-  EXPECT_LT(folded.kernel_evals, plain.kernel_evals);
-  double scale = 0.0;
-  for (std::size_t i = 0; i < direct.rows(); ++i)
-    for (std::size_t j = 0; j < direct.cols(); ++j)
-      scale = std::max(scale, std::abs(direct(i, j)));
-  for (std::size_t i = 0; i < direct.rows(); ++i)
-    for (std::size_t j = 0; j < direct.cols(); ++j)
-      EXPECT_NEAR(direct(i, j), fold(i, j), 1e-7 * scale)
-          << "(" << i << "," << j << ")";
-}
-
 TEST(MemoFill, SignsFoldedLikeDirectFill) {
   std::vector<Filament> fils = dyadic_mesh();
   for (std::size_t i = 0; i < fils.size(); ++i)
@@ -236,6 +205,40 @@ TEST(MemoFill, HitRateAbove90PercentOnMicrostrip) {
     for (std::size_t j = i + 1; j < lp.cols(); ++j)
       EXPECT_EQ(lp(i, j), lp(j, i));
   }
+}
+
+TEST(MemoFill, ElementExactOnGradedMeshWithMixedChunkCounts) {
+  // A signal over six ground strips, every cross-section meshed for the
+  // skin depth with 2x grading (edge cells half the middle one), so the
+  // filaments chunk at different counts and the engine cuts each aligned
+  // pair at the larger count of its two bars.  Dyadic coordinates keep
+  // translation-equal pairs bit-identical, as on the uniform mesh.
+  const double depth = 1.5;
+  std::vector<Filament> fils;
+  const auto add_meshed = [&](const Bar& envelope) {
+    const MeshOptions mo = mesh_for_skin_depth(envelope, depth);
+    for (const Bar& b : mesh_cross_section(envelope, mo))
+      fils.push_back({b, 1.0, 0.0});
+  };
+  add_meshed(make_bar(4.0, 1.0, 2048.0, -2.0, 2.0));
+  for (int i = 0; i < 6; ++i)
+    add_meshed(make_bar(4.0, 0.5, 2048.0, 4.0 * (i - 3), 0.0));
+
+  PartialOptions opt;
+  std::set<int> counts;
+  for (const Filament& f : fils)
+    counts.insert(chunk_count(f.bar, opt.max_aspect));
+  ASSERT_GT(counts.size(), 1u);
+
+  opt.memo = false;
+  const RealMatrix direct = partial_inductance_matrix(fils, opt);
+  opt.memo = true;
+  FillStats on;
+  const RealMatrix memo = partial_inductance_matrix(fils, opt, nullptr, &on);
+  EXPECT_GT(on.memo_hits, 0u);
+  for (std::size_t i = 0; i < direct.rows(); ++i)
+    for (std::size_t j = 0; j < direct.cols(); ++j)
+      EXPECT_EQ(direct(i, j), memo(i, j)) << "(" << i << "," << j << ")";
 }
 
 TEST(MemoFill, DeterministicAcrossPoolWidths) {

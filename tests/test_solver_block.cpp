@@ -225,6 +225,55 @@ TEST(PlaneStrips, RejectsBadCount) {
                std::invalid_argument);
 }
 
+// The PEEC engine's far-field approximation error, measured against a
+// far_factor = 200 reference (nearly every chunk pair on the exact volume
+// kernel) on 2-trace table solves at the significant frequency of a
+// 150 ps edge.  docs/performance.md ("Chunk-offset collapse") documents
+// the bounds: over the 72-point layer-6 sweep the worst errors are 4.0e-4
+// (loop mode, over a plane) and 8.4e-6 (partial mode); the two geometries
+// below include both worst cases and a pair of filaments whose chunk
+// counts differ.
+struct TwoTraceSolve {
+  double self = 0.0;
+  double mutual = 0.0;
+};
+
+TwoTraceSolve two_trace(PlaneConfig planes, double w1, double w2, double s,
+                        double l, double far_factor) {
+  const Block blk(&tech(), 6, l,
+                  {{geom::TraceRole::kSignal, w1, -0.5 * (s + w1), "a"},
+                   {geom::TraceRole::kSignal, w2, 0.5 * (s + w2), "b"}},
+                  planes);
+  SolveOptions opt;
+  opt.frequency = significant_frequency(150e-12);
+  opt.partial.far_factor = far_factor;
+  if (planes == PlaneConfig::kNone) {
+    const PartialResult r = extract_partial(blk, opt);
+    return {r.inductance(0, 0), r.inductance(0, 1)};
+  }
+  const LoopResult r = extract_loop(blk, opt);
+  return {r.inductance(0, 0), r.inductance(0, 1)};
+}
+
+TEST(FarFieldAccuracy, TwoTraceSolvesWithinBoundsOfFarFactor200Reference) {
+  struct Case {
+    double w1, w2, s, l;
+  };
+  const Case cases[] = {{um(20), um(20), um(10), um(775)},
+                        {um(1), um(4.47), um(0.5), um(6000)}};
+  for (const PlaneConfig planes : {PlaneConfig::kNone, PlaneConfig::kBelow}) {
+    const double bound = planes == PlaneConfig::kNone ? 1e-5 : 6e-4;
+    for (const Case& c : cases) {
+      const TwoTraceSolve got = two_trace(planes, c.w1, c.w2, c.s, c.l, 12.0);
+      const TwoTraceSolve ref = two_trace(planes, c.w1, c.w2, c.s, c.l, 200.0);
+      EXPECT_NEAR(got.mutual, ref.mutual, bound * std::abs(ref.mutual))
+          << geom::to_string(planes) << " w1=" << c.w1 << " l=" << c.l;
+      EXPECT_NEAR(got.self, ref.self, bound * std::abs(ref.self))
+          << geom::to_string(planes) << " w1=" << c.w1 << " l=" << c.l;
+    }
+  }
+}
+
 // Property sweep: the loop inductance of a coplanar waveguide decreases
 // monotonically as the ground spacing shrinks (tighter return loop).
 class SpacingSweep : public ::testing::TestWithParam<double> {};
