@@ -18,7 +18,6 @@
 #include "core/table_builder.h"
 #include "core/table_cache.h"
 #include "geom/builders.h"
-#include "hmat/stats.h"
 #include "numeric/units.h"
 #include "peec/assembly.h"
 #include "peec/kernel_batch.h"
@@ -152,17 +151,6 @@ solver::SolveOptions solve_options(const Args& args) {
   solver::SolveOptions opt;
   const double tr = args.get_num("trise-ps", 200.0) * 1e-12;
   opt.frequency = solver::significant_frequency(tr);
-  const std::string solver = args.get("solver", "auto");
-  if (solver == "dense") {
-    opt.solver = solver::SolverKind::kDense;
-  } else if (solver == "hmat") {
-    opt.solver = solver::SolverKind::kHmat;
-  } else if (solver == "auto") {
-    opt.solver = solver::SolverKind::kAuto;
-  } else {
-    throw diag::UsageError("cli", "unknown --solver: " + solver +
-                                      " (dense|hmat|auto)");
-  }
   return opt;
 }
 
@@ -213,22 +201,12 @@ void print_cache_stats(const core::TableCache& cache, std::size_t solves,
         << build->batch_runs << " batches, "
         << static_cast<std::uint64_t>(build->batch_terms_per_second() + 0.5)
         << " terms/s, simd " << peec::batch_simd_name() << "\n";
-  if (build != nullptr && build->hmat_solves > 0) {
-    out << "hmat solver: " << build->hmat_solves << " hierarchical / "
-        << build->dense_solves << " dense solves, "
-        << build->gmres_iterations << " GMRES iterations, "
-        << static_cast<int>(100.0 * build->hmat_compression() + 0.5)
-        << "% entries stored";
-    if (build->gmres_fallbacks > 0)
-      out << ", " << build->gmres_fallbacks << " dense fallbacks";
-    out << "\n";
-  }
-  if (build != nullptr &&
-      (build->mem_degradations > 0 || build->mem_refusals > 0))
-    out << "memory budget: " << build->mem_degradations
-        << " dense->hmat degradation"
-        << (build->mem_degradations == 1 ? "" : "s") << ", "
-        << build->mem_refusals << " refusal"
+  if (build != nullptr && build->dense_solves > 0)
+    out << "impedance solver: " << build->dense_solves
+        << " dense solves, largest " << build->max_filaments
+        << " filaments\n";
+  if (build != nullptr && build->mem_refusals > 0)
+    out << "memory budget: " << build->mem_refusals << " refusal"
         << (build->mem_refusals == 1 ? "" : "s") << " (budget "
         << build->mem_limit_bytes << " bytes, peak " << build->mem_peak_bytes
         << ")\n";
@@ -302,12 +280,9 @@ int cmd_help(std::ostream& out) {
          "  --threads N (size the worker pool; precedence: --threads, then\n"
          "  RLCX_THREADS, then hardware concurrency; results are\n"
          "  bit-identical for any thread count)\n"
-         "  --solver dense|hmat|auto (impedance solver: blocked-LU oracle,\n"
-         "  hierarchical ACA+GMRES, or pick by problem size; default auto)\n"
          "  --mem-budget MIB (process memory budget; precedence:\n"
          "  --mem-budget, then RLCX_MEM_BUDGET, then half of physical RAM;\n"
-         "  0 = unlimited.  Over-budget dense solves degrade to the hmat\n"
-         "  path with a warning; work that cannot fit at all exits 7)\n\n"
+         "  0 = unlimited.  Work that cannot fit exits 7)\n\n"
          "extract: [--spice FILE] [--ac-resistance] [--table-cache DIR]\n"
          "tables:  --out FILE [--planes none|below|above|both] [--points N]\n"
          "         [--threads N] (0 = RLCX_THREADS/all cores) [--binary]\n"
@@ -334,9 +309,9 @@ int cmd_help(std::ostream& out) {
          "  3 invalid input (geometry/io/cache), 4 numerical failure,\n"
          "  5 cancelled or deadline exceeded (resumable for batch),\n"
          "  6 overloaded (serve admission queue full — back off, retry),\n"
-         "  7 resource-exhausted (over the memory budget even after\n"
-         "  degradation — not retryable; shrink the request or raise\n"
-         "  --mem-budget); warnings go to stderr (docs/robustness.md)\n";
+         "  7 resource-exhausted (over the memory budget — not\n"
+         "  retryable; shrink the request or raise --mem-budget);\n"
+         "  warnings go to stderr (docs/robustness.md)\n";
   return 0;
 }
 
@@ -554,7 +529,7 @@ int cmd_batch(const Args& args, const run::RunControl& rc,
   const std::size_t solves_before = core::table_build_solve_count();
   const peec::FillStats fills_before = peec::fill_stats_total();
   const peec::BatchStats batches_before = peec::batch_stats_total();
-  const hmat::SolveStats hsolves_before = hmat::solve_stats_total();
+  const solver::SolveStats impedance_before = solver::solve_stats_total();
   const core::BatchResult res = core::characterize_batch(tech, jobs, sopt,
                                                          bopt);
   const std::size_t solves = core::table_build_solve_count() - solves_before;
@@ -602,21 +577,11 @@ int cmd_batch(const Args& args, const run::RunControl& rc,
                                      static_cast<double>(bnanos) +
                                  0.5)
         << " terms/s, simd " << peec::batch_simd_name() << "\n";
-  const hmat::SolveStats hs = hmat::solve_stats_total();
-  if (hs.hmat_solves > hsolves_before.hmat_solves) {
-    const std::size_t stored = hs.stored_entries - hsolves_before.stored_entries;
-    const std::size_t full = hs.full_entries - hsolves_before.full_entries;
-    out << "hmat solver: " << hs.hmat_solves - hsolves_before.hmat_solves
-        << " hierarchical / " << hs.dense_solves - hsolves_before.dense_solves
-        << " dense solves, "
-        << hs.gmres_iterations - hsolves_before.gmres_iterations
-        << " GMRES iterations, "
-        << static_cast<int>(full == 0 ? 0.0
-                                      : 100.0 * static_cast<double>(stored) /
-                                                static_cast<double>(full) +
-                                            0.5)
-        << "% entries stored\n";
-  }
+  const solver::SolveStats ss = solver::solve_stats_total();
+  if (ss.dense_solves > impedance_before.dense_solves)
+    out << "impedance solver: "
+        << ss.dense_solves - impedance_before.dense_solves
+        << " dense solves, largest " << ss.max_filaments << " filaments\n";
   out << "journal " << journal.path() << ": " << journal.size()
       << " completed ids (" << journal.size() - journaled_before
       << " new";

@@ -59,14 +59,12 @@ struct BuildStats {
   std::size_t pair_lookups = 0;  ///< filament pairs the fills needed
   std::size_t kernel_evals = 0;  ///< Hoer-Love pair evaluations performed
   std::size_t memo_hits = 0;     ///< pairs served from the geometry memo
-  // Impedance-solver path counters (deltas of hmat::solve_stats_total()
-  // around the solve phase, same sharing caveat as the memo counters).
-  std::size_t dense_solves = 0;      ///< solves taken by the dense LU oracle
-  std::size_t hmat_solves = 0;       ///< solves taken by the hierarchical path
-  std::size_t gmres_iterations = 0;  ///< GMRES iterations across hmat solves
-  std::size_t gmres_fallbacks = 0;   ///< non-convergence -> dense fallbacks
-  std::size_t hmat_stored_entries = 0;  ///< H-matrix entries actually stored
-  std::size_t hmat_full_entries = 0;    ///< dense n^2 those solves would cost
+  // Impedance-solver counters (solver::solve_stats_total(): the solve
+  // count delta'd around the solve phase, same sharing caveat as the memo
+  // counters; the filament high-water sampled after it, like
+  // mem_peak_bytes).
+  std::size_t dense_solves = 0;   ///< impedance solves (blocked dense LU)
+  std::size_t max_filaments = 0;  ///< largest solve seen, in filaments
   // Batch kernel-engine counters (deltas of peec::batch_stats_total()
   // around the solve phase, same sharing caveat as the memo counters).
   std::size_t batch_runs = 0;            ///< BatchEvaluator::run() calls
@@ -77,7 +75,6 @@ struct BuildStats {
   // around the solve phase; docs/robustness.md "Resource governance").
   std::uint64_t mem_limit_bytes = 0;   ///< budget in force (0 = unlimited)
   std::uint64_t mem_peak_bytes = 0;    ///< tracked+reserved high-water seen
-  std::uint64_t mem_degradations = 0;  ///< dense->hmat budget downgrades
   std::uint64_t mem_refusals = 0;      ///< reservations refused outright
   /// Fraction of pair values served without a kernel evaluation.
   double memo_hit_rate() const {
@@ -94,14 +91,6 @@ struct BuildStats {
                : static_cast<double>(batch_volume_terms +
                                      batch_filament_terms) *
                      1e9 / static_cast<double>(batch_eval_nanos);
-  }
-  /// Stored fraction of the dense entry count over the hmat solves (1.0
-  /// would mean no compression; 0 when no hmat solve ran).
-  double hmat_compression() const {
-    return hmat_full_entries == 0
-               ? 0.0
-               : static_cast<double>(hmat_stored_entries) /
-                     static_cast<double>(hmat_full_entries);
   }
 };
 

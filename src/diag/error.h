@@ -162,9 +162,9 @@ class OverloadedError : public Error {
       : Error(Category::kOverloaded, std::move(stage), std::move(message)) {}
 };
 
-/// The work would not fit the process memory budget (res::Budget): every
-/// rung of the degradation ladder (docs/robustness.md "Resource
-/// governance") was refused.  Unlike kOverloaded this is not transient —
+/// The work would not fit the process memory budget (res::Budget): a
+/// reservation (docs/robustness.md "Resource governance") was refused.
+/// Unlike kOverloaded this is not transient —
 /// an oversized request stays oversized on retry; shrink the request or
 /// raise --mem-budget.
 class ResourceExhaustedError : public Error {

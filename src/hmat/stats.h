@@ -1,46 +1,27 @@
-// Process-wide hierarchical-solver telemetry.
+// Compatibility shim for the end-to-end benchmark (e2ebench/), which still
+// includes this header and reads hmat::solve_stats_total().  The
+// hierarchical solver is gone: every impedance solve is the dense one, so
+// hmat_solves is always 0 and dense_solves is the solver's own counter
+// (solver::solve_stats_total()).
 //
-// Same contract as peec::fill_stats_total / core::table_build_solve_count:
-// relaxed-atomic aggregates that BuildStats, `cache stats` and the serve
-// daemon's stats/health snapshot (or delta around a build).
+// Nothing in src/, tests/, bench/ or examples/ includes this header.  The
+// benchmark PR (ROADMAP item 5) moves e2ebench to the solver counter and
+// then deletes this shim and its INTERFACE target.
 #pragma once
 
 #include <cstddef>
 
+#include "solver/block_solver.h"
+
 namespace rlcx::hmat {
 
 struct SolveStats {
-  std::size_t hmat_solves = 0;   ///< impedance solves taken by the hmat path
-  std::size_t dense_solves = 0;  ///< ... taken by the dense LU path
-  std::size_t gmres_iterations = 0;  ///< total across all solves
-  std::size_t gmres_fallbacks = 0;   ///< non-convergence -> dense fallback
-  std::size_t aca_rank_max = 0;      ///< high-water across all blocks
-  std::size_t stored_entries = 0;    ///< summed over hmat solves
-  std::size_t full_entries = 0;      ///< summed n^2 over hmat solves
-  double gmres_worst_residual = 0.0; ///< high-water accepted rel. residual
-
-  double compression() const {
-    return full_entries == 0
-               ? 0.0
-               : static_cast<double>(stored_entries) /
-                     static_cast<double>(full_entries);
-  }
+  std::size_t hmat_solves = 0;
+  std::size_t dense_solves = 0;
 };
 
-SolveStats solve_stats_total();
-void reset_solve_stats_total();
-
-/// Expected resident bytes of an assembled H-matrix over n filaments: the
-/// measured process-wide compression ratio applied to the dense entry
-/// count, with a conservative default before any hmat solve has reported
-/// (real compression lands at a few percent; see BENCH_hmat.json).  Feeds
-/// the memory budget's hmat-path cost estimate.
-std::size_t estimate_assembly_bytes(std::size_t n);
-
-/// Recorded by solver::conductor_impedance per solve.
-void record_dense_solve();
-void record_hmat_solve(std::size_t stored_entries, std::size_t full_entries,
-                       std::size_t rank_max, std::size_t gmres_iterations,
-                       std::size_t fallbacks, double worst_residual);
+inline SolveStats solve_stats_total() {
+  return {0, solver::solve_stats_total().dense_solves};
+}
 
 }  // namespace rlcx::hmat

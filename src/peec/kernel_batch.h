@@ -1,17 +1,16 @@
 // Batched (SoA) evaluation of the partial-inductance kernels — the SIMD
 // engine behind every matrix-fill path.
 //
-// The three-pass fill (peec/assembly.cpp) and the hmat sampling oracle
-// (hmat/kernel_matrix.cpp) both reduce their work to "evaluate these
-// self/mutual bar pairs".  Each such class evaluation decomposes into chunk
-// pairs, and each chunk pair is either a Hoer-Love volume integral (64
-// corner evaluations of f(x,y,z)) or a filament closed form.  Evaluated one
-// scalar pair at a time that walk is dominated by libm transcendentals;
-// BatchEvaluator instead flattens every chunk decomposition into two
-// structure-of-arrays batches (volume pairs and filament pairs), evaluates
-// them with `#pragma omp simd` kernels built on numeric/vecmath.h, and
-// reduces each class in its recorded chunk-pair order (H2Pack's blocked
-// Coulomb-kernel pattern, see SNIPPETS.md).
+// The three-pass fill (peec/assembly.cpp) reduces its work to "evaluate
+// these self/mutual bar pairs".  Each such class evaluation decomposes
+// into chunk pairs, and each chunk pair is either a Hoer-Love volume
+// integral (64 corner evaluations of f(x,y,z)) or a filament closed form.
+// Evaluated one scalar pair at a time that walk is dominated by libm
+// transcendentals; BatchEvaluator instead flattens every chunk
+// decomposition into two structure-of-arrays batches (volume pairs and
+// filament pairs), evaluates them with `#pragma omp simd` kernels built on
+// numeric/vecmath.h, and reduces each class in its recorded chunk-pair
+// order (H2Pack's blocked Coulomb-kernel pattern, see SNIPPETS.md).
 //
 // Determinism contract:
 //   * every batch entry is a pure elementwise function of its own SoA

@@ -126,15 +126,10 @@ Stats Budget::stats() const noexcept {
   s.tracked_bytes = tracked();
   s.reserved_bytes = reserved();
   s.peak_bytes = peak();
-  s.degradations = degradations_.load(std::memory_order_relaxed);
   s.refusals = refusals_.load(std::memory_order_relaxed);
   s.contained_bad_allocs =
       contained_bad_allocs_.load(std::memory_order_relaxed);
   return s;
-}
-
-void Budget::record_degradation() noexcept {
-  degradations_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void Budget::record_refusal() noexcept {
@@ -159,8 +154,7 @@ bool admission_exhausted(std::uint64_t bytes) noexcept {
   return false;
 }
 
-Reservation::Reservation(const char* stage, std::uint64_t bytes,
-                         OnExhausted policy) {
+Reservation::Reservation(const char* stage, std::uint64_t bytes) {
   Budget& b = Budget::global();
   bool refused = run::fault_point("alloc_fail");
   if (!refused && !b.try_charge(bytes)) refused = true;
@@ -168,7 +162,6 @@ Reservation::Reservation(const char* stage, std::uint64_t bytes,
     bytes_ = bytes;
     return;
   }
-  if (policy == OnExhausted::kDecline) return;  // caller degrades
   b.record_refusal();
   throw diag::ResourceExhaustedError(
       stage, refusal_message(bytes, b.in_use(), b.limit()));
@@ -194,9 +187,8 @@ void Reservation::release() noexcept {
   }
 }
 
-ScopedReservation::ScopedReservation(const char* stage, std::uint64_t bytes,
-                                     OnExhausted policy)
-    : reservation_(stage, bytes, policy) {
+ScopedReservation::ScopedReservation(const char* stage, std::uint64_t bytes)
+    : reservation_(stage, bytes) {
   if (reservation_.held()) {
     ++t_ambient_depth;
     entered_ = true;

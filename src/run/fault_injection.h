@@ -1,4 +1,4 @@
-// Deterministic fault injection for the degradation ladders.
+// Deterministic fault injection for the recovery and refusal paths.
 //
 // The robustness machinery (cache quarantine -> rebuild, cache-store retry
 // -> skip, SOR escalation ladder, cooperative cancellation) only earns
@@ -40,12 +40,11 @@
 //                  offset)
 //   journal_fsync  BatchJournal fsync (Durability::kFsync) failure
 //   alloc_fail     res::Reservation acquire + serve admission estimate
-//                  (every memory-budget reservation point: solver path
-//                  selection, table-grid construction, peec/hmat fills,
-//                  cost-based admission).  Firing makes that reservation
-//                  behave as over-budget: the degradation ladder runs
-//                  (dense->hmat, then typed refusal / exit 7) without
-//                  real memory pressure
+//                  (every memory-budget reservation point: the dense
+//                  impedance solve, table-grid construction, standalone
+//                  peec fills, cost-based admission).  Firing makes that
+//                  reservation behave as over-budget: the typed refusal
+//                  (exit 7) fires without real memory pressure
 //   accept_emfile  serve accept() loop: simulated EMFILE from accept
 //   sock_reset_midframe  serve/protocol write_all between header and
 //                  payload (peer reset mid-frame)

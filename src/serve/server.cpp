@@ -15,11 +15,11 @@
 
 #include "cli/cli.h"
 #include "diag/error.h"
-#include "hmat/stats.h"
 #include "peec/kernel_batch.h"
 #include "res/budget.h"
 #include "run/fault_injection.h"
 #include "run/signal.h"
+#include "solver/block_solver.h"
 
 namespace rlcx::serve {
 
@@ -480,8 +480,8 @@ std::string Server::stats_text() {
   for (const WarmTableStore::EntryInfo& e : warm_.entries())
     os << "warm entry " << e.id << ": " << e.bytes << " bytes\n";
   os << "memory budget: " << rs.limit_bytes << " limit, " << rs.in_use()
-     << " in use, " << rs.peak_bytes << " peak, " << rs.degradations
-     << " degradations, " << rs.refusals << " refusals, "
+     << " in use, " << rs.peak_bytes << " peak, " << rs.refusals
+     << " refusals, "
      << rs.contained_bad_allocs << " contained bad_allocs\n"
      << "admission: " << as.active << " active, " << as.queued
      << " queued (max-active " << admission_.max_active()
@@ -500,14 +500,9 @@ std::string Server::stats_text() {
      << " accept retries, " << cs.quarantined_at_startup
      << " quarantined at startup, " << cs.tmp_swept
      << " staging files swept, " << cs.fsyncs << " fsyncs\n";
-  const hmat::SolveStats hs = hmat::solve_stats_total();
-  os << "impedance solver: " << hs.dense_solves << " dense, "
-     << hs.hmat_solves << " hierarchical ("
-     << hs.gmres_iterations << " GMRES iterations, "
-     << hs.gmres_fallbacks << " dense fallbacks, rank max "
-     << hs.aca_rank_max << ", "
-     << static_cast<int>(100.0 * hs.compression() + 0.5)
-     << "% entries stored)\n";
+  const solver::SolveStats ss = solver::solve_stats_total();
+  os << "impedance solver: " << ss.dense_solves << " dense solves, largest "
+     << ss.max_filaments << " filaments\n";
   const peec::BatchStats bs = peec::batch_stats_total();
   os << "batch engine: " << bs.volume_terms + bs.filament_terms
      << " kernel terms (" << bs.volume_terms << " volume, "
@@ -520,7 +515,7 @@ std::string Server::stats_text() {
 
 std::string Server::health_text() {
   const AdmissionQueue::Stats as = admission_.stats();
-  const hmat::SolveStats hs2 = hmat::solve_stats_total();
+  const solver::SolveStats ss = solver::solve_stats_total();
   const res::Stats rs = res::Budget::global().stats();
   const WarmTableStore::Stats ws = warm_.stats();
   const auto uptime = std::chrono::duration_cast<std::chrono::seconds>(
@@ -538,12 +533,9 @@ std::string Server::health_text() {
      << idle_disconnects_.load(std::memory_order_relaxed) << "\n"
      << "accept-retries "
      << accept_retries_.load(std::memory_order_relaxed) << "\n"
-     << "dense-solves " << hs2.dense_solves << "\n"
-     << "hmat-solves " << hs2.hmat_solves << "\n"
-     << "gmres-fallbacks " << hs2.gmres_fallbacks << "\n"
+     << "dense-solves " << ss.dense_solves << "\n"
      << "mem-limit-bytes " << rs.limit_bytes << "\n"
      << "mem-peak-bytes " << rs.peak_bytes << "\n"
-     << "mem-degradations " << rs.degradations << "\n"
      << "mem-refusals " << rs.refusals << "\n"
      << "contained-bad-allocs " << rs.contained_bad_allocs << "\n"
      << "warm-bytes " << ws.resident_bytes << "\n";

@@ -9,6 +9,7 @@
 //    paper's "Extension of Foundations").  Used for microstrip/stripline.
 #pragma once
 
+#include <cstddef>
 #include <vector>
 
 #include "geom/block.h"
@@ -42,26 +43,31 @@ LoopResult extract_loop(const geom::Block& block, const SolveOptions& opt);
 std::vector<peec::Bar> plane_strips(const geom::Block& block, int plane_layer,
                                     const PlaneOptions& opt);
 
-/// Analytic resident-byte estimates for the two impedance-solver paths
-/// over `filaments` unknowns and `conductors` terminals: the dense path
-/// prices the real fill + complex LU + multi-RHS blocks, the hmat path the
-/// compressed operator (hmat::estimate_assembly_bytes) + Schwarz blocks +
-/// Krylov basis.  These drive the memory budget's degradation ladder in
-/// conductor_impedance and serve's cost-based admission
+/// Analytic resident-byte estimate of one impedance solve over `filaments`
+/// unknowns and `conductors` terminals: the real fill, the complex LU and
+/// the multi-RHS blocks.  conductor_impedance reserves exactly this much
+/// from the memory budget before solving (refusing the solve when it does
+/// not fit), and serve's cost-based admission prices requests with it
 /// (docs/robustness.md "Resource governance").
 std::size_t estimate_dense_solve_bytes(std::size_t filaments,
                                        std::size_t conductors);
-std::size_t estimate_hmat_solve_bytes(std::size_t filaments,
-                                      std::size_t conductors,
-                                      const HmatSolveOptions& opt);
 
 /// Cost of extracting `block` without solving anything: meshes the
 /// conductors exactly as extraction would (cheap — no field solves),
-/// counts filaments, and returns the estimate of the path the dense/hmat
-/// dispatch would pick.  Plane strips are included when the block
-/// configures planes, so this bounds both extract_partial and
-/// extract_loop.
+/// counts filaments, and returns the dense solve estimate.  Plane strips
+/// are included when the block configures planes, so this bounds both
+/// extract_partial and extract_loop.
 std::size_t estimate_extract_bytes(const geom::Block& block,
                                    const SolveOptions& opt);
+
+/// Process-wide impedance-solve telemetry: relaxed-atomic aggregates that
+/// core::BuildStats, the CLI build report and the serve daemon's
+/// stats/health snapshot (or delta around a build).
+struct SolveStats {
+  std::size_t dense_solves = 0;   ///< completed impedance solves
+  std::size_t max_filaments = 0;  ///< high-water filament count of a solve
+};
+
+SolveStats solve_stats_total();
 
 }  // namespace rlcx::solver

@@ -1,7 +1,6 @@
 // Options controlling the field-solver substitute.
 #pragma once
 
-#include <cstddef>
 #include <cstdio>
 #include <string>
 
@@ -20,54 +19,6 @@ struct PlaneOptions {
   double min_margin = 10e-6; ///< [m] floor on the margin
 };
 
-/// Which impedance solver conductor_impedance runs.  kDense is the blocked
-/// LU oracle; kHmat is the hierarchical ACA + GMRES path (src/hmat); kAuto
-/// picks by filament count against HmatSolveOptions::auto_crossover.
-enum class SolverKind { kAuto, kDense, kHmat };
-
-inline const char* to_string(SolverKind k) {
-  switch (k) {
-    case SolverKind::kDense: return "dense";
-    case SolverKind::kHmat: return "hmat";
-    default: return "auto";
-  }
-}
-
-/// Hierarchical-path knobs (see docs/performance.md "Hierarchical PEEC").
-struct HmatSolveOptions {
-  std::size_t leaf_size = 32;   ///< cluster-tree leaf bound
-  double eta = 2.0;             ///< admissibility parameter
-  double aca_tol = 1e-11;       ///< ACA relative Frobenius tolerance
-  std::size_t max_rank = 128;   ///< per-block ACA cap (beyond: dense block)
-  /// Schwarz preconditioner granularity: the cluster tree is cut at nodes
-  /// of at most this many filaments (never below a leaf), each block
-  /// widened by a quarter-block overlap on both sides.  Decoupled from
-  /// leaf_size — block size and overlap set the GMRES convergence rate,
-  /// leaf size sets the compression; 32 measured fastest end-to-end
-  /// (bigger blocks save iterations but cost more per application).
-  std::size_t precond_block = 32;
-  /// GMRES relative residual target.  1e-9 keeps the final inductances
-  /// within ~1e-9 of the dense oracle (an order under the 1e-8
-  /// interchangeability gate) without paying for decades of residual the
-  /// downstream tables cannot observe.
-  double gmres_tol = 1e-9;
-  std::size_t gmres_restart = 60;
-  std::size_t gmres_max_iterations = 400;
-  /// Filament count at which `auto` switches to the hierarchical path.
-  /// The SIMD batch engine + LU micro-kernel sped the dense oracle ~2x,
-  /// pushing the measured wall-clock crossover past the bench range
-  /// (BENCH_hmat.json: dense still wins at 5120, ratio improving ~0.1 per
-  /// size doubling from 0.67); this is the extrapolated ~1.7-doublings
-  /// estimate.  Memory crosses over far earlier (hmat stores 4% of the
-  /// dense entries at 5120), so callers tight on memory should lower it.
-  std::size_t auto_crossover = 16384;
-  /// Non-convergence ladder: retry with a doubled budget, then fall back
-  /// to the dense oracle with a warning (mirrors the SOR escalation in
-  /// cap/fd2d).  When false, non-convergence throws a NumericError naming
-  /// the hmat path.
-  bool escalate_on_nonconvergence = true;
-};
-
 struct SolveOptions {
   double frequency = 1e9;  ///< [Hz] evaluate at the significant frequency
 
@@ -79,9 +30,6 @@ struct SolveOptions {
 
   peec::PartialOptions partial{};
   PlaneOptions plane{};
-
-  SolverKind solver = SolverKind::kAuto;
-  HmatSolveOptions hmat{};
 };
 
 /// Canonical ASCII description of every option that can change a solve
@@ -104,15 +52,6 @@ inline std::string fingerprint(const SolveOptions& o) {
   std::snprintf(buf, sizeof buf,
                 "plane strips %d margin_factor %.17g min_margin %.17g\n",
                 o.plane.strips, o.plane.margin_factor, o.plane.min_margin);
-  out += buf;
-  std::snprintf(buf, sizeof buf,
-                "solver kind %s leaf %zu eta %.17g aca_tol %.17g max_rank "
-                "%zu pc_block %zu gmres_tol %.17g restart %zu maxit %zu "
-                "crossover %zu\n",
-                to_string(o.solver), o.hmat.leaf_size, o.hmat.eta,
-                o.hmat.aca_tol, o.hmat.max_rank, o.hmat.precond_block,
-                o.hmat.gmres_tol, o.hmat.gmres_restart,
-                o.hmat.gmres_max_iterations, o.hmat.auto_crossover);
   out += buf;
   return out;
 }

@@ -3,9 +3,13 @@
 // the stat/list/purge maintenance surface.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "core/table_cache.h"
 #include "diag/error.h"
@@ -156,6 +160,64 @@ TEST(TableCache, KeyTextCoversEveryInput) {
   const geom::Technology hot = tech.at_temperature(100.0);
   EXPECT_NE(base, TableCache::key_text(hot, 6, geom::PlaneConfig::kNone,
                                        grid, opt));
+}
+
+// docs/table-format.md §4.1 lists the key text line by line; the code
+// must emit exactly those lines, in that order.  Each documented line
+// contributes its literal prefix (the text before the first `<field>`);
+// the per-layer line repeats once per technology layer.
+TEST(TableCache, KeyTextLinesFollowTheDocumentedRecipe) {
+  std::ifstream doc(std::string(RLCX_SOURCE_DIR) + "/docs/table-format.md");
+  ASSERT_TRUE(doc) << "cannot read docs/table-format.md";
+  struct DocLine {
+    std::string prefix;
+    bool per_layer;
+  };
+  std::vector<DocLine> recipe;
+  bool in_section = false, in_fence = false;
+  for (std::string line; std::getline(doc, line);) {
+    if (line.rfind("### ", 0) == 0) {
+      if (in_section) break;
+      in_section = line.rfind("### 4.1 ", 0) == 0;
+      continue;
+    }
+    if (!in_section) continue;
+    if (line.rfind("```", 0) == 0) {
+      if (in_fence) break;
+      in_fence = true;
+      continue;
+    }
+    if (!in_fence) continue;
+    const std::size_t field = line.find('<');
+    const std::size_t comment = line.find('#');
+    std::string prefix = line.substr(0, std::min(field, comment));
+    if (field == std::string::npos)  // a literal line: drop trailing blanks
+      prefix.erase(prefix.find_last_not_of(' ') + 1);
+    recipe.push_back({prefix, line.find("# per layer") != std::string::npos});
+  }
+  ASSERT_FALSE(recipe.empty()) << "no key recipe found in §4.1";
+
+  const geom::Technology tech = geom::Technology::generic_025um();
+  const std::string key = TableCache::key_text(
+      tech, 6, geom::PlaneConfig::kBelow, tiny_grid(), fast_options());
+  std::vector<std::string> lines;
+  std::istringstream in(key);
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+
+  std::size_t k = 0;
+  for (const DocLine& d : recipe) {
+    ASSERT_LT(k, lines.size()) << "key text ends before \"" << d.prefix
+                               << "\"";
+    EXPECT_EQ(lines[k].rfind(d.prefix, 0), 0u)
+        << "key line " << k << " \"" << lines[k] << "\" does not start with "
+        << "the documented \"" << d.prefix << "\"";
+    ++k;
+    if (d.per_layer)
+      while (k < lines.size() && lines[k].rfind(d.prefix, 0) == 0) ++k;
+  }
+  EXPECT_EQ(k, lines.size())
+      << "undocumented key line: \"" << (k < lines.size() ? lines[k] : "")
+      << "\"";
 }
 
 TEST(TableCache, KeyHashIsStableFnv1a64) {

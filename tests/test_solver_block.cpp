@@ -5,11 +5,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <string>
 
 #include "geom/builders.h"
 #include "numeric/units.h"
 #include "peec/partial_inductance.h"
 #include "diag/error.h"
+#include "run/control.h"
+#include "run/fault_injection.h"
 #include "solver/block_solver.h"
 #include "solver/frequency.h"
 
@@ -318,6 +322,51 @@ TEST(ExtractLoop, AllGroundBlockIsAGeometryError) {
                    {geom::TraceRole::kGround, um(10), um(20), "g2"}},
                   PlaneConfig::kNone);
   EXPECT_THROW(extract_loop(blk, low_freq()), rlcx::diag::GeometryError);
+}
+
+TEST(SolverWiring, CancellationMidSolveIsClean) {
+  struct InjectorReset {
+    ~InjectorReset() { run::FaultInjector::global().clear(); }
+  } reset;
+  const Block blk = geom::microstrip(tech(), 6, um(600), um(2), um(4), um(3));
+  const SolveOptions opt;
+
+  // Uncancelled reference, counting the cancellation checkpoints the solve
+  // passes (an armed schedule that never fires makes the site count).
+  LoopResult reference;
+  std::uint64_t checkpoints = 0;
+  {
+    run::CancelToken token;
+    run::ScopedRunControl control(run::RunControl{token, run::Deadline{}});
+    run::FaultInjector::global().set_schedule("cancel:1000000000");
+    reference = extract_loop(blk, opt);
+    checkpoints = run::FaultInjector::global().calls("cancel");
+    run::FaultInjector::global().clear();
+  }
+  ASSERT_GE(checkpoints, 3u) << "the solve must pass several checkpoints";
+
+  // Cancel at a checkpoint in the middle of the solve.
+  {
+    run::CancelToken token;
+    run::ScopedRunControl control(run::RunControl{token, run::Deadline{}});
+    run::FaultInjector::global().set_schedule(
+        "cancel:" + std::to_string(checkpoints / 2 + 1));
+    EXPECT_THROW((void)extract_loop(blk, opt), diag::CancelledError);
+    EXPECT_EQ(run::FaultInjector::global().triggered("cancel"), 1u);
+    run::FaultInjector::global().clear();
+  }
+
+  // Fresh control, schedule cleared: the rerun completes bit-identical to
+  // the uncancelled solve — nothing stale leaked from the cancelled one.
+  run::CancelToken token;
+  run::ScopedRunControl control(run::RunControl{token, run::Deadline{}});
+  const LoopResult rerun = extract_loop(blk, opt);
+  ASSERT_EQ(rerun.inductance.rows(), reference.inductance.rows());
+  for (std::size_t i = 0; i < reference.inductance.rows(); ++i)
+    for (std::size_t j = 0; j < reference.inductance.cols(); ++j) {
+      EXPECT_EQ(rerun.inductance(i, j), reference.inductance(i, j));
+      EXPECT_EQ(rerun.resistance(i, j), reference.resistance(i, j));
+    }
 }
 
 }  // namespace
