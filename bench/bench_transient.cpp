@@ -1,9 +1,12 @@
-// P4 — the sparse MNA transient (src/ckt/transient.cpp) on CPW H-trees of
-// 4 to 512 sinks with 4-section ladders, RLC(K) and RC.
+// P4 — the condensed nodal transient (src/ckt/transient.cpp,
+// src/ckt/companion.h) on CPW H-trees of 4 to 512 sinks with 4-section
+// ladders, RLC(K) and RC.
 //
-// Per tree the bench records deterministic counters — MNA dimension,
-// nnz(A) of the trapezoidal system, nnz(L+U) of its factors, and steps —
-// and wall times: the factorisation (fill-reducing order plus numeric LU),
+// Per tree the bench records deterministic counters of the system
+// ckt::simulate factors — its dimension, nnz(A) of the condensed
+// trapezoidal matrix, nnz(L+U) of its factors, and steps — plus the MNA
+// dimension (ckt/mna.h) it was condensed from, and wall times: the
+// factorisation (fill-reducing order plus numeric LU),
 // the per-step share of ckt::simulate after that factorisation, the whole
 // simulate, and, up to 32 sinks, the dense-LU oracle
 // (tests/support/dense_transient_reference) for contrast, with the largest
@@ -28,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "ckt/companion.h"
 #include "ckt/mna.h"
 #include "ckt/transient.h"
 #include "numeric/sparse_lu.h"
@@ -50,7 +54,7 @@ constexpr std::size_t kDenseMaxSinks = 32;
 struct Case {
   std::size_t sinks = 0;
   bool inductance = true;
-  std::size_t dim = 0, nnz_a = 0, nnz_lu = 0, steps = 0;
+  std::size_t dim = 0, mna_dim = 0, nnz_a = 0, nnz_lu = 0, steps = 0;
   double factor_ms = 0.0, step_us = 0.0, simulate_s = 0.0;
   double dense_s = -1.0, max_dev = -1.0;  // -1: not run
   std::string mismatch;  ///< first sample outside the oracle bound
@@ -59,8 +63,8 @@ struct Case {
     std::ostringstream s;
     s << "{\"sinks\": " << sinks << ", \"kind\": \""
       << (inductance ? "rlc" : "rc") << "\", \"dim\": " << dim
-      << ", \"nnz_a\": " << nnz_a << ", \"nnz_lu\": " << nnz_lu
-      << ", \"steps\": " << steps;
+      << ", \"mna_dim\": " << mna_dim << ", \"nnz_a\": " << nnz_a
+      << ", \"nnz_lu\": " << nnz_lu << ", \"steps\": " << steps;
     return s.str();
   }
 };
@@ -81,8 +85,9 @@ Case run_case(std::size_t sinks, bool inductance) {
   c.sinks = sinks;
   c.inductance = inductance;
 
-  const ckt::Mna mna(nl);
-  const numeric::CscMatrix a = mna.matrix(2.0 / topt.dt);
+  c.mna_dim = ckt::Mna(nl).dim();
+  const ckt::CompanionSystem sys(nl, topt.dt);
+  const numeric::CscMatrix& a = sys.matrix();
   c.dim = a.dim();
   c.nnz_a = a.nnz();
   Clock::time_point t0 = Clock::now();
@@ -149,11 +154,12 @@ int main(int argc, char** argv) {
       const Case c = run_case(sinks, inductance);
       cases.push_back(c);
       std::fprintf(stderr,
-                   "%3zu sinks %-3s: dim %6zu  nnz(A) %7zu  nnz(L+U) %7zu  "
-                   "steps %5zu  factor %8.3f ms  step %8.2f us  "
-                   "simulate %7.3f s",
-                   c.sinks, c.inductance ? "RLC" : "RC", c.dim, c.nnz_a,
-                   c.nnz_lu, c.steps, c.factor_ms, c.step_us, c.simulate_s);
+                   "%3zu sinks %-3s: dim %6zu (MNA %6zu)  nnz(A) %7zu  "
+                   "nnz(L+U) %7zu  steps %5zu  factor %8.3f ms  "
+                   "step %8.2f us  simulate %7.3f s",
+                   c.sinks, c.inductance ? "RLC" : "RC", c.dim, c.mna_dim,
+                   c.nnz_a, c.nnz_lu, c.steps, c.factor_ms, c.step_us,
+                   c.simulate_s);
       if (c.dense_s >= 0.0)
         std::fprintf(stderr, "  dense %7.3f s  max |dv| %.2e V", c.dense_s,
                      c.max_dev);

@@ -64,10 +64,9 @@ numeric::CscMatrix Mna::inductance() const {
   return numeric::CscMatrix::from_triplets(nl_.inductors().size(), t);
 }
 
-numeric::CscMatrix Mna::matrix(double s) const {
+numeric::CscMatrix Mna::g_matrix() const {
   std::vector<numeric::Triplet> t;
   stamp_g(t);
-  if (s != 0.0) stamp_c(s, t);
   return numeric::CscMatrix::from_triplets(dim_, t);
 }
 

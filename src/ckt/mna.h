@@ -1,15 +1,18 @@
 // Modified nodal analysis of a linear RLC(K) netlist, as triplets.
 //
 // Unknowns: node voltages 1..N-1 (ground is eliminated), then one branch
-// current per voltage source, then one per inductor.  Every analysis in
-// src/ckt factors some  A = G + s C  over this layout:
+// current per voltage source, then one per inductor.  The DC operating
+// point and the moment recursion factor some  A = G + s C  over this layout
+// (ckt/ac.cpp and the dense transient oracle stamp it densely):
 //   G — Gmin from every node to ground, resistor conductances, and the
 //       +-1 incidence of voltage-source and inductor branches (an inductor
 //       row reads v_a - v_b, a short at DC);
 //   C — capacitances into node rows and -L (self and mutual) into the
 //       inductor rows, so that an inductor row reads v_a - v_b - s L i.
-// The transient uses s = 2/dt (trapezoidal companion), the DC operating
-// point s = 0, the moment recursion G and C separately.
+// The DC operating point uses s = 0, the moment recursion G and C
+// separately.  The transient marches the same system at s = 2/dt with
+// every inductor row and private R-L mid node condensed out
+// (ckt/companion.h).
 #pragma once
 
 #include <cstddef>
@@ -45,8 +48,8 @@ class Mna {
   /// couplings.
   numeric::CscMatrix inductance() const;
 
-  /// The assembled matrix G + s C.
-  numeric::CscMatrix matrix(double s) const;
+  /// The assembled G.
+  numeric::CscMatrix g_matrix() const;
 
  private:
   void stamp_pair(NodeId a, NodeId b, double g,

@@ -18,7 +18,7 @@ std::vector<std::vector<double>> transfer_moments(const Netlist& nl,
   // G (inductors shorted at DC) is factored once; C carries the
   // capacitances and -L.
   const Mna mna(nl);
-  numeric::SparseLu lu(mna.matrix(0.0));
+  numeric::SparseLu lu(mna.g_matrix());
   std::vector<numeric::Triplet> c;
   mna.stamp_c(1.0, c);
   const numeric::CscMatrix cm =

@@ -1,15 +1,18 @@
 #include "ckt/transient.h"
 
-#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <utility>
 
+#include "ckt/companion.h"
 #include "ckt/mna.h"
 #include "diag/error.h"
 #include "numeric/sparse_lu.h"
+#include "res/budget.h"
 #include "run/control.h"
 
 namespace rlcx::ckt {
@@ -32,6 +35,10 @@ void TransientResult::set_voltage(NodeId n, std::size_t step, double v) {
   samples_[index(n, step)] = v;
 }
 
+std::span<double> TransientResult::row(std::size_t step) {
+  return {samples_.data() + index(kGround, step), nodes_};
+}
+
 std::size_t TransientResult::index(NodeId n, std::size_t step) const {
   const auto node = static_cast<std::size_t>(n);
   if (step >= steps_ || node >= nodes_)
@@ -42,15 +49,15 @@ std::size_t TransientResult::index(NodeId n, std::size_t step) const {
 
 namespace {
 
-/// Divergence guard for one solved step: every node voltage must be finite
-/// and inside the configured bound.  Throws a `numeric` error naming the
-/// timestep and node, so a blown-up simulation is diagnosable instead of
-/// producing a garbage waveform (or a silent wall of NaN).
-void check_step(const Netlist& nl, const std::vector<double>& x,
-                std::size_t step, double t, double limit) {
-  const int nn = nl.node_count() - 1;
-  for (int n = 1; n <= nn; ++n) {
-    const double v = x[static_cast<std::size_t>(n - 1)];
+/// Divergence guard: every node voltage of `row` (indexed by NodeId) must
+/// be finite and inside the configured bound.  Throws a `numeric` error
+/// naming the timestep and the first node outside it, so a blown-up
+/// simulation is diagnosable instead of producing a garbage waveform (or a
+/// silent wall of NaN).
+void check_row(const Netlist& nl, const double* row, std::size_t step,
+               double t, double limit) {
+  for (NodeId n = 1; n < nl.node_count(); ++n) {
+    const double v = row[n];
     const bool finite = std::isfinite(v);
     if (finite && (limit <= 0.0 || std::abs(v) <= limit)) continue;
     std::ostringstream msg;
@@ -64,6 +71,31 @@ void check_step(const Netlist& nl, const std::vector<double>& x,
   }
 }
 
+/// DC operating point at t = 0 in the MNA layout: caps open, inductors
+/// shorted, sources at their t = 0 value.
+std::vector<double> dc_operating_point(const Netlist& nl, const Mna& mna) {
+  std::vector<numeric::Triplet> t;
+  mna.stamp_g(t);
+  // A tiny series term keeps the system regular when inductors close a
+  // loop (a short circuit at DC).
+  for (std::size_t j = 0; j < nl.inductors().size(); ++j)
+    t.push_back({mna.inductor_row(j), mna.inductor_row(j), -1e-9});
+  numeric::SparseLu ludc(numeric::CscMatrix::from_triplets(mna.dim(), t));
+  std::vector<double> x0(mna.dim(), 0.0);
+  for (std::size_t k = 0; k < nl.vsources().size(); ++k)
+    x0[mna.vsource_row(k)] = nl.vsources()[k].waveform.eval(0.0);
+  ludc.solve(x0);
+  return x0;
+}
+
+/// Bytes of the result block, saturating so a runaway step count is
+/// refused rather than wrapped.
+std::uint64_t result_bytes(std::size_t steps, int nodes) {
+  const double bytes = static_cast<double>(steps) *
+                       static_cast<double>(nodes) * sizeof(double);
+  return bytes < 1.8e19 ? static_cast<std::uint64_t>(bytes) : UINT64_MAX;
+}
+
 }  // namespace
 
 TransientResult simulate(const Netlist& nl, const TransientOptions& opt) {
@@ -75,106 +107,48 @@ TransientResult simulate(const Netlist& nl, const TransientOptions& opt) {
   nl.validate();
 
   const Mna mna(nl);
-  const std::size_t dim = mna.dim();
-  if (dim == 0)
+  if (mna.dim() == 0)
     throw diag::UsageError("transient", "empty netlist: nothing to simulate");
 
-  const int nn = nl.node_count() - 1;  // unknown node voltages (ground = 0)
-  const std::size_t nv = nl.vsources().size();
-  const std::size_t nlind = nl.inductors().size();
   const double dt = opt.dt;
   const std::size_t steps =
       static_cast<std::size_t>(std::ceil(opt.t_stop / dt)) + 1;
+  // The result is the march's one allocation that grows with the run;
+  // everything else is O(netlist).
+  const res::ScopedReservation reservation(
+      "transient", result_bytes(steps, nl.node_count()));
 
-  // Trapezoidal inductor history: each inductor walks its own column of
-  // the inductance matrix (self plus couplings) with 2 L / dt precomputed.
-  const numeric::CscMatrix lmat = mna.inductance();
-  std::vector<double> hist_coef(lmat.values());
-  for (double& c : hist_coef) c = 2.0 * c / dt;
+  // The condensed system: constant for a fixed dt, factored once.
+  CompanionSystem sys(nl, dt);
+  numeric::SparseLu lu(sys.matrix());
+  const std::vector<double> x0 = dc_operating_point(nl, mna);
+  sys.start(mna, x0);
+  std::vector<double> rhs(sys.dim() + 1);
 
-  // Transient system G + (2/dt) C: constant for a fixed dt, factored once.
-  numeric::SparseLu lu(mna.matrix(2.0 / dt));
-
-  // ---- DC operating point at t = 0: caps open, inductors shorted ----
-  std::vector<double> x0(dim, 0.0);
-  {
-    std::vector<numeric::Triplet> t;
-    mna.stamp_g(t);
-    // A tiny series term keeps the system regular when inductors close a
-    // loop (a short circuit at DC).
-    for (std::size_t j = 0; j < nlind; ++j)
-      t.push_back({mna.inductor_row(j), mna.inductor_row(j), -1e-9});
-    numeric::SparseLu ludc(numeric::CscMatrix::from_triplets(dim, t));
-    for (std::size_t k = 0; k < nv; ++k)
-      x0[mna.vsource_row(k)] = nl.vsources()[k].waveform.eval(0.0);
-    ludc.solve(x0);
-    check_step(nl, x0, 0, 0.0, opt.divergence_limit);
-  }
-
-  // ---- March ----
+  // Allocated after every working array of the march, so nothing the
+  // march allocates lands above it: a result allocated first made a
+  // daemon's peak RSS depend on which malloc arena each request's small
+  // arrays came from.
   TransientResult result(dt, steps, nl.node_count());
-  std::vector<double> x = x0;
+  double* row0 = result.row(0).data();
+  for (NodeId n = 1; n < nl.node_count(); ++n) row0[n] = x0[mna.node_row(n)];
+  check_row(nl, row0, 0, 0.0, opt.divergence_limit);
 
-  // Companion state.
-  std::vector<double> cap_v(nl.capacitors().size(), 0.0);
-  std::vector<double> cap_i(nl.capacitors().size(), 0.0);
-  auto node_v = [&](const std::vector<double>& xs, NodeId n) {
-    return n == kGround ? 0.0 : xs[mna.node_row(n)];
-  };
-  for (std::size_t c = 0; c < nl.capacitors().size(); ++c) {
-    const Capacitor& cap = nl.capacitors()[c];
-    cap_v[c] = node_v(x0, cap.a) - node_v(x0, cap.b);
-    cap_i[c] = 0.0;  // DC: no capacitor current
-  }
-  std::vector<double> ind_i(nlind, 0.0), ind_v(nlind, 0.0);
-  for (std::size_t j = 0; j < nlind; ++j) {
-    ind_i[j] = x0[mna.inductor_row(j)];
-    ind_v[j] = 0.0;  // DC: shorted
-  }
-
-  for (int n = 1; n <= nn; ++n) result.set_voltage(n, 0, node_v(x0, n));
-
+  // advance() guards every node in the pass that writes it; check_row
+  // then names the first offender.
+  const double bound = opt.divergence_limit > 0.0
+                           ? opt.divergence_limit
+                           : std::numeric_limits<double>::max();
   for (std::size_t step = 1; step < steps; ++step) {
     // Step boundary: companion state and the result waveforms are
     // consistent here, so a cancelled march unwinds cleanly.
     run::checkpoint("transient");
     const double t = dt * static_cast<double>(step);
-    std::fill(x.begin(), x.end(), 0.0);
-
-    for (std::size_t c = 0; c < nl.capacitors().size(); ++c) {
-      const Capacitor& cap = nl.capacitors()[c];
-      const double geq = 2.0 * cap.farads / dt;
-      const double ieq = geq * cap_v[c] + cap_i[c];
-      if (cap.a != kGround) x[mna.node_row(cap.a)] += ieq;
-      if (cap.b != kGround) x[mna.node_row(cap.b)] -= ieq;
-    }
-    for (std::size_t k = 0; k < nv; ++k)
-      x[mna.vsource_row(k)] = nl.vsources()[k].waveform.eval(t);
-    for (std::size_t j = 0; j < nlind; ++j) {
-      double hist = -ind_v[j];
-      for (std::size_t p = lmat.col_ptr()[j]; p < lmat.col_ptr()[j + 1]; ++p)
-        hist -= hist_coef[p] * ind_i[lmat.row_idx()[p]];
-      x[mna.inductor_row(j)] = hist;
-    }
-
-    lu.solve(x);
-    check_step(nl, x, step, t, opt.divergence_limit);
-
-    for (std::size_t c = 0; c < nl.capacitors().size(); ++c) {
-      const Capacitor& cap = nl.capacitors()[c];
-      const double geq = 2.0 * cap.farads / dt;
-      const double vnew = node_v(x, cap.a) - node_v(x, cap.b);
-      const double ieq = geq * cap_v[c] + cap_i[c];
-      cap_i[c] = geq * vnew - ieq;
-      cap_v[c] = vnew;
-    }
-    for (std::size_t j = 0; j < nlind; ++j) {
-      const Inductor& l = nl.inductors()[j];
-      ind_i[j] = x[mna.inductor_row(j)];
-      ind_v[j] = node_v(x, l.a) - node_v(x, l.b);
-    }
-
-    for (int n = 1; n <= nn; ++n) result.set_voltage(n, step, node_v(x, n));
+    sys.load(t, result.row(step - 1).data(), rhs.data());
+    lu.solve(rhs.data());
+    double* row = result.row(step).data();
+    if (!sys.advance(rhs.data(), row, bound))
+      check_row(nl, row, step, t, opt.divergence_limit);
   }
   return result;
 }

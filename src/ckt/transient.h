@@ -1,15 +1,18 @@
-// Transient simulation of linear RLC netlists: MNA with trapezoidal
+// Transient simulation of linear RLC(K) netlists with trapezoidal
 // integration, the same numerical core SPICE applies to this circuit class.
 //
-// The system matrix G + (2/dt) C (ckt/mna.h) is constant for a fixed
-// timestep, so it is factored once — sparse LU in a minimum-degree order
-// (numeric/sparse_lu.h) — and every step is one O(nnz(L+U)) solve plus an
-// O(couplings) inductor-history update.  On one Intel Xeon core with CPW
-// H-trees and 4-section ladders (BENCH_transient.json, ~1170 steps), a
-// 16-sink RLC tree (MNA dim 1057) simulates in ~35 ms, 128 sinks (dim
-// 8673) in ~0.3 s and 512 sinks (dim 34785) in ~1.3 s.
+// simulate() factors and marches the condensed nodal system of
+// ckt/companion.h: every coupled R-L section's inductor currents and private
+// mid nodes are eliminated once, so the march solves for the ladder's chain
+// nodes and the voltage-source currents only — algebraically the MNA system
+// of ckt/mna.h, which still gives the DC operating point.  The system is
+// constant for a fixed timestep, so it is factored once (sparse LU in a
+// minimum-degree order, numeric/sparse_lu.h) and every step is one
+// O(nnz(L+U)) solve plus an O(k^2) history update per k-branch group.
+// BENCH_transient.json has the sizes and times on CPW H-trees.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "ckt/netlist.h"
@@ -41,6 +44,9 @@ class TransientResult {
   double voltage(NodeId n, std::size_t step) const;
 
   void set_voltage(NodeId n, std::size_t step, double v);
+  /// Every node's voltage at one step, indexed by NodeId (entry 0 is
+  /// ground): the march writes a step in one pass through it.
+  std::span<double> row(std::size_t step);
 
  private:
   std::size_t index(NodeId n, std::size_t step) const;
@@ -57,6 +63,9 @@ class TransientResult {
 
 /// Run a transient analysis.  The initial state is the DC operating point at
 /// t = 0 (capacitors open, inductors shorted, sources at their t=0 value).
+/// The result block (steps x nodes doubles) is reserved against the memory
+/// budget first: one it cannot fit is refused with
+/// diag::ResourceExhaustedError at stage "transient".
 TransientResult simulate(const Netlist& netlist,
                          const TransientOptions& options);
 

@@ -256,6 +256,10 @@ void SparseLu::solve(std::vector<double>& b) {
     throw diag::UsageError("lu", "rhs has " + std::to_string(b.size()) +
                                      " entries, system is " +
                                      std::to_string(n_));
+  solve(b.data());
+}
+
+void SparseLu::solve(double* b) {
   std::vector<double>& x = work_;
   for (std::size_t i = 0; i < n_; ++i) x[row_pivot_[i]] = b[i];
   for (std::size_t j = 0; j < n_; ++j) {

@@ -73,6 +73,9 @@ class SparseLu {
   /// Solves A x = b in place (b becomes x).  Not const: the permutations
   /// go through a member work vector, so one factor serves one thread.
   void solve(std::vector<double>& b);
+  /// The same over b[0, n) of an n x n system; entries past n are
+  /// untouched.
+  void solve(double* b);
 
  private:
   std::size_t n_ = 0;

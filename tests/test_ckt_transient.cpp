@@ -280,6 +280,29 @@ std::vector<HTreeCase> htree_cases() {
 INSTANTIATE_TEST_SUITE_P(CpwHTrees, SparseVsDense,
                          ::testing::ValuesIn(htree_cases()), case_name);
 
+TEST(Transient, ResistorBetweenTwoPrivateNodesMatchesOracle) {
+  // in -L1- m1 -R- m2 -L2- out: m1 and m2 each carry one resistor and
+  // one inductor's `a`, but the resistor joins them, so neither can be
+  // condensed into its branch (each would drive from the other).
+  Netlist nl;
+  const NodeId in = nl.add_node("in");
+  const NodeId m1 = nl.add_node("m1");
+  const NodeId m2 = nl.add_node("m2");
+  const NodeId out = nl.add_node("out");
+  nl.add_vsource(in, kGround, SourceWaveform::ramp(1.0, 10e-12));
+  const std::size_t l1 = nl.add_inductor(m1, in, 0.5e-9);
+  nl.add_resistor(m1, m2, 20.0);
+  const std::size_t l2 = nl.add_inductor(m2, out, 0.5e-9);
+  nl.add_coupling(l1, l2, 0.3);
+  nl.add_capacitor(out, kGround, 0.2e-12);
+  TransientOptions opt;
+  opt.t_stop = 200e-12;
+  opt.dt = 1e-12;
+  const std::string mismatch = testing::compare_waveforms(
+      nl, simulate(nl, opt), testing::dense_transient_reference(nl, opt));
+  EXPECT_TRUE(mismatch.empty()) << mismatch;
+}
+
 TEST(Transient, IsBitIdenticalAcrossRuns) {
   const clocktree::HTreeSpec spec = testing::cpw_htree(8, true);
   const Netlist nl = testing::htree_netlist(spec, true).netlist;
@@ -307,6 +330,37 @@ TEST(Transient, ParallelVoltageSourcesAreSingular) {
   EXPECT_THROW(simulate(nl, opt), diag::SingularSystem);
   EXPECT_THROW(testing::dense_transient_reference(nl, opt),
                diag::SingularSystem);
+}
+
+TEST(Transient, SingularInductorGroupWithoutSeriesRIsTyped) {
+  // Three inductors with no series R whose pairwise couplings are each
+  // legal (|k| = 0.5) but whose inductance matrix is exactly singular: the
+  // condensed group's diag(R) + (2/dt) L block has no pivot, so the
+  // transient refuses it with a typed error naming an inductor.
+  Netlist nl;
+  const NodeId in = nl.add_node("in");
+  nl.add_vsource(in, kGround, SourceWaveform::ramp(1.0, 10e-12));
+  std::size_t ind[3];
+  for (int j = 0; j < 3; ++j) {
+    const NodeId n = nl.add_node("n" + std::to_string(j));
+    ind[j] = nl.add_inductor(in, n, 1e-9);
+    nl.add_resistor(n, kGround, 50.0);
+  }
+  nl.add_mutual(ind[0], ind[1], 0.5e-9);
+  nl.add_mutual(ind[0], ind[2], 0.5e-9);
+  nl.add_mutual(ind[1], ind[2], -0.5e-9);
+  TransientOptions opt;
+  opt.t_stop = 1e-10;
+  opt.dt = 1e-12;
+  try {
+    simulate(nl, opt);
+    FAIL() << "a singular inductor group must be refused";
+  } catch (const diag::SingularSystem& e) {
+    EXPECT_EQ(e.stage(), "transient");
+    EXPECT_NE(std::string(e.what()).find("inductor 2 ('in' -> 'n2')"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Transient, DivergenceNamesTheOraclesFirstRunawayStepAndNode) {

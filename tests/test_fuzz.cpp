@@ -129,17 +129,14 @@ INSTANTIATE_TEST_SUITE_P(Seeds, PipelineFuzz,
                                            FuzzCase{21}, FuzzCase{34},
                                            FuzzCase{55}, FuzzCase{89}));
 
-// Seeded random RLCK netlists through the sparse transient and the dense
-// oracle: a random spanning tree of R/L/C branches plus extra cross
+// Seeded random RLCK netlists through the transient and the dense oracle.
+// Seeds 1-32: a random spanning tree of R/L/C branches plus extra cross
 // branches, a grounded ramp source and a floating one (between two
 // non-ground nodes), and mutual K between randomly chosen — generally
 // non-adjacent — inductors.  Each inductor takes part in at most two
 // couplings of |k| <= 0.3, so L stays positive definite and the circuit
-// passive.  Every node's waveform must match the oracle at every step.
-class TransientFuzz : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(TransientFuzz, SparseMatchesDenseOracle) {
-  std::mt19937_64 rng(GetParam());
+// passive.
+ckt::Netlist random_netlist(std::mt19937_64& rng) {
   auto uni = [&](double lo, double hi) {
     return std::uniform_real_distribution<double>(lo, hi)(rng);
   };
@@ -194,7 +191,87 @@ TEST_P(TransientFuzz, SparseMatchesDenseOracle) {
     nl.add_coupling(inductors[i], inductors[j],
                     (pick(0, 1) == 0 ? 1.0 : -1.0) * uni(0.05, 0.3));
   }
+  return nl;
+}
 
+// Seeds 33-64: ladder sections of the kind core::stamp_segment builds and
+// the transient condenses (ckt/companion.h), to fuzz its classification.
+// A ramp source behind a resistor feeds 1-4 groups of 1-4 traces in 1-3
+// sections; every section's inductors are pairwise coupled at |k| <= 0.3,
+// so L stays diagonally dominant.  A branch is R + private mid node + L,
+// the same with a capacitor on the mid node (which must then stay a node),
+// or a pure inductor; traces after the first may be shields, grounded at
+// both ends; and a floating source sits directly across one inductor.
+ckt::Netlist section_netlist(std::mt19937_64& rng) {
+  auto uni = [&](double lo, double hi) {
+    return std::uniform_real_distribution<double>(lo, hi)(rng);
+  };
+  auto pick = [&](int lo, int hi) {
+    return std::uniform_int_distribution<int>(lo, hi)(rng);
+  };
+  auto log_uni = [&](double lo, double hi) {
+    return std::exp(uni(std::log(lo), std::log(hi)));
+  };
+
+  ckt::Netlist nl;
+  const ckt::NodeId in = nl.add_node();
+  const ckt::NodeId buf = nl.add_node();
+  nl.add_vsource(in, ckt::kGround,
+                 ckt::SourceWaveform::ramp(uni(0.5, 2.0), uni(5e-12, 50e-12)));
+  nl.add_resistor(in, buf, log_uni(5.0, 100.0));
+  std::vector<ckt::NodeId> taps{buf};  // where a group's signals start
+  for (int group = pick(1, 4); group > 0; --group) {
+    const int traces = pick(1, 4), sections = pick(1, 3);
+    std::vector<ckt::NodeId> head(static_cast<std::size_t>(traces));
+    std::vector<bool> shield(head.size());
+    for (std::size_t t = 0; t < head.size(); ++t) {
+      shield[t] = t > 0 && pick(0, 2) == 0;
+      head[t] = shield[t] ? ckt::kGround
+                          : taps[static_cast<std::size_t>(
+                                pick(0, static_cast<int>(taps.size()) - 1))];
+    }
+    for (int s = 0; s < sections; ++s) {
+      std::vector<std::size_t> section;
+      for (std::size_t t = 0; t < head.size(); ++t) {
+        const ckt::NodeId tail =
+            shield[t] && s + 1 == sections ? ckt::kGround : nl.add_node();
+        const double henries = log_uni(1e-11, 1e-9);
+        const int kind = pick(0, 3);
+        if (kind == 0 && head[t] != tail) {
+          section.push_back(nl.add_inductor(head[t], tail, henries));
+        } else {
+          const ckt::NodeId mid = nl.add_node();
+          nl.add_resistor(head[t], mid, log_uni(1.0, 100.0));
+          if (kind == 1)
+            nl.add_capacitor(mid, ckt::kGround, log_uni(1e-15, 1e-13));
+          section.push_back(nl.add_inductor(mid, tail, henries));
+        }
+        if (tail != ckt::kGround)
+          nl.add_capacitor(tail, ckt::kGround, log_uni(1e-15, 1e-12));
+        head[t] = tail;
+      }
+      for (std::size_t i = 0; i < section.size(); ++i)
+        for (std::size_t j = i + 1; j < section.size(); ++j)
+          nl.add_coupling(section[i], section[j],
+                          (pick(0, 1) == 0 ? 1.0 : -1.0) * uni(0.05, 0.3));
+    }
+    for (std::size_t t = 0; t < head.size(); ++t)
+      if (!shield[t]) taps.push_back(head[t]);
+  }
+  const ckt::Inductor across = nl.inductors()[static_cast<std::size_t>(
+      pick(0, static_cast<int>(nl.inductors().size()) - 1))];
+  nl.add_vsource(across.a, across.b,
+                 ckt::SourceWaveform::ramp(uni(-0.5, 0.5),
+                                           uni(5e-12, 50e-12)));
+  return nl;
+}
+
+class TransientFuzz : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(TransientFuzz, SparseMatchesDenseOracle) {
+  std::mt19937_64 rng(GetParam());
+  const ckt::Netlist nl =
+      GetParam() <= 32 ? random_netlist(rng) : section_netlist(rng);
   ckt::TransientOptions opt;
   opt.dt = 1e-12;
   opt.t_stop = 200e-12;
@@ -204,7 +281,7 @@ TEST_P(TransientFuzz, SparseMatchesDenseOracle) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TransientFuzz,
-                         ::testing::Range<std::uint64_t>(1, 33));
+                         ::testing::Range<std::uint64_t>(1, 65));
 
 }  // namespace
 }  // namespace rlcx

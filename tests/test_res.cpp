@@ -1,6 +1,6 @@
 // Resource governance (src/res): the memory budget, its estimators,
-// dense-or-refuse impedance solves, cost-based admission and bad_alloc
-// containment.
+// dense-or-refuse impedance solves, the transient's result reservation,
+// cost-based admission and bad_alloc containment.
 //
 // The contract under test (docs/robustness.md "Resource governance"):
 //   * estimators predict a stage's resident bytes to within 2x of the
@@ -22,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "ckt/transient.h"
 #include "cli/cli.h"
 #include "core/table_builder.h"
 #include "diag/error.h"
@@ -331,6 +332,58 @@ TEST_F(ResTest, AllocFailAtAdmissionRefuses) {
   EXPECT_FALSE(res::admission_exhausted(4096));  // unlimited budget
   const res::Stats s1 = res::Budget::global().stats();
   EXPECT_EQ(s1.refusals - s0.refusals, 1u);
+}
+
+// ---- The transient's result block -------------------------------------
+
+/// A driven RC divider: three nodes, so its transient result is
+/// steps x 3 doubles.
+ckt::Netlist rc_divider() {
+  ckt::Netlist nl;
+  const ckt::NodeId in = nl.add_node();
+  const ckt::NodeId out = nl.add_node();
+  nl.add_vsource(in, ckt::kGround, ckt::SourceWaveform::ramp(1.0, 1e-11));
+  nl.add_resistor(in, out, 100.0);
+  nl.add_capacitor(out, ckt::kGround, 1e-13);
+  return nl;
+}
+
+TEST_F(ResTest, TransientResultOverBudgetIsRefusedTyped) {
+  const ckt::Netlist nl = rc_divider();
+  ckt::TransientOptions opt;
+  opt.dt = 1e-12;
+  opt.t_stop = 1e-6;  // 10^6 + 1 steps: a 24 MB result block
+  res::Budget& b = res::Budget::global();
+  b.set_limit(std::uint64_t{1} << 20);
+  const res::Stats s0 = b.stats();
+  try {
+    (void)ckt::simulate(nl, opt);
+    ADD_FAILURE() << "expected ResourceExhaustedError";
+  } catch (const diag::ResourceExhaustedError& e) {
+    EXPECT_EQ(e.stage(), "transient");
+  }
+  EXPECT_EQ(b.stats().refusals - s0.refusals, 1u);
+  // Refused before the block was allocated: nothing stays charged.
+  EXPECT_EQ(b.stats().reserved_bytes, s0.reserved_bytes);
+  b.set_limit(0);
+}
+
+TEST_F(ResTest, AllocFailAtTransientReservationThrowsTyped) {
+  const ckt::Netlist nl = rc_divider();
+  ckt::TransientOptions opt;
+  opt.dt = 1e-12;
+  opt.t_stop = 1e-10;
+  run::FaultInjector::global().set_schedule("alloc_fail:1");
+  try {
+    (void)ckt::simulate(nl, opt);
+    ADD_FAILURE() << "expected ResourceExhaustedError";
+  } catch (const diag::ResourceExhaustedError& e) {
+    EXPECT_EQ(e.stage(), "transient");
+  }
+  // The result reservation is the transient's only reservation point.
+  EXPECT_EQ(run::FaultInjector::global().calls("alloc_fail"), 1u);
+  // The schedule fired once; the same transient now runs.
+  EXPECT_EQ(ckt::simulate(nl, opt).steps(), 101u);
 }
 
 // ---- Pool-width determinism ------------------------------------------
