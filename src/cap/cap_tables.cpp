@@ -42,13 +42,15 @@ CapTables CapTables::build(const geom::Technology& tech, int layer,
       t.cc_values_.push_back(-c(1, 2));
     }
   }
+  t.spline_ = TensorSpline({t.widths_, t.spacings_});
   return t;
 }
 
 double CapTables::lookup(const std::vector<double>& values, double w,
                          double s) const {
   if (values.empty()) throw std::logic_error("CapTables: empty table");
-  return TensorSpline({widths_, spacings_}, values).eval({w, s});
+  const double q[] = {w, s};
+  return spline_.eval(values, q);
 }
 
 double CapTables::cg(double width, double spacing) const {
@@ -97,6 +99,11 @@ CapTables CapTables::load(std::istream& is) {
   t.cc_values_.resize(nw * ns);
   for (double& v : t.cc_values_) is >> v;
   if (!is) throw std::runtime_error("CapTables: truncated file");
+  try {
+    t.spline_ = TensorSpline({t.widths_, t.spacings_});
+  } catch (const std::invalid_argument& e) {
+    throw std::runtime_error(std::string("CapTables: bad grid: ") + e.what());
+  }
   return t;
 }
 

@@ -67,6 +67,7 @@ class CapTables {
   std::vector<double> spacings_;
   std::vector<double> cg_values_;  ///< row-major (width, spacing)
   std::vector<double> cc_values_;
+  TensorSpline spline_;  ///< over (widths_, spacings_), for cg and cc
   SorReport sor_;
 };
 

@@ -293,6 +293,49 @@ void CompanionSystem::load(double t, const double* prev, double* rhs) {
   }
 }
 
+namespace {
+
+/// One group's update: branches br[0 .. k), its k x k Y and Q blocks and
+/// history yh.  K > 0 fixes k = K at compile time, so the loops unroll and
+/// u and the branch currents stay in registers; K = 0 is the generic loop,
+/// with u and the currents in `scratch` (2 k doubles).  Every instance
+/// does the same arithmetic in the same order: bit-identical waveforms.
+template <std::size_t K, typename Branch>
+bool advance_group(const Branch* br, std::size_t k, const double* y,
+                   const double* q, double* yh, double* row, double bound,
+                   double* scratch) {
+  if constexpr (K > 0) k = K;
+  double local[2 * (K > 0 ? K : 1)];
+  double* const u = K > 0 ? local : scratch;
+  double* const cur = u + k;
+#pragma GCC unroll 4
+  for (std::size_t c = 0; c < k; ++c)
+    u[c] = br[c].alpha * row[br[c].p] - row[br[c].b];
+  bool ok = true;
+#pragma GCC unroll 4
+  for (std::size_t r = 0; r < k; ++r) {
+    double i = -yh[r];
+#pragma GCC unroll 4
+    for (std::size_t c = 0; c < k; ++c) i += y[r * k + c] * u[c];
+    cur[r] = i;
+    if (br[r].m != kGround) {
+      const double v = br[r].alpha * (row[br[r].p] - br[r].ohms * i);
+      row[br[r].m] = v;
+      ok &= std::abs(v) <= bound;
+    }
+  }
+#pragma GCC unroll 4
+  for (std::size_t r = 0; r < k; ++r) {
+    double j = -yh[r];
+#pragma GCC unroll 4
+    for (std::size_t c = 0; c < k; ++c) j += q[r * k + c] * cur[c];
+    yh[r] = j;
+  }
+  return ok;
+}
+
+}  // namespace
+
 bool CompanionSystem::advance(const double* x, double* row, double bound) {
   // One comparison per node: NaN and +-inf fail it at any bound.
   bool ok = true;
@@ -304,29 +347,21 @@ bool CompanionSystem::advance(const double* x, double* row, double bound) {
   // and J = Y hist.  A branch row reads v - (2/dt) L i = hist with
   // v = u - alpha R i, so the next history -v - (2/dt) L i is hist - 2 v,
   // and J' = J - 2 Y v = J - 2 (i + J) + 2 Y alpha R i = Q i - J.
-  double* u = scratch_.data();
-  double* cur = scratch_.data() + branches_.size();
+  // Groups of up to 4 branches (3 on a CPW section) take a fixed-arity
+  // instance of the update, larger ones the generic loop.
   for (std::size_t g = 0; g + 1 < group_ptr_.size(); ++g) {
     const std::size_t b0 = group_ptr_[g], k = group_ptr_[g + 1] - b0;
+    const Branch* br = branches_.data() + b0;
     const double* y = y_.data() + block_ptr_[g];
     const double* q = q_.data() + block_ptr_[g];
-    for (std::size_t b = b0; b < b0 + k; ++b)
-      u[b] = branches_[b].alpha * row[branches_[b].p] - row[branches_[b].b];
-    for (std::size_t r = 0; r < k; ++r) {
-      const Branch& br = branches_[b0 + r];
-      double i = -yh_[b0 + r];
-      for (std::size_t c = 0; c < k; ++c) i += y[r * k + c] * u[b0 + c];
-      cur[b0 + r] = i;
-      if (br.m != kGround) {
-        const double v = br.alpha * (row[br.p] - br.ohms * i);
-        row[br.m] = v;
-        ok &= std::abs(v) <= bound;
-      }
-    }
-    for (std::size_t r = 0; r < k; ++r) {
-      double j = -yh_[b0 + r];
-      for (std::size_t c = 0; c < k; ++c) j += q[r * k + c] * cur[b0 + c];
-      yh_[b0 + r] = j;
+    double* yh = yh_.data() + b0;
+    double* s = scratch_.data();
+    switch (k) {
+      case 1: ok &= advance_group<1>(br, k, y, q, yh, row, bound, s); break;
+      case 2: ok &= advance_group<2>(br, k, y, q, yh, row, bound, s); break;
+      case 3: ok &= advance_group<3>(br, k, y, q, yh, row, bound, s); break;
+      case 4: ok &= advance_group<4>(br, k, y, q, yh, row, bound, s); break;
+      default: ok &= advance_group<0>(br, k, y, q, yh, row, bound, s);
     }
   }
   return ok;

@@ -5,11 +5,9 @@
 
 namespace rlcx::clocktree {
 
-SkewResult analyze_skew(const geom::Technology& tech, const HTreeSpec& spec,
-                        const core::InductanceLibrary& inductance,
+SkewResult analyze_skew(const HTreeSpec& spec, const TreeSegments& segments,
                         const AnalysisOptions& options) {
-  const TreeNetlist tree =
-      build_tree_netlist(tech, spec, inductance, options.ladder);
+  const TreeNetlist tree = build_tree_netlist(spec, segments, options.ladder);
 
   ckt::TransientOptions topt;
   topt.dt = options.dt > 0.0 ? options.dt : spec.driver.t_rise / 50.0;
@@ -46,14 +44,22 @@ SkewResult analyze_skew(const geom::Technology& tech, const HTreeSpec& spec,
   return out;
 }
 
+SkewResult analyze_skew(const geom::Technology& tech, const HTreeSpec& spec,
+                        const core::InductanceLibrary& inductance,
+                        const AnalysisOptions& options) {
+  return analyze_skew(spec, extract_tree_segments(tech, spec, inductance),
+                      options);
+}
+
 RcVsRlc compare_rc_rlc(const geom::Technology& tech, const HTreeSpec& spec,
                        const core::InductanceLibrary& inductance,
                        AnalysisOptions options) {
+  const TreeSegments segments = extract_tree_segments(tech, spec, inductance);
   RcVsRlc out;
   options.ladder.include_inductance = true;
-  out.rlc = analyze_skew(tech, spec, inductance, options);
+  out.rlc = analyze_skew(spec, segments, options);
   options.ladder.include_inductance = false;
-  out.rc = analyze_skew(tech, spec, inductance, options);
+  out.rc = analyze_skew(spec, segments, options);
   return out;
 }
 

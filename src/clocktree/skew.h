@@ -22,6 +22,8 @@ struct SkewResult {
   double max_arrival = 0.0;         ///< worst-case clock latency [s]
   double max_overshoot = 0.0;       ///< worst overshoot across sinks [V]
   double max_undershoot = 0.0;      ///< worst undershoot across sinks [V]
+
+  bool operator==(const SkewResult&) const = default;
 };
 
 struct AnalysisOptions {
@@ -30,15 +32,24 @@ struct AnalysisOptions {
   double dt = 0.0;      ///< 0 -> auto (rise time / 50)
 };
 
+/// Skew of the tree whose segments are already extracted
+/// (extract_tree_segments of the same spec).
+SkewResult analyze_skew(const HTreeSpec& spec, const TreeSegments& segments,
+                        const AnalysisOptions& options);
+
+/// Extract, then analyze.
 SkewResult analyze_skew(const geom::Technology& tech, const HTreeSpec& spec,
                         const core::InductanceLibrary& inductance,
                         const AnalysisOptions& options);
 
 /// Convenience: the same tree analyzed with the full RLC netlist and with
-/// the RC-only netlist, for side-by-side comparison.
+/// the RC-only netlist, for side-by-side comparison.  The tree is extracted
+/// once; both netlists are built from that one extraction.
 struct RcVsRlc {
   SkewResult rlc;
   SkewResult rc;
+
+  bool operator==(const RcVsRlc&) const = default;
 };
 
 RcVsRlc compare_rc_rlc(const geom::Technology& tech, const HTreeSpec& spec,

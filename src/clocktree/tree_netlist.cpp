@@ -1,7 +1,6 @@
 #include "clocktree/tree_netlist.h"
 
 #include <stdexcept>
-#include <utility>
 
 #include "core/batch_extractor.h"
 
@@ -10,21 +9,10 @@ namespace rlcx::clocktree {
 namespace {
 
 struct Builder {
-  const geom::Technology& tech;
   const HTreeSpec& spec;
-  const core::InductanceLibrary& inductance;
+  const TreeSegments& segments;
   const core::LadderOptions& ladder;
   TreeNetlist& out;
-
-  // Per-level extracted RLC, shared across all branches of that level.
-  std::vector<core::SegmentRlc> level_rlc;
-  std::vector<geom::Block> level_blocks;
-
-  void extract_levels() {
-    TreeSegments segs = extract_tree_segments(tech, spec, inductance);
-    level_blocks = std::move(segs.blocks);
-    level_rlc = std::move(segs.rlc);
-  }
 
   void grow(ckt::NodeId from, std::size_t level) {
     // A layer change from the parent costs a via (stacked array R).
@@ -36,7 +24,8 @@ struct Builder {
       from = landed;
     }
     const std::vector<ckt::NodeId> outs = core::stamp_segment(
-        out.netlist, level_blocks[level], level_rlc[level], {from}, ladder);
+        out.netlist, segments.blocks[level], segments.rlc[level], {from},
+        ladder);
     const ckt::NodeId tip = outs[0];
     if (level + 1 < spec.levels.size()) {
       grow(tip, level + 1);
@@ -63,12 +52,15 @@ TreeSegments extract_tree_segments(const geom::Technology& tech,
   return segs;
 }
 
-TreeNetlist build_tree_netlist(const geom::Technology& tech,
-                               const HTreeSpec& spec,
-                               const core::InductanceLibrary& inductance,
+TreeNetlist build_tree_netlist(const HTreeSpec& spec,
+                               const TreeSegments& segments,
                                const core::LadderOptions& ladder) {
   if (spec.levels.empty())
     throw std::invalid_argument("build_tree_netlist: no levels");
+  if (segments.blocks.size() != spec.levels.size() ||
+      segments.rlc.size() != spec.levels.size())
+    throw std::invalid_argument(
+        "build_tree_netlist: segments do not match the tree's levels");
 
   TreeNetlist result;
   ckt::Netlist& nl = result.netlist;
@@ -80,8 +72,7 @@ TreeNetlist build_tree_netlist(const geom::Technology& tech,
                                            spec.driver.t_rise));
   nl.add_resistor(vsrc, result.driver_out, spec.driver.r_source);
 
-  Builder b{tech, spec, inductance, ladder, result, {}, {}};
-  b.extract_levels();
+  Builder b{spec, segments, ladder, result};
   b.grow(result.driver_out, 0);
 
   // Sink loads, with the linear mismatch gradient that creates skew.
@@ -93,6 +84,14 @@ TreeNetlist build_tree_netlist(const geom::Technology& tech,
     result.netlist.add_capacitor(result.sinks[i], ckt::kGround, c);
   }
   return result;
+}
+
+TreeNetlist build_tree_netlist(const geom::Technology& tech,
+                               const HTreeSpec& spec,
+                               const core::InductanceLibrary& inductance,
+                               const core::LadderOptions& ladder) {
+  return build_tree_netlist(
+      spec, extract_tree_segments(tech, spec, inductance), ladder);
 }
 
 }  // namespace rlcx::clocktree

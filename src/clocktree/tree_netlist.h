@@ -44,8 +44,16 @@ TreeSegments extract_tree_segments(const geom::Technology& tech,
                                    const core::ExtractOptions& options = {},
                                    rt::Pool* pool = nullptr);
 
-/// Build the full netlist.  The library must hold a provider for every
-/// (layer, plane-config) the tree's levels use.
+/// Build the full netlist from the tree's extracted segments
+/// (extract_tree_segments of the same spec).  The extraction does not
+/// depend on the ladder options, so one extraction serves the RLC and the
+/// RC netlist of a tree.
+TreeNetlist build_tree_netlist(const HTreeSpec& spec,
+                               const TreeSegments& segments,
+                               const core::LadderOptions& ladder);
+
+/// Extract, then build the full netlist.  The library must hold a provider
+/// for every (layer, plane-config) the tree's levels use.
 TreeNetlist build_tree_netlist(const geom::Technology& tech,
                                const HTreeSpec& spec,
                                const core::InductanceLibrary& inductance,

@@ -153,10 +153,11 @@ double TableInductanceModel::self(double width, double length) const {
 double TableInductanceModel::mutual(double w1, double w2, double spacing,
                                     double length) const {
   // Mutual inductance is symmetric in the pair; average the two orders so
-  // lookup noise never breaks the symmetry callers rely on.
-  const double a = tables_.mutual.lookup({w1, w2, spacing, length});
-  const double b = tables_.mutual.lookup({w2, w1, spacing, length});
-  return 0.5 * (a + b);
+  // lookup noise never breaks the symmetry callers rely on.  Both orders
+  // share the spacing and length weights: one pass over the table.
+  const double q[] = {w1, w2, spacing, length};
+  const double r[] = {w2, w1, spacing, length};
+  return tables_.mutual.lookup_mean(q, r);
 }
 
 double TableInductanceModel::series_resistance(double width,

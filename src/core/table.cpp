@@ -17,7 +17,7 @@ namespace {
 
 constexpr char kBinaryMagic[4] = {'R', 'L', 'X', 'T'};
 constexpr std::uint32_t kBinaryVersion = 1;
-constexpr std::size_t kMaxDims = 8;
+constexpr std::size_t kMaxDims = TensorSpline::kMaxDims;
 constexpr std::uint64_t kMaxAxisPoints = 1u << 20;
 
 }  // namespace
@@ -35,9 +35,11 @@ NdTable::NdTable(std::vector<std::string> axis_names,
                  std::vector<std::vector<double>> axes,
                  std::vector<double> values)
     : names_(std::move(axis_names)), axes_(std::move(axes)),
-      values_(std::move(values)), spline_(axes_, values_) {
+      values_(std::move(values)), spline_(axes_) {
   if (names_.size() != axes_.size())
     throw std::invalid_argument("NdTable: axis name count");
+  if (values_.size() != spline_.size())
+    throw std::invalid_argument("NdTable: value count does not match axes");
   for (double v : values_)
     if (!std::isfinite(v))
       throw diag::NumericError(
@@ -45,51 +47,75 @@ NdTable::NdTable(std::vector<std::string> axis_names,
                        name_ + "' data (characterisation produced NaN/Inf?)");
 }
 
-double NdTable::lookup(const std::vector<double>& q) const {
+double NdTable::lookup(std::span<const double> q) const {
   if (axes_.empty()) throw std::logic_error("NdTable: empty table");
-  if (in_range(q)) return spline_.eval(q);
+  Clamped clamped;
+  return spline_.eval(values_, admit(q, clamped));
+}
+
+double NdTable::lookup_mean(std::span<const double> q,
+                            std::span<const double> r) const {
+  if (axes_.empty()) throw std::logic_error("NdTable: empty table");
+  Clamped cq, cr;
+  const std::span<const double> eq = admit(q, cq);
+  return spline_.eval_mean(values_, eq, admit(r, cr));
+}
+
+std::span<const double> NdTable::admit(std::span<const double> q,
+                                       Clamped& clamped) const {
+  if (in_range(q)) return q;
   extrapolations_.v.fetch_add(1, std::memory_order_relaxed);
 
   // Identify the worst offending axis for the diagnostic.
   std::size_t ax = 0;
   for (std::size_t d = 0; d < axes_.size(); ++d)
     if (q[d] < axes_[d].front() || q[d] > axes_[d].back()) { ax = d; break; }
-  std::ostringstream where;
-  where << "query " << names_[ax] << " = " << q[ax] << " outside table '"
-        << name_ << "' grid [" << axes_[ax].front() << ", "
-        << axes_[ax].back() << "]";
+  auto where = [&] {
+    std::ostringstream os;
+    os << "query " << names_[ax] << " = " << q[ax] << " outside table '"
+       << name_ << "' grid [" << axes_[ax].front() << ", "
+       << axes_[ax].back() << "]";
+    return os.str();
+  };
 
   switch (policy_) {
     case ExtrapolationPolicy::kThrow:
       throw diag::NumericError(
-          "table", where.str() + "; extrapolation disabled by policy "
-                                 "(extend the characterisation grid)");
-    case ExtrapolationPolicy::kClamp: {
-      std::vector<double> clamped = q;
+          "table", where() + "; extrapolation disabled by policy "
+                             "(extend the characterisation grid)");
+    case ExtrapolationPolicy::kClamp:
       for (std::size_t d = 0; d < axes_.size(); ++d)
         clamped[d] =
-            std::min(std::max(clamped[d], axes_[d].front()), axes_[d].back());
-      return spline_.eval(clamped);
-    }
+            std::min(std::max(q[d], axes_[d].front()), axes_[d].back());
+      return {clamped.data(), axes_.size()};
     case ExtrapolationPolicy::kWarn:
       break;
   }
   // exchange() elects exactly one warner under concurrent extrapolation.
   if (!extrapolation_warned_.v.exchange(true, std::memory_order_relaxed)) {
     diag::emit_warning(diag::Category::kNumeric, "table",
-                       where.str() +
+                       where() +
                            "; spline extrapolation degrades away from the "
                            "grid (warning once per table)");
   }
-  return spline_.eval(q);
+  return q;
 }
 
-bool NdTable::in_range(const std::vector<double>& q) const {
+bool NdTable::in_range(std::span<const double> q) const {
   if (q.size() != axes_.size())
     throw std::invalid_argument("NdTable: query dimension");
   for (std::size_t d = 0; d < axes_.size(); ++d)
     if (q[d] < axes_[d].front() || q[d] > axes_[d].back()) return false;
   return true;
+}
+
+std::size_t NdTable::resident_bytes() const {
+  std::size_t bytes = axes_.capacity() * sizeof(std::vector<double>) +
+                      values_.capacity() * sizeof(double) +
+                      spline_.resident_bytes();
+  for (const std::vector<double>& a : axes_)
+    bytes += a.capacity() * sizeof(double);
+  return bytes;
 }
 
 double NdTable::at(const std::vector<std::size_t>& idx) const {

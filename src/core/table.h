@@ -7,8 +7,11 @@
 // inductance that is not given in the table."
 #pragma once
 
+#include <array>
 #include <atomic>
+#include <initializer_list>
 #include <iosfwd>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -51,8 +54,9 @@ class NdTable {
  public:
   NdTable() = default;
 
-  /// `axes[d]` is the strictly increasing grid of axis `d`; `values` is
-  /// row-major with the last axis fastest.
+  /// `axes[d]` is the strictly increasing grid of axis `d` (at most
+  /// TensorSpline::kMaxDims axes); `values` is row-major with the last axis
+  /// fastest.
   NdTable(std::vector<std::string> axis_names,
           std::vector<std::vector<double>> axes, std::vector<double> values);
 
@@ -64,8 +68,19 @@ class NdTable {
   /// Spline-interpolated lookup (tensor-product natural cubic — bicubic in
   /// two dimensions).  Queries outside the grid bump extrapolation_count()
   /// and are handled per the table's ExtrapolationPolicy: extrapolate with
-  /// a one-time warning (default), clamp to the grid edge, or throw.
-  double lookup(const std::vector<double>& q) const;
+  /// a one-time warning (default), clamp to the grid edge, or throw.  An
+  /// in-range or extrapolating lookup allocates nothing.
+  double lookup(std::span<const double> q) const;
+  double lookup(std::initializer_list<double> q) const {
+    return lookup(std::span<const double>(q.begin(), q.size()));
+  }
+
+  /// 0.5 (lookup(q) + lookup(r)) in one pass over the values, for two
+  /// queries that agree on every axis after the first two: the mutual-L
+  /// table's (w1, w2) and (w2, w1) orders.  Each query is counted and
+  /// handled per the policy as lookup() would.
+  double lookup_mean(std::span<const double> q,
+                     std::span<const double> r) const;
 
   /// Label used in extrapolation warnings/errors (e.g. "self-L"), so a
   /// diagnostic names which of a model's tables was under-covered.
@@ -76,7 +91,10 @@ class NdTable {
   void set_extrapolation_policy(ExtrapolationPolicy p) { policy_ = p; }
 
   /// Whether the query lies inside the gridded region on every axis.
-  bool in_range(const std::vector<double>& q) const;
+  bool in_range(std::span<const double> q) const;
+  bool in_range(std::initializer_list<double> q) const {
+    return in_range(std::span<const double>(q.begin(), q.size()));
+  }
 
   /// How many lookups so far fell outside the grid (per-table statistic;
   /// a healthy characterisation grid keeps this at zero).  The counter is
@@ -91,15 +109,12 @@ class NdTable {
   /// Grid value by multi-index (mostly for tests).
   double at(const std::vector<std::size_t>& idx) const;
 
-  /// Approximate resident bytes of this table: the axis grids, the value
-  /// array and the spline's coefficient planes (about one more
-  /// values-sized array).  The warm store's byte-budgeted LRU and the
-  /// memory budget's accounting use this as the entry cost.
-  std::size_t resident_bytes() const {
-    std::size_t axis_points = 0;
-    for (const auto& a : axes_) axis_points += a.size();
-    return (axis_points + 2 * values_.size()) * sizeof(double);
-  }
+  /// Heap bytes this table holds: the axis grids, the one value array and
+  /// the spline's per-axis operators (O(axis points), no copy of the
+  /// values).  Names and the object itself are not counted.  The warm
+  /// store's byte-budgeted LRU and the memory budget's accounting use this
+  /// as the entry cost.
+  std::size_t resident_bytes() const;
 
   /// Plain-text round-trippable serialisation.
   void save(std::ostream& os) const;
@@ -119,6 +134,13 @@ class NdTable {
   static NdTable load_file(const std::string& path);
 
  private:
+  using Clamped = std::array<double, TensorSpline::kMaxDims>;
+  /// The query to evaluate for `q`: q itself when in range; otherwise
+  /// counted and handled per the policy — refused, clamped into `clamped`,
+  /// or q itself after the one-time warning.
+  std::span<const double> admit(std::span<const double> q,
+                                Clamped& clamped) const;
+
   std::string name_ = "table";
   std::vector<std::string> names_;
   std::vector<std::vector<double>> axes_;

@@ -21,6 +21,16 @@ namespace {
 
 constexpr const char* kHeader = "rlcx-journal 1";
 
+struct Parsed {
+  /// Byte offset just past the last whole ('\n'-terminated) line: the
+  /// clean prefix a repair truncates back to.
+  std::size_t clean_bytes = 0;
+  /// True when the file ends mid-header: a crash during creation.  The
+  /// content is a strict prefix of the header line, so nothing was ever
+  /// appended — the log recovers as empty.
+  bool torn_header = false;
+};
+
 /// Reads the whole file; returns false when it does not exist.
 bool slurp(const std::string& path, std::string& out) {
   std::ifstream is(path, std::ios::binary);
@@ -31,22 +41,12 @@ bool slurp(const std::string& path, std::string& out) {
   return true;
 }
 
-struct Parsed {
-  std::set<std::string> done;
-  /// Byte offset just past the last whole ('\n'-terminated) line: the
-  /// clean prefix a repair truncates back to.
-  std::size_t clean_bytes = 0;
-  /// True when the file ends mid-header: a crash during creation.  The
-  /// content is a strict prefix of the header line, so nothing was ever
-  /// recorded — the journal recovers as empty.
-  bool torn_header = false;
-};
-
-/// Parses journal text into completed ids.  Only lines terminated by '\n'
-/// count: a torn trailing append (killed writer) is dropped, so the id it
-/// was recording is simply re-done.  Unknown line types are skipped for
-/// forward compatibility.
-Parsed parse(const std::string& path, const std::string& content) {
+/// Walks log text: checks the header and hands every whole line after it
+/// to `on_line`.  Only lines terminated by '\n' count: a torn trailing
+/// append (killed writer) is dropped.
+Parsed parse(const std::string& path, const std::string& content,
+             const std::function<void(const std::string&)>& on_line) {
+  const std::string header = kHeader;
   Parsed out;
   std::size_t pos = 0;
   bool first = true;
@@ -57,21 +57,19 @@ Parsed parse(const std::string& path, const std::string& content) {
     pos = nl + 1;
     out.clean_bytes = pos;
     if (first) {
-      if (line != kHeader)
+      if (line != header)
         throw diag::IoError("journal",
                             path + " is not a batch journal (header '" +
-                                line + "', expected '" + kHeader + "')");
+                                line + "', expected '" + header + "')");
       first = false;
       continue;
     }
-    if (line.rfind("done ", 0) == 0 && line.size() > 5)
-      out.done.insert(line.substr(5));
+    if (on_line) on_line(line);
   }
   if (first && !content.empty()) {
     // No complete header line.  A strict prefix of the header is what a
-    // crash during journal creation leaves behind — recoverable (empty).
+    // crash during log creation leaves behind — recoverable (empty).
     // Anything else is a foreign file we must not clobber.
-    const std::string header = kHeader;
     if (content.size() <= header.size() &&
         header.compare(0, content.size(), content) == 0) {
       out.torn_header = true;
@@ -82,6 +80,13 @@ Parsed parse(const std::string& path, const std::string& content) {
                         path + " is not a batch journal (no header line)");
   }
   return out;
+}
+
+/// A journal line's completed id: `done <id>`.  Unknown line types are
+/// skipped for forward compatibility.
+void add_done(std::set<std::string>& done, const std::string& line) {
+  if (line.rfind("done ", 0) == 0 && line.size() > 5)
+    done.insert(line.substr(5));
 }
 
 void write_fully(int fd, const char* data, std::size_t n,
@@ -100,24 +105,25 @@ void write_fully(int fd, const char* data, std::size_t n,
 
 }  // namespace
 
-BatchJournal::BatchJournal(std::string path, Durability durability)
+AppendLog::AppendLog(std::string path, Durability durability,
+                     const std::function<void(const std::string&)>& on_line)
     : path_(std::move(path)), durability_(durability) {
   if (path_.empty())
     throw diag::UsageError("journal", "empty journal path");
   std::string content;
   bool fresh = true;
   if (slurp(path_, content) && !content.empty()) {
-    const Parsed parsed = parse(path_, content);  // may throw (foreign file)
+    // may throw (foreign file)
+    const Parsed parsed = parse(path_, content, on_line);
     if (parsed.torn_header) {
       diag::emit_warning(
           diag::Category::kIo, "journal",
           path_ + ": header torn at byte " + std::to_string(content.size()) +
               " (crash during creation); recovering as empty journal");
       tail_dropped_bytes_ = content.size();
-      // fall through to the fresh-journal path, which rewrites the header
+      // fall through to the fresh-log path, which rewrites the header
     } else {
       fresh = false;
-      done_ = parsed.done;
       if (parsed.clean_bytes < content.size()) {
         // Torn tail: truncate the file back to the last whole line so the
         // damage cannot compound across restarts.  Byte-exact — the clean
@@ -136,8 +142,8 @@ BatchJournal::BatchJournal(std::string path, Durability durability)
     }
   }
   if (fresh) {
-    // Fresh journal: create parent directory and write the header now, so
-    // a campaign that is killed before its first completion still leaves a
+    // Fresh log: create parent directory and write the header now, so a
+    // campaign that is killed before its first completion still leaves a
     // well-formed (empty) manifest behind.
     const fs::path parent = fs::path(path_).parent_path();
     std::error_code ec;
@@ -154,7 +160,7 @@ BatchJournal::BatchJournal(std::string path, Durability durability)
                                        " for append: " + std::strerror(errno));
   if (durability_ == Durability::kFsync) {
     // Make the header (or the truncate repair) itself power-safe before
-    // the first record lands on top of it.
+    // the first line lands on top of it.
     if (::fsync(fd_) != 0)
       throw diag::IoError("journal",
                           "fsync " + path_ + ": " + std::strerror(errno));
@@ -162,44 +168,21 @@ BatchJournal::BatchJournal(std::string path, Durability durability)
   }
 }
 
-BatchJournal::~BatchJournal() {
+AppendLog::~AppendLog() {
   if (fd_ >= 0) ::close(fd_);
 }
 
-std::set<std::string> BatchJournal::completed() const {
-  std::lock_guard<std::mutex> lock(m_);
-  return done_;
-}
-
-bool BatchJournal::contains(const std::string& id) const {
-  std::lock_guard<std::mutex> lock(m_);
-  return done_.count(id) != 0;
-}
-
-std::size_t BatchJournal::size() const {
-  std::lock_guard<std::mutex> lock(m_);
-  return done_.size();
-}
-
-std::uint64_t BatchJournal::fsyncs() const {
+std::uint64_t AppendLog::fsyncs() const {
   std::lock_guard<std::mutex> lock(m_);
   return fsyncs_;
 }
 
-void BatchJournal::record(const std::string& id) {
-  if (id.empty())
-    throw diag::UsageError("journal", "cannot record an empty id");
-  for (char c : id)
-    if (c == ' ' || c == '\t' || c == '\n' || c == '\r')
-      throw diag::UsageError("journal",
-                             "journal ids must not contain whitespace: '" +
-                                 id + "'");
+void AppendLog::append(const std::string& text) {
+  // One whole line per append: the line is durable (to the kernel, or to
+  // the platter under kFsync) once append() returns, and a kill mid-write
+  // tears at most this line (which the next open truncates away).
+  const std::string line = text + "\n";
   std::lock_guard<std::mutex> lock(m_);
-  if (done_.count(id) != 0) return;  // idempotent
-  // One whole line per append: the record is durable (to the kernel, or to
-  // the platter under kFsync) once record() returns, and a kill mid-write
-  // tears at most this line (which open() then truncates away).
-  const std::string line = "done " + id + "\n";
   if (fault_injection_enabled()) {
     if (fault_point("io_enospc"))
       throw diag::IoError("journal", "append to " + path_ +
@@ -227,14 +210,48 @@ void BatchJournal::record(const std::string& id) {
                           "fsync " + path_ + ": " + std::strerror(errno));
     ++fsyncs_;
   }
+}
+
+BatchJournal::BatchJournal(std::string path, Durability durability)
+    : log_(std::move(path), durability,
+           [this](const std::string& line) { add_done(done_, line); }) {}
+
+std::set<std::string> BatchJournal::completed() const {
+  std::lock_guard<std::mutex> lock(m_);
+  return done_;
+}
+
+bool BatchJournal::contains(const std::string& id) const {
+  std::lock_guard<std::mutex> lock(m_);
+  return done_.count(id) != 0;
+}
+
+std::size_t BatchJournal::size() const {
+  std::lock_guard<std::mutex> lock(m_);
+  return done_.size();
+}
+
+void BatchJournal::record(const std::string& id) {
+  if (id.empty())
+    throw diag::UsageError("journal", "cannot record an empty id");
+  for (char c : id)
+    if (c == ' ' || c == '\t' || c == '\n' || c == '\r')
+      throw diag::UsageError("journal",
+                             "journal ids must not contain whitespace: '" +
+                                 id + "'");
+  std::lock_guard<std::mutex> lock(m_);
+  if (done_.count(id) != 0) return;  // idempotent
+  log_.append("done " + id);
   done_.insert(id);
 }
 
 std::set<std::string> BatchJournal::load(const std::string& path) {
   std::string content;
-  if (!slurp(path, content) || content.empty()) return {};
-  const Parsed parsed = parse(path, content);
-  return parsed.done;
+  std::set<std::string> done;
+  if (!slurp(path, content) || content.empty()) return done;
+  parse(path, content,
+        [&](const std::string& line) { add_done(done, line); });
+  return done;
 }
 
 }  // namespace rlcx::run

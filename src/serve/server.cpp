@@ -67,7 +67,7 @@ class SlotGuard {
   AdmissionQueue& q_;
 };
 
-/// Journal ids must be whitespace-free single tokens; requests arrive
+/// Request-log ids must be whitespace-free single tokens; requests arrive
 /// from the network.
 std::string sanitize_command(const std::string& command) {
   std::string s;
@@ -91,7 +91,8 @@ Server::Server(ServeConfig config, std::ostream& diag)
       admission_(config_.max_active, config_.queue_depth) {
   if (config_.log_path.empty())
     config_.log_path = config_.cache_dir + "/serve.journal";
-  journal_ = std::make_unique<run::BatchJournal>(config_.log_path);
+  log_ = std::make_unique<run::AppendLog>(config_.log_path,
+                                          run::Durability::kFlush);
 }
 
 Server::~Server() {
@@ -548,8 +549,8 @@ void Server::record_request(std::uint64_t seq,
   const std::string command =
       tokens.empty() ? std::string("none") : sanitize_command(tokens[0]);
   try {
-    journal_->record("r" + std::to_string(seq) + "-" + command + "-x" +
-                     std::to_string(status));
+    log_->append("done r" + std::to_string(seq) + "-" + command + "-x" +
+                 std::to_string(status));
   } catch (...) {
     // Logging must never fail a request (disk full on the log volume).
   }

@@ -23,7 +23,7 @@
 // shutdown token; the accept loop stops, in-flight requests unwind at
 // their next checkpoint (status-5 responses), connections drain, the
 // socket file is removed.  Every answered request is appended to a
-// run::BatchJournal repurposed as a request log, so an operator can
+// request log (a run::AppendLog in the journal format), so an operator can
 // replay what a daemon did.
 #pragma once
 
@@ -108,7 +108,7 @@ class Server {
   WarmTableStore warm_;
   AdmissionQueue admission_;
   run::CancelToken shutdown_;
-  std::unique_ptr<run::BatchJournal> journal_;
+  std::unique_ptr<run::AppendLog> log_;  ///< the request log
   std::mutex threads_m_;
   std::vector<std::thread> connections_;
   std::vector<std::thread::id> finished_;  ///< connection threads done and

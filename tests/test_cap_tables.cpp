@@ -1,12 +1,14 @@
 // Tests for the pre-characterised capacitance tables.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <sstream>
 
 #include "cap/cap_tables.h"
 #include "geom/builders.h"
 #include "numeric/units.h"
 #include "support/scratch_dir.h"
+#include "support/spline_reference.h"
 
 namespace rlcx::cap {
 namespace {
@@ -96,6 +98,35 @@ TEST(CapTables, FileRoundTripAndErrors) {
                std::runtime_error);
   std::stringstream bad("nope 1 6 0\n");
   EXPECT_THROW(CapTables::load(bad), std::runtime_error);
+}
+
+TEST(CapTables, LookupMatchesSplineOracle) {
+  // The grid and both value planes, read back from the text form.
+  std::stringstream ss;
+  tables().save(ss);
+  std::string header;
+  std::getline(ss, header);
+  std::vector<std::vector<double>> axes(2);
+  for (std::vector<double>& ax : axes) {
+    std::size_t n = 0;
+    ss >> n;
+    ax.resize(n);
+    for (double& v : ax) ss >> v;
+  }
+  std::vector<double> cg(axes[0].size() * axes[1].size()), cc(cg.size());
+  for (double& v : cg) ss >> v;
+  for (double& v : cc) ss >> v;
+  ASSERT_TRUE(ss);
+  // In range and extrapolated below and above either axis.
+  for (const double w : {um(1), um(2), um(3.3), um(5.5), um(8), um(11)})
+    for (const double s : {um(1), um(1.5), um(2.2), um(4.7), um(6), um(9)}) {
+      const double want_g = reference_tensor_spline(axes, cg, {w, s});
+      const double want_c = reference_tensor_spline(axes, cc, {w, s});
+      EXPECT_LE(std::abs(tables().cg(w, s) - want_g),
+                1e-12 * std::abs(want_g));
+      EXPECT_LE(std::abs(tables().cc(w, s) - want_c),
+                1e-12 * std::abs(want_c));
+    }
 }
 
 TEST(CapTables, BuildValidation) {

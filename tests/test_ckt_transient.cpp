@@ -303,6 +303,37 @@ TEST(Transient, ResistorBetweenTwoPrivateNodesMatchesOracle) {
   EXPECT_TRUE(mismatch.empty()) << mismatch;
 }
 
+TEST(Transient, CoupledGroupsOfEveryArityMatchOracle) {
+  // Groups of 1..6 pairwise-coupled R-L branches off one driven node: the
+  // fixed-arity group updates (k <= 4) and the generic one (k > 4).
+  Netlist nl;
+  const NodeId src = nl.add_node("src");
+  const NodeId drv = nl.add_node("drv");
+  nl.add_vsource(src, kGround, SourceWaveform::ramp(1.0, 10e-12));
+  nl.add_resistor(src, drv, 25.0);
+  for (std::size_t k = 1; k <= 6; ++k) {
+    std::vector<std::size_t> group;
+    for (std::size_t t = 0; t < k; ++t) {
+      const NodeId mid = nl.add_node();
+      const NodeId out = nl.add_node();
+      nl.add_resistor(drv, mid, 5.0 + static_cast<double>(t));
+      group.push_back(
+          nl.add_inductor(mid, out, (0.4 + 0.1 * static_cast<double>(t)) *
+                                        1e-9));
+      nl.add_capacitor(out, kGround, 0.1e-12 * static_cast<double>(1 + t));
+    }
+    for (std::size_t a = 0; a < k; ++a)
+      for (std::size_t b = a + 1; b < k; ++b)
+        nl.add_coupling(group[a], group[b], 0.2);
+  }
+  TransientOptions opt;
+  opt.t_stop = 200e-12;
+  opt.dt = 1e-12;
+  const std::string mismatch = testing::compare_waveforms(
+      nl, simulate(nl, opt), testing::dense_transient_reference(nl, opt));
+  EXPECT_TRUE(mismatch.empty()) << mismatch;
+}
+
 TEST(Transient, IsBitIdenticalAcrossRuns) {
   const clocktree::HTreeSpec spec = testing::cpw_htree(8, true);
   const Netlist nl = testing::htree_netlist(spec, true).netlist;

@@ -1,6 +1,8 @@
 // Tests for the H-tree generator, whole-tree netlist and skew analysis.
 #include <gtest/gtest.h>
 
+#include <atomic>
+
 #include "clocktree/skew.h"
 #include "numeric/units.h"
 #include "solver/frequency.h"
@@ -172,6 +174,56 @@ TEST(Skew, RcVsRlcShapesMatchPaper) {
   const double diff =
       (cmp.rlc.max_delay - cmp.rc.max_delay) / cmp.rlc.max_delay;
   EXPECT_GT(diff, 0.10);
+}
+
+/// A direct-solve provider that counts the lookups made through it (the
+/// extraction sweep runs on the rt pool, hence the atomic).
+class CountingProvider : public core::InductanceProvider {
+ public:
+  CountingProvider(int layer, geom::PlaneConfig planes,
+                   const solver::SolveOptions& sopt)
+      : direct_(&tech(), layer, planes, sopt) {}
+  double self(double w, double l) const override {
+    ++lookups;
+    return direct_.self(w, l);
+  }
+  double mutual(double w1, double w2, double s, double l) const override {
+    ++lookups;
+    return direct_.mutual(w1, w2, s, l);
+  }
+  double series_resistance(double w, double l) const override {
+    ++lookups;
+    return direct_.series_resistance(w, l);
+  }
+  mutable std::atomic<std::size_t> lookups{0};
+
+ private:
+  core::DirectInductanceModel direct_;
+};
+
+TEST(Skew, CompareRcRlcExtractsTheTreeOnce) {
+  const HTreeSpec spec = small_tree();
+  solver::SolveOptions sopt;
+  sopt.frequency = solver::significant_frequency(spec.driver.t_rise);
+  sopt.max_filaments_per_dim = 2;
+  const int layer = spec.level_layer(0);
+  ASSERT_EQ(spec.level_layer(1), layer);
+  const auto counter =
+      std::make_shared<CountingProvider>(layer, spec.levels[0].planes, sopt);
+  core::InductanceLibrary lib;
+  lib.add(layer, spec.levels[0].planes, counter);
+  AnalysisOptions aopt;
+  aopt.ladder.sections = 3;
+
+  aopt.ladder.include_inductance = true;
+  const SkewResult rlc = analyze_skew(tech(), spec, lib, aopt);
+  aopt.ladder.include_inductance = false;
+  const SkewResult rc = analyze_skew(tech(), spec, lib, aopt);
+  const std::size_t separate = counter->lookups.exchange(0);
+  const RcVsRlc cmp = compare_rc_rlc(tech(), spec, lib, aopt);
+  EXPECT_GT(separate, 0u);
+  EXPECT_EQ(2 * counter->lookups.load(), separate);
+  EXPECT_EQ(cmp, (RcVsRlc{rlc, rc}));
 }
 
 }  // namespace

@@ -3,13 +3,43 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <new>
+#include <random>
 #include <sstream>
 
+#include "core/inductance_model.h"
 #include "core/table.h"
+#include "core/table_builder.h"
 #include "diag/error.h"
+#include "diag/warnings.h"
+#include "numeric/units.h"
 #include "support/scratch_dir.h"
+#include "support/spline_reference.h"
+
+namespace {
+
+// Heap allocations made on this thread while counting is on: the
+// zero-allocation lookup check replaces the global operator new.
+thread_local bool g_counting = false;
+thread_local std::size_t g_allocations = 0;
+
+}  // namespace
+
+// GCC pairs the inlined malloc with the delete sites and flags the free
+// as mismatched; the replacement pair is consistent by construction.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void* operator new(std::size_t n) {
+  if (g_counting) ++g_allocations;
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
 
 namespace rlcx::core {
 namespace {
@@ -235,6 +265,164 @@ TEST(NdTable, FourDimensionalMutualShape) {
   const NdTable t({"w1", "w2", "s", "l"}, {ax, ax, ax, ax}, vals);
   EXPECT_EQ(t.dims(), 4u);
   EXPECT_NEAR(t.lookup({1.5, 1.5, 1.5, 1.5}), 1.5 * 15.0, 1e-9);
+}
+
+/// Largest relative deviation the table lookup may have from the
+/// spline-of-splines oracle (docs/performance.md).
+constexpr double kOracleTol = 1e-12;
+
+/// A 4-D mutual-shaped table with smooth positive values on geometric
+/// axes, and its oracle.
+struct Mutual4d {
+  std::vector<std::vector<double>> axes;
+  std::vector<double> values;
+  NdTable table;
+  double oracle(const std::vector<double>& q) const {
+    return reference_tensor_spline(axes, values, q);
+  }
+};
+
+Mutual4d make_mutual(ExtrapolationPolicy policy) {
+  Mutual4d m;
+  m.axes = {geomspace(1.0, 20.0, 5), geomspace(1.0, 20.0, 5),
+            geomspace(0.5, 10.0, 5), geomspace(100.0, 6000.0, 5)};
+  for (double a : m.axes[0])
+    for (double b : m.axes[1])
+      for (double s : m.axes[2])
+        for (double l : m.axes[3])
+          m.values.push_back(l * std::log(1.0 + 2.0 * l / (a + b + s)));
+  m.table = NdTable({"w1", "w2", "s", "l"}, m.axes, m.values);
+  m.table.set_extrapolation_policy(policy);
+  return m;
+}
+
+std::vector<double> random_query(const Mutual4d& m, std::mt19937_64& rng) {
+  std::uniform_real_distribution<double> u(-0.3, 1.3);
+  std::vector<double> q;
+  for (const std::vector<double>& ax : m.axes)
+    q.push_back(ax.front() + (ax.back() - ax.front()) * u(rng));
+  return q;
+}
+
+TEST(NdTable, MatchesOracleUnderEveryPolicy) {
+  const diag::ScopedWarningHandler quiet([](const diag::Warning&) {});
+  std::mt19937_64 rng(18001);
+  const Mutual4d warn = make_mutual(ExtrapolationPolicy::kWarn);
+  const Mutual4d clamp = make_mutual(ExtrapolationPolicy::kClamp);
+  const Mutual4d refuse = make_mutual(ExtrapolationPolicy::kThrow);
+  std::size_t outside = 0;
+  for (int n = 0; n < 400; ++n) {
+    const std::vector<double> q = random_query(warn, rng);
+    const double want = warn.oracle(q);
+    EXPECT_LE(std::abs(warn.table.lookup(q) - want),
+              kOracleTol * std::abs(want));
+    std::vector<double> c = q;
+    for (std::size_t d = 0; d < c.size(); ++d)
+      c[d] = std::clamp(c[d], clamp.axes[d].front(), clamp.axes[d].back());
+    const double want_clamped = clamp.oracle(c);
+    EXPECT_LE(std::abs(clamp.table.lookup(q) - want_clamped),
+              kOracleTol * std::abs(want_clamped));
+    if (refuse.table.in_range(q)) {
+      EXPECT_LE(std::abs(refuse.table.lookup(q) - want),
+                kOracleTol * std::abs(want));
+    } else {
+      ++outside;
+      EXPECT_THROW(refuse.table.lookup(q), diag::NumericError);
+    }
+  }
+  // Both paths were exercised, and every policy counted each excursion.
+  EXPECT_GT(outside, 100u);
+  EXPECT_LT(outside, 400u);
+  EXPECT_EQ(warn.table.extrapolation_count(), outside);
+  EXPECT_EQ(clamp.table.extrapolation_count(), outside);
+  EXPECT_EQ(refuse.table.extrapolation_count(), outside);
+}
+
+TEST(NdTable, LookupMeanMatchesBothOrdersOfTheOracle) {
+  const diag::ScopedWarningHandler quiet([](const diag::Warning&) {});
+  std::mt19937_64 rng(18002);
+  for (const ExtrapolationPolicy policy :
+       {ExtrapolationPolicy::kWarn, ExtrapolationPolicy::kClamp}) {
+    const Mutual4d m = make_mutual(policy);
+    for (int n = 0; n < 200; ++n) {
+      const std::vector<double> q = random_query(m, rng);
+      std::vector<double> r = q;
+      std::swap(r[0], r[1]);
+      const double want = 0.5 * (m.table.lookup(q) + m.table.lookup(r));
+      EXPECT_LE(std::abs(m.table.lookup_mean(q, r) - want),
+                kOracleTol * std::abs(want));
+    }
+  }
+  // Each order is range-checked on its own.
+  const Mutual4d m = make_mutual(ExtrapolationPolicy::kThrow);
+  const std::vector<double> q{2.0, 40.0, 1.0, 500.0}, r{40.0, 2.0, 1.0, 500.0};
+  EXPECT_THROW(m.table.lookup_mean(q, r), diag::NumericError);
+  EXPECT_EQ(m.table.extrapolation_count(), 1u);
+}
+
+TEST(NdTable, ResidentBytesCountOneValueArray) {
+  const Mutual4d m = make_mutual(ExtrapolationPolicy::kWarn);
+  const std::size_t values = m.values.size() * sizeof(double);
+  EXPECT_GT(m.table.resident_bytes(), values);
+  // The operators are O(axis points): far less than a second value copy.
+  EXPECT_LT(m.table.resident_bytes(), values + values / 2);
+}
+
+/// Tables on `g` with smooth synthetic values, in the layout the table
+/// builder produces.
+InductanceTables synthetic_tables(const TableGrid& g) {
+  InductanceTables t;
+  std::vector<double> self, mutual;
+  for (double w : g.widths)
+    for (double l : g.lengths) self.push_back(2e-7 * l * std::log(l / w));
+  for (double a : g.widths)
+    for (double b : g.widths)
+      for (double s : g.spacings)
+        for (double l : g.lengths)
+          mutual.push_back(2e-7 * l * std::log(1.0 + 2.0 * l / (a + b + s)));
+  t.self = NdTable({"width", "length"}, {g.widths, g.lengths}, self);
+  t.mutual = NdTable({"w1", "w2", "spacing", "length"},
+                     {g.widths, g.widths, g.spacings, g.lengths}, mutual);
+  t.series_r = t.self;
+  return t;
+}
+
+TEST(NdTable, LookupsMakeNoHeapAllocation) {
+  using units::um;
+  const diag::ScopedWarningHandler quiet([](const diag::Warning&) {});
+  TableGrid cli;  // the CLI's --points 4 grid
+  cli.widths = geomspace(um(1), um(20), 4);
+  cli.spacings = geomspace(um(0.5), um(10), 4);
+  cli.lengths = geomspace(um(100), um(6000), 4);
+  for (const TableGrid& grid : {default_clock_grid(), cli}) {
+    const TableInductanceModel model(synthetic_tables(grid));
+    // The once-per-table extrapolation warning is the one lookup that may
+    // allocate (it formats a message); spend it before counting.
+    (void)model.self(um(30), um(50));
+    (void)model.mutual(um(30), um(2), um(20), um(50));
+    (void)model.series_resistance(um(30), um(50));
+    std::mt19937_64 rng(18003);
+    std::uniform_real_distribution<double> u(0.5, 2.0);  // some extrapolate
+    double sink = 0.0;
+    g_allocations = 0;
+    g_counting = true;
+    for (int n = 0; n < 1000; ++n) {
+      const double w1 = um(12) * u(rng), w2 = um(12) * u(rng);
+      const double s = um(6) * u(rng), l = um(4000) * u(rng);
+      sink += model.self(w1, l) + model.mutual(w1, w2, s, l) +
+              model.series_resistance(w2, l);
+    }
+    g_counting = false;
+    EXPECT_EQ(g_allocations, 0u);
+    // The counter does see an allocation made under it.
+    g_counting = true;
+    const std::vector<double> probe(8 + rng() % 8, 1.0);
+    g_counting = false;
+    EXPECT_EQ(g_allocations, 1u);
+    sink += probe.back();
+    EXPECT_TRUE(std::isfinite(sink));
+    EXPECT_GT(model.tables().mutual.extrapolation_count(), 100u);
+  }
 }
 
 }  // namespace

@@ -423,6 +423,25 @@ TEST(ServeFlow, EveryRequestIsJournaled) {
   EXPECT_EQ(logged.count("r2-batch-x2"), 1u);
 }
 
+TEST(ServeFlow, RequestLogKeepsEveryRestartsRequests) {
+  // Request numbers restart at 1 in every daemon: a second daemon on the
+  // same cache dir appends its r1 again rather than skipping it as seen.
+  const ScratchDir dir("rlcx_serve");
+  const ServeConfig cfg = test_config(dir);
+  for (int life = 0; life < 2; ++life) {
+    std::ostringstream diag;
+    Server server(cfg, diag);
+    drive(server, encode_frame(FrameKind::kRequest, "ping"));
+  }
+  std::ifstream is(cfg.cache_dir + "/serve.journal");
+  std::string line;
+  std::vector<std::string> lines;
+  while (std::getline(is, line)) lines.push_back(line);
+  EXPECT_EQ(lines, (std::vector<std::string>{"rlcx-journal 1",
+                                             "done r1-ping-x0",
+                                             "done r1-ping-x0"}));
+}
+
 TEST(ServeFlow, StatsReportWarmStoreAndAdmissionCounters) {
   const ScratchDir dir("rlcx_serve");
   std::ostringstream diag;
