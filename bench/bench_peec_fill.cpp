@@ -47,6 +47,7 @@
 #include "rt/pool.h"
 #include "solver/frequency.h"
 #include "support/lu_reference.h"
+#include "support/partial_reference.h"
 
 using namespace rlcx;
 using C = std::complex<double>;

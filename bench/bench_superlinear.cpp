@@ -8,6 +8,7 @@
 
 #include "numeric/units.h"
 #include "peec/partial_inductance.h"
+#include "support/partial_reference.h"
 
 using namespace rlcx;
 using units::um;

@@ -27,7 +27,9 @@ namespace {
 // layout or anything influencing table values outside the keyed inputs
 // changes (docs/table-format.md).  Version 2: the PEEC engine cuts aligned
 // bar pairs at one common chunk count, which moves table values by ~1e-4.
-constexpr int kCacheKeyVersion = 2;
+// Version 3: an aligned pair's filament-routed chunk offsets are summed in
+// one whole-bar closed form, which moves table values by round-off.
+constexpr int kCacheKeyVersion = 3;
 
 std::string hex16(std::uint64_t v) {
   char buf[17];

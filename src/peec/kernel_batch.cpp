@@ -64,6 +64,27 @@ FilamentFn pick_filament() {
   return detail::kb_scalar::eval_filament;
 }
 
+// The near/far rule every chunk pair is routed by: the filament closed form
+// when the chunks are far apart transversely (r) or axially (the gap
+// between their axial ranges), measured against far_factor mean cross
+// diagonals; the Hoer-Love volume kernel otherwise.  Near pairs need the
+// volume kernel (GMD effects), and far pairs must not take it: there the
+// 64-term bracket cancels to a value tiny next to its terms, and the
+// round-off accumulates systematically across many chunk pairs.
+double far_limit(const Bar& p, const Bar& q, const PartialOptions& opt) {
+  const double diag = 0.5 * (p.cross_diag() + q.cross_diag());
+  return opt.far_factor * diag;
+}
+
+double radial_distance(const Bar& p, const Bar& q) {
+  return std::hypot(q.t_center() - p.t_center(), q.z_center() - p.z_center());
+}
+
+double axial_gap(const Bar& p, const Bar& q) {
+  return std::max(0.0, std::max(p.a_min, q.a_min) -
+                           std::min(p.a_max(), q.a_max()));
+}
+
 }  // namespace
 
 BatchStats batch_stats_total() {
@@ -93,41 +114,43 @@ std::size_t BatchEvaluator::begin_slot(bool self) {
   return slot;
 }
 
-// The exact near/far routing of partial_inductance.cpp's chunk_mutual,
-// evaluated scalar at append time so a batched fill classifies every chunk
-// pair identically to the legacy walk (including the std::hypot rounding).
+void BatchEvaluator::append_filament(double l1, double l2, double s,
+                                     double r, double weight) {
+  detail::check_filament_args(l1, l2, s, r);
+  const auto idx = static_cast<std::uint32_t>(fl1_.size());
+  fl1_.push_back(l1);
+  fl2_.push_back(l2);
+  fs_.push_back(s);
+  fr_.push_back(r);
+  terms_.push_back(Term{idx | kFilamentBit, weight});
+}
+
+void BatchEvaluator::append_volume(const Bar& p, const Bar& q,
+                                   double weight) {
+  detail::check_hoer_love_dims(p.t_width, p.z_thick, p.length, q.t_width,
+                               q.z_thick, q.length);
+  const auto idx = static_cast<std::uint32_t>(va_.size());
+  va_.push_back(p.t_width);
+  vb_.push_back(p.z_thick);
+  vl1_.push_back(p.length);
+  vc_.push_back(q.t_width);
+  vd_.push_back(q.z_thick);
+  vl2_.push_back(q.length);
+  vE_.push_back(q.t_min - p.t_min);
+  vP_.push_back(q.z_min - p.z_min);
+  vl3_.push_back(q.a_min - p.a_min);
+  terms_.push_back(Term{idx, weight});
+}
+
 void BatchEvaluator::append_chunk_pair(const Bar& p, const Bar& q,
                                        const PartialOptions& opt,
                                        double weight) {
-  const double diag = 0.5 * (p.cross_diag() + q.cross_diag());
-  const double dt = q.t_center() - p.t_center();
-  const double dz = q.z_center() - p.z_center();
-  const double r = std::hypot(dt, dz);
-  const double axial_gap =
-      std::max(0.0, std::max(p.a_min, q.a_min) -
-                        std::min(p.a_max(), q.a_max()));
-  if (r > opt.far_factor * diag || axial_gap > opt.far_factor * diag) {
-    detail::check_filament_args(p.length, q.length, q.a_min - p.a_min, r);
-    const auto idx = static_cast<std::uint32_t>(fl1_.size());
-    fl1_.push_back(p.length);
-    fl2_.push_back(q.length);
-    fs_.push_back(q.a_min - p.a_min);
-    fr_.push_back(r);
-    terms_.push_back(Term{idx | kFilamentBit, weight});
+  const double limit = far_limit(p, q, opt);
+  const double r = radial_distance(p, q);
+  if (r > limit || axial_gap(p, q) > limit) {
+    append_filament(p.length, q.length, q.a_min - p.a_min, r, weight);
   } else {
-    detail::check_hoer_love_dims(p.t_width, p.z_thick, p.length, q.t_width,
-                                 q.z_thick, q.length);
-    const auto idx = static_cast<std::uint32_t>(va_.size());
-    va_.push_back(p.t_width);
-    vb_.push_back(p.z_thick);
-    vl1_.push_back(p.length);
-    vc_.push_back(q.t_width);
-    vd_.push_back(q.z_thick);
-    vl2_.push_back(q.length);
-    vE_.push_back(q.t_min - p.t_min);
-    vP_.push_back(q.z_min - p.z_min);
-    vl3_.push_back(q.a_min - p.a_min);
-    terms_.push_back(Term{idx, weight});
+    append_volume(p, q, weight);
   }
 }
 
@@ -136,13 +159,53 @@ std::size_t BatchEvaluator::add_self(const Bar& bar,
   const std::size_t slot = begin_slot(/*self=*/true);
   // Chunk pair (i, i + d) of equal chunks depends on d alone: the (i, i)
   // diagonal occurs n times and each off-diagonal offset 2(n - d) times in
-  // self_partial's symmetric sweep.
+  // the symmetric n x n sweep.
   const int n = chunk_count(bar, opt.max_aspect);
   const Bar first = chunk_at(bar, n, 0);
   for (int d = 0; d < n; ++d)
     append_chunk_pair(first, chunk_at(bar, n, d), opt,
                       d == 0 ? n : 2.0 * (n - d));
   return slot;
+}
+
+void BatchEvaluator::append_aligned(const Bar& b1, const Bar& b2, int n,
+                                    const PartialOptions& opt) {
+  // Both bars cut at one step: chunk pair (k, k + d) depends on d alone
+  // and occurs n - |d| times in the n x n sweep.
+  const auto p_of = [&](int d) { return chunk_at(b1, n, std::max(0, -d)); };
+  const auto q_of = [&](int d) { return chunk_at(b2, n, std::max(0, d)); };
+  // Every chunk keeps its bar's cross-section, so the transverse half of
+  // the routing rule is the same for all offsets; only the axial gap
+  // varies with d.
+  const double limit = far_limit(b1, b2, opt);
+  const double r = radial_distance(b1, b2);
+  const auto volume_routed = [&](int d) {
+    return r <= limit && axial_gap(p_of(d), q_of(d)) <= limit;
+  };
+  int volume_offsets = 0;
+  for (int d = 1 - n; d < n; ++d) volume_offsets += volume_routed(d);
+
+  // The Neumann integral is additive over any split of the filaments, so
+  // the filament terms of all offsets sum to one whole-bar term:
+  //   sum_{|d| < n} (n - |d|) M_f(c, c, d c, r) = M_f(L, L, 0, r).
+  // The filament-routed offsets are that term minus the volume-routed
+  // offsets' filament terms.  Take it only when it has fewer terms.
+  const bool whole_bar = 2 * volume_offsets + 1 < 2 * n - 1;
+  for (int d = 1 - n; d < n; ++d) {
+    const bool volume = volume_routed(d);
+    if (whole_bar && !volume) continue;  // inside the whole-bar term
+    const Bar p = p_of(d), q = q_of(d);
+    const double w = n - std::abs(d);
+    if (!volume) {
+      append_filament(p.length, q.length, q.a_min - p.a_min, r, w);
+      continue;
+    }
+    append_volume(p, q, w);
+    if (whole_bar)
+      append_filament(p.length, q.length, q.a_min - p.a_min, r, -w);
+  }
+  if (whole_bar)
+    append_filament(b1.length, b2.length, b2.a_min - b1.a_min, r, 1.0);
 }
 
 std::size_t BatchEvaluator::add_pair(const Bar& b1, const Bar& b2,
@@ -152,12 +215,7 @@ std::size_t BatchEvaluator::add_pair(const Bar& b1, const Bar& b2,
   detail::check_pair_disjoint(b1, b2);
   const PairChunking pc = pair_chunking(b1, b2, opt.max_aspect);
   if (pc.aligned) {
-    // Both bars cut at one step: chunk pair (k, k + d) depends on d alone
-    // and occurs n - |d| times in the n x n sweep.
-    const int n = pc.n1;
-    for (int d = 1 - n; d < n; ++d)
-      append_chunk_pair(chunk_at(b1, n, std::max(0, -d)),
-                        chunk_at(b2, n, std::max(0, d)), opt, n - std::abs(d));
+    append_aligned(b1, b2, pc.n1, opt);
     return slot;
   }
   for (int i = 0; i < pc.n1; ++i) {

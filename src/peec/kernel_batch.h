@@ -21,7 +21,8 @@
 //     (numeric/simd.h explains the flag discipline), so RLCX_SIMD=scalar
 //     and the AVX2 path agree bit for bit;
 //   * the engine's values agree with the scalar oracle kernels
-//     (hoer_love_mutual / filament_mutual) only to the kernel's
+//     (hoer_love_mutual / filament_mutual in
+//     tests/support/partial_reference.h) only to the kernel's
 //     cancellation-noise floor (~1e-8 relative): vecmath and libm differ
 //     by ulps, which the 64-term bracket amplifies.  All fill paths
 //     therefore go through the engine, and the libm kernels remain the
@@ -114,12 +115,16 @@ const char* batch_simd_name();
 
 /// Collects class evaluations (self or mutual bar pairs), flattens their
 /// chunk decompositions into SoA batches, and evaluates them all in run().
-/// Bars are chunked by pair_chunking (partial_inductance.h).  A self and an
-/// aligned pair append one chunk-pair term per axial chunk offset d,
-/// weighted by how many chunk pairs share that offset; any other pair
-/// appends its full row-major n1 x n2 chunk sweep.  Append order defines
-/// slot order, and each slot is reduced in its recorded term order.  Not
-/// thread-safe; one evaluator per thread (they are cheap, plain vectors).
+/// Bars are chunked by pair_chunking (partial_inductance.h).  A self
+/// appends one chunk-pair term per axial chunk offset d, weighted by how
+/// many chunk pairs share that offset.  An aligned pair sums its
+/// filament-routed offsets in closed form: one whole-bar filament term
+/// plus, per volume-routed offset, that offset's volume term and its
+/// filament term subtracted (docs/performance.md "Filament offsets in
+/// closed form").  Any other pair appends its full row-major n1 x n2 chunk
+/// sweep.  Append order defines slot order, and each slot is reduced in
+/// its recorded term order.  Not thread-safe; one evaluator per thread
+/// (they are cheap, plain vectors).
 class BatchEvaluator {
  public:
   /// Appends the self class of a bar: terms for offsets d = 0 .. n-1 of its
@@ -127,9 +132,11 @@ class BatchEvaluator {
   /// value will occupy in run()'s results.
   std::size_t add_self(const Bar& bar, const PartialOptions& opt);
 
-  /// Appends the mutual class of two bars: an aligned pair gets terms for
-  /// d in (-n, n) weighted n - |d|, any other pair the full chunk sweep.
-  /// Orthogonal bars get an empty slot that evaluates to exactly 0.
+  /// Appends the mutual class of two bars: an aligned pair gets the sum
+  /// over offsets d in (-n, n) weighted n - |d| — with its filament-routed
+  /// offsets in one whole-bar term whenever that has fewer terms — and any
+  /// other pair the full chunk sweep.  Orthogonal bars get an empty slot
+  /// that evaluates to exactly 0.
   /// Throws diag::GeometryError for overlapping distinct bars.
   std::size_t add_pair(const Bar& b1, const Bar& b2,
                        const PartialOptions& opt);
@@ -150,12 +157,20 @@ class BatchEvaluator {
 
  private:
   std::size_t begin_slot(bool self);
+  void append_filament(double l1, double l2, double s, double r,
+                       double weight);
+  void append_volume(const Bar& p, const Bar& q, double weight);
+  /// Routes one chunk pair to the filament or the volume batch.
   void append_chunk_pair(const Bar& p, const Bar& q,
                          const PartialOptions& opt, double weight);
+  /// The offset terms of an aligned pair cut into n chunks each.
+  void append_aligned(const Bar& b1, const Bar& b2, int n,
+                      const PartialOptions& opt);
 
-  // One flattened chunk-pair term of a slot: index into the volume batch
-  // (kFilamentBit clear) or the filament batch (set), and the number of
-  // chunk pairs of the sweep the term stands for.
+  // One flattened term of a slot: index into the volume batch
+  // (kFilamentBit clear) or the filament batch (set), and its weight — the
+  // number of chunk pairs of the sweep the term stands for, negative for
+  // the filament terms an aligned pair's whole-bar term over-counts.
   static constexpr std::uint32_t kFilamentBit = 0x80000000u;
   struct Term {
     std::uint32_t idx;

@@ -11,8 +11,8 @@
 // reassociation-licensing flag — which is what makes the TUs produce
 // bit-identical lanes at every vector width.  See docs/performance.md.
 //
-// The math mirrors partial_inductance.cpp's hl_f / hoer_love_mutual /
-// filament_mutual term for term, with every `if` rewritten as a select:
+// The math mirrors the scalar oracle's hl_f / hoer_love_mutual /
+// filament_mutual (tests/support/partial_reference.cpp) term for term, with every `if` rewritten as a select:
 // a guarded term contributes `cond ? term : 0.0` (never `mask * term` —
 // the discarded side may be Inf/NaN from a speculated division, and
 // 0 * NaN would poison the accumulator; a blend discards it for free).

@@ -1,17 +1,21 @@
-// Partial self and mutual inductance of rectangular bars.
+// Partial self and mutual inductance of rectangular bars: the shared
+// vocabulary of the PEEC fill.
 //
-// The exact closed form is Hoer & Love's 1965 triple-bracket formula for
+// The exact kernel is Hoer & Love's 1965 triple-bracket formula for
 // parallel rectangular conductors — the same kernel FastHenry/Raphael-class
-// extractors evaluate.  On top of the raw kernel this header provides:
+// extractors evaluate — with an exact thin-filament closed form for
+// well-separated chunk pairs; the batch engine (kernel_batch.h) evaluates
+// both.  This header provides what the engine and the fill share:
+//   * the fill options (chunk aspect, far-field threshold, memoization),
 //   * lengthwise subdivision to keep the kernel numerically healthy for the
 //     huge aspect ratios of clock wiring (6000 um long, 1-10 um wide),
-//   * an exact thin-filament fast path for well-separated bar pairs,
-//   * Ruehli's log approximation as an independent cross-check,
 //   * a translation-invariant PairKey so matrix fills evaluate the kernel
 //     once per *relative-geometry class* instead of once per pair
 //     (paper Foundations 1-2: partial inductance depends only on the bars'
 //     own dimensions and their relative offsets),
-// and the Bar-level entry points the rest of the library uses.
+//   * the geometry guards every kernel evaluation passes.
+// The scalar libm kernels that serve as the engine's accuracy oracle live
+// with the tests (tests/support/partial_reference.h).
 #pragma once
 
 #include <cstdint>
@@ -39,46 +43,24 @@ struct PartialOptions {
   double memo_rel_tol = 1e-12;
 };
 
-/// Exact Hoer-Love mutual partial inductance [H] between two parallel
-/// rectangular bars in canonical coordinates: bar 1 spans x:[0,a], y:[0,b],
-/// z:[0,l1]; bar 2 spans x:[E,E+c], y:[P,P+d], z:[l3,l3+l2]; current along z.
-/// Valid for any overlap, including coincident bars (self inductance).
-double hoer_love_mutual(double a, double b, double l1, double c, double d,
-                        double l2, double E, double P, double l3);
-
-/// Exact mutual partial inductance [H] of two parallel thin filaments of
-/// lengths l1 and l2, axial start offset s, radial distance r (r may be 0
-/// for collinear non-overlapping filaments).
-double filament_mutual(double l1, double l2, double s, double r);
-
-/// Ruehli's approximation for the self partial inductance of a bar,
-/// (mu0 l / 2pi) (ln(2l/(w+t)) + 0.5 + 0.2235 (w+t)/l).  Good to ~1 % for
-/// l >> w+t; used only as an independent sanity check in tests.
-double ruehli_self(double length, double width, double thickness);
-
-/// Self partial inductance [H] of a bar (exact kernel, summed over every
-/// chunk pair of chunk_lengthwise) — the libm oracle of the batch engine.
-double self_partial(const Bar& bar, const PartialOptions& opt = {});
-
-/// Mutual partial inductance [H] between two bars.  Returns 0 for
-/// orthogonal bars (the paper's layer-N±1 argument).  The sign is geometric
-/// (positive for parallel co-directed currents); callers flip it when their
-/// branch orientations oppose.  Sums every chunk pair of pair_chunking's
-/// decomposition with the libm kernels — the batch engine's oracle.
-double mutual_partial(const Bar& b1, const Bar& b2,
-                      const PartialOptions& opt = {});
-
 // ---------------------------------------------------------------------------
 // Lengthwise chunking.  One rule decides how every bar and bar pair is cut
 // into chunks; the batch engine (kernel_batch.h) and the scalar oracles
-// above both follow it, so they sum the same chunk decomposition.
+// (tests/support/partial_reference.h) both follow it, so they sum the same
+// chunk decomposition.
 
 /// Number of equal lengthwise chunks that keeps a bar's chunk
 /// length / max(width, thickness) within max_aspect (at least 1).
 int chunk_count(const Bar& b, double max_aspect);
 
 /// Chunk k of a bar cut lengthwise into n equal chunks.
-Bar chunk_at(const Bar& b, int n, int k);
+inline Bar chunk_at(const Bar& b, int n, int k) {
+  const double step = b.length / n;
+  Bar c = b;
+  c.a_min = b.a_min + k * step;
+  c.length = step;
+  return c;
+}
 
 /// The chunk_count(b, max_aspect) chunks of a bar, in axial order.
 std::vector<Bar> chunk_lengthwise(const Bar& b, double max_aspect);
@@ -86,10 +68,11 @@ std::vector<Bar> chunk_lengthwise(const Bar& b, double max_aspect);
 /// How a same-axis pair is chunked.  Aligned bars (equal a_min and equal
 /// length, as every pair of one conductor block is) are both cut into
 /// n = max(n1, n2) chunks, so chunk pair (k, k + d) depends on the offset
-/// d alone — the engine sums one term per offset (partial inductance is
-/// translation-invariant along the axis).  Other pairs keep their own
-/// per-bar counts and are summed over all n1 x n2 chunk pairs.  Every
-/// chunk respects max_aspect either way.
+/// d alone — the engine sums the pair by offset, its filament-routed
+/// offsets in one whole-bar closed form (partial inductance is
+/// translation-invariant along the axis and additive over chunks).  Other
+/// pairs keep their own per-bar counts and are summed over all n1 x n2
+/// chunk pairs.  Every chunk respects max_aspect either way.
 struct PairChunking {
   int n1 = 1;
   int n2 = 1;
@@ -133,9 +116,9 @@ PairKey make_pair_key(const Bar& b1, const Bar& b2, double quantum);
 PairKey make_self_key(const Bar& bar, double quantum);
 
 // ---------------------------------------------------------------------------
-// Guards shared between the scalar kernels above and the batch engine
-// (kernel_batch.h): both paths must reject the same degenerate geometry
-// with the same diagnostics, so the checks live in one place.
+// Guards shared between the batch engine (kernel_batch.h) and the scalar
+// oracles: both must reject the same degenerate geometry with the same
+// diagnostics, so the checks live in one place.
 
 namespace detail {
 

@@ -101,9 +101,9 @@ TEST(TableCache, MissOnChangedFrequency) {
 }
 
 TEST(TableCache, EntryKeyedUnderOlderVersionIsAMiss) {
-  // Table values moved (the engine's chunk-offset collapse) while no keyed
-  // input changed, so the key version was bumped: an entry stored under
-  // the version-1 key text must never be served for today's inputs.
+  // Table values moved (the engine's whole-bar filament term) while no
+  // keyed input changed, so the key version was bumped: an entry stored
+  // under the version-2 key text must never be served for today's inputs.
   const ScratchDir dir("rlcx_cache_version");
   const geom::Technology tech = geom::Technology::generic_025um();
   const TableGrid grid = tiny_grid();
@@ -111,15 +111,15 @@ TEST(TableCache, EntryKeyedUnderOlderVersionIsAMiss) {
 
   const std::string key =
       TableCache::key_text(tech, 6, geom::PlaneConfig::kNone, grid, opt);
-  const std::string current = "rlcx-cache-key 2\n";
+  const std::string current = "rlcx-cache-key 3\n";
   ASSERT_EQ(key.compare(0, current.size(), current), 0);
-  const std::string v1_key =
-      "rlcx-cache-key 1\n" + key.substr(current.size());
+  const std::string old_key =
+      "rlcx-cache-key 2\n" + key.substr(current.size());
 
   TableCache cache(dir.path);
   ASSERT_TRUE(cache.store(
-      v1_key, build_tables(tech, 6, geom::PlaneConfig::kNone, grid, opt)));
-  EXPECT_NE(TableCache::key_id(v1_key), TableCache::key_id(key));
+      old_key, build_tables(tech, 6, geom::PlaneConfig::kNone, grid, opt)));
+  EXPECT_NE(TableCache::key_id(old_key), TableCache::key_id(key));
   EXPECT_FALSE(cache.load(key).has_value());
 
   reset_table_build_solve_count();

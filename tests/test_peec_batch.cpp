@@ -2,8 +2,8 @@
 //
 // Three layers of checks, mirroring the engine's contracts:
 //   * accuracy — engine values vs the scalar libm kernels
-//     (hoer_love_mutual / filament_mutual / self_partial / mutual_partial),
-//     which stay in the tree precisely to serve as the independent oracle;
+//     (hoer_love_mutual / filament_mutual / self_partial / mutual_partial,
+//     tests/support/partial_reference.h), the independent oracle;
 //     agreement is to the Hoer-Love cancellation-noise floor (~1e-8
 //     relative), including the v -> 0 and rho -> |v| boundary geometries
 //     where the branch-free rewrite's guarded selects take over;
@@ -14,8 +14,10 @@
 //     same diagnostics as the scalar kernels, at append time.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <iterator>
 #include <vector>
 
 #include "diag/error.h"
@@ -26,6 +28,7 @@
 #include "peec/kernel_batch.h"
 #include "peec/partial_inductance.h"
 #include "rt/pool.h"
+#include "support/partial_reference.h"
 
 namespace rlcx::peec {
 namespace {
@@ -203,7 +206,10 @@ TEST(ChunkOffsetCollapse, AlignedPairWithUnequalChunkCountsMatchesOracle) {
     EXPECT_TRUE(pc.aligned);
     EXPECT_EQ(pc.n1, 47);
     EXPECT_EQ(pc.n2, 47);
-    EXPECT_EQ(batch_terms(thin, wide, opt), 2u * 47u - 1u);
+    // Near: offsets -1, 0, 1 take the volume kernel (3 volume terms, their
+    // 3 filament terms subtracted, 1 whole-bar term); far: the whole-bar
+    // term alone.
+    EXPECT_EQ(batch_terms(thin, wide, opt), spacing < 1.0 ? 7u : 1u);
     const double oracle = mutual_partial(thin, wide, opt);
     EXPECT_NEAR(batch_pair(thin, wide, opt), oracle,
                 kOracleRelTol * std::abs(oracle))
@@ -246,6 +252,127 @@ TEST(ChunkOffsetCollapse, NonAlignedPairsTakeTheFullSweep) {
     const double oracle = mutual_partial(b1, b2, opt);
     EXPECT_NEAR(batch_pair(b1, b2, opt), oracle,
                 kOracleRelTol * std::abs(oracle));
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Filament offsets in closed form: the Neumann integral is additive, so an
+// aligned pair's filament terms over all offsets sum to one whole-bar term,
+//   sum_{|d| < n} (n - |d|) M_f(c, c, d c, r) = M_f(L, L, 0, r),
+// and the engine appends that term in place of the filament-routed offsets.
+// The reference is the same engine summing the pair offset by offset: one
+// single-chunk pair per offset, weighted n - |d|, in offset order — the
+// per-offset decomposition the closed form replaces.
+
+struct OffsetSum {
+  double value = 0.0;
+  std::size_t volume_offsets = 0;  ///< |V|: offsets the volume kernel takes
+  int n = 0;
+};
+
+OffsetSum per_offset_sum(const Bar& b1, const Bar& b2,
+                         const PartialOptions& opt) {
+  const PairChunking pc = pair_chunking(b1, b2, opt.max_aspect);
+  EXPECT_TRUE(pc.aligned);
+  const int n = pc.n1;
+  BatchEvaluator ev;
+  for (int d = 1 - n; d < n; ++d) {
+    const Bar p = chunk_at(b1, n, std::max(0, -d));
+    const Bar q = chunk_at(b2, n, std::max(0, d));
+    EXPECT_EQ(chunk_count(p, opt.max_aspect), 1);
+    EXPECT_EQ(chunk_count(q, opt.max_aspect), 1);
+    ev.add_pair(p, q, opt);
+  }
+  EXPECT_EQ(ev.volume_entries() + ev.filament_entries(),
+            static_cast<std::size_t>(2 * n - 1));
+  std::vector<double> vals(ev.slots());
+  ev.run(vals.data());
+  OffsetSum sum;
+  sum.volume_offsets = ev.volume_entries();
+  sum.n = n;
+  for (int d = 1 - n; d < n; ++d)
+    sum.value += (n - std::abs(d)) * vals[static_cast<std::size_t>(d + n - 1)];
+  return sum;
+}
+
+TEST(FilamentOffsetsClosedForm, TermCountsAndValueMatchPerOffsetSum) {
+  // A transversely far pair (V empty) appends the whole-bar filament term
+  // alone; a near one |V| volume terms and 1 + |V| filament terms, where V
+  // is the set of volume-routed offsets.
+  PartialOptions opt;
+  // Trace filaments of the clock metal (2 um thick) and strips of a plane
+  // 3 um below it; near and far spacings, equal and unequal widths.
+  struct Shape {
+    double w, t, z;
+  };
+  const Shape trace{2.0, 2.0, 10.0}, wide{10.0, 2.0, 10.0},
+      thin{0.5, 0.25, 10.5}, strip{8.0, 1.0, 6.0};
+  struct Case {
+    Shape a, b;
+    double dx;  ///< lateral offset of b's left edge from a's [um]
+  };
+  const Case cases[] = {
+      {trace, trace, 3.0},    {trace, trace, 60.0},  {trace, wide, 2.5},
+      {trace, wide, 200.0},   {thin, trace, 1.0},    {thin, thin, 0.75},
+      {thin, wide, 30.0},     {trace, strip, -3.0},  {trace, strip, 40.0},
+      {strip, strip, 8.0},    {strip, strip, 400.0}, {thin, strip, 2.0},
+  };
+  std::size_t far_collapsed = 0, near_collapsed = 0;
+  for (const double l_um : {100.0, 700.0, 2000.0, 6000.0}) {
+    for (const Case& c : cases) {
+      const Bar b1 = make_bar(um(c.a.w), um(c.a.t), um(l_um), 0.0, um(c.a.z));
+      const Bar b2 =
+          make_bar(um(c.b.w), um(c.b.t), um(l_um), um(c.dx), um(c.b.z));
+      BatchEvaluator ev;
+      ev.add_pair(b1, b2, opt);
+      const OffsetSum ref = per_offset_sum(b1, b2, opt);
+      const std::size_t nv = ref.volume_offsets;
+      const std::size_t offsets = static_cast<std::size_t>(2 * ref.n - 1);
+      // The closed form is taken exactly when it lowers the term count.
+      const bool collapse = 2 * nv + 1 < offsets;
+      (nv == 0 ? far_collapsed : near_collapsed) += collapse;
+      EXPECT_EQ(ev.volume_entries(), nv);
+      EXPECT_EQ(ev.filament_entries(), collapse ? 1 + nv : offsets - nv);
+      double got = 0.0;
+      ev.run(&got);
+      EXPECT_NEAR(got, ref.value, 1e-12 * std::abs(ref.value))
+          << "l=" << l_um << " um, widths " << c.a.w << "/" << c.b.w
+          << ", dx=" << c.dx << " um, n=" << ref.n;
+    }
+  }
+  // Most cases take the closed form, near and far; some short near ones
+  // do not.
+  EXPECT_GT(far_collapsed, std::size(cases) / 2);
+  EXPECT_GT(near_collapsed, std::size(cases) / 2);
+}
+
+TEST(FilamentOffsetsClosedForm, PairWithoutSavingIsUnchangedBitForBit) {
+  // When the closed form would not lower the term count — every offset
+  // volume-routed, or |V| = n - 1 — the pair appends its per-offset terms
+  // exactly as before, so its value is bit-identical to the per-offset sum.
+  PartialOptions opt;
+  PartialOptions fine = opt;
+  fine.max_aspect = 8.0;    // 2 x 1 um bars of 100 um cut into 7 chunks,
+  fine.far_factor = 100.0;  // all 13 offsets within the volume threshold
+  struct Case {
+    double l_um;
+    const PartialOptions* opt;
+    std::size_t volume_offsets;
+  };
+  for (const Case& c : {Case{400.0, &opt, 3},     // n = 2: all volume
+                        Case{1000.0, &opt, 3},    // n = 4: |V| = n - 1
+                        Case{100.0, &fine, 13}}) {  // n = 7: all volume
+    const Bar b1 = make_bar(um(2), um(1), um(c.l_um));
+    const Bar b2 = make_bar(um(2), um(1), um(c.l_um), um(3));
+    const OffsetSum ref = per_offset_sum(b1, b2, *c.opt);
+    ASSERT_EQ(ref.volume_offsets, c.volume_offsets) << "l=" << c.l_um;
+    BatchEvaluator ev;
+    ev.add_pair(b1, b2, *c.opt);
+    EXPECT_EQ(ev.volume_entries() + ev.filament_entries(),
+              static_cast<std::size_t>(2 * ref.n - 1));
+    double got = 0.0;
+    ev.run(&got);
+    EXPECT_EQ(got, ref.value) << "l=" << c.l_um << " um, n=" << ref.n;
   }
 }
 

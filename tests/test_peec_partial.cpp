@@ -12,6 +12,7 @@
 #include "numeric/units.h"
 #include "peec/assembly.h"
 #include "peec/partial_inductance.h"
+#include "support/partial_reference.h"
 
 namespace rlcx::peec {
 namespace {

@@ -11,6 +11,7 @@
 #include "numeric/units.h"
 #include "peec/partial_inductance.h"
 #include "solver/block_solver.h"
+#include "support/partial_reference.h"
 
 namespace rlcx {
 namespace {

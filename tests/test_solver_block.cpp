@@ -16,6 +16,7 @@
 #include "run/fault_injection.h"
 #include "solver/block_solver.h"
 #include "solver/frequency.h"
+#include "support/partial_reference.h"
 
 namespace rlcx::solver {
 namespace {

@@ -8,6 +8,7 @@
 #include "peec/partial_inductance.h"
 #include "solver/block_solver.h"
 #include "solver/network.h"
+#include "support/partial_reference.h"
 
 namespace rlcx::solver {
 namespace {
