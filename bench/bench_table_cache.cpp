@@ -44,12 +44,12 @@ int main() {
   core::TableCache cache(dir);
   cache.purge();  // a true cold start even across bench re-runs
 
-  core::reset_table_build_solve_count();
+  core::BuildStats stats;
   auto t0 = std::chrono::steady_clock::now();
   const core::InductanceTables cold = core::build_tables_cached(
-      tech, 6, geom::PlaneConfig::kNone, grid, opt, cache, /*threads=*/0);
+      tech, 6, geom::PlaneConfig::kNone, grid, opt, cache, &stats);
   const double cold_ms = ms_since(t0);
-  const std::size_t cold_solves = core::table_build_solve_count();
+  const std::size_t cold_solves = stats.solves;
 
   // Warm: a fresh cache instance on the same directory, as a new process
   // would see it.  Best of five to report steady-state lookup cost.
@@ -57,12 +57,11 @@ int main() {
   std::size_t warm_solves = 0;
   for (int rep = 0; rep < 5; ++rep) {
     core::TableCache warm_cache(dir);
-    core::reset_table_build_solve_count();
     t0 = std::chrono::steady_clock::now();
     const core::InductanceTables warm = core::build_tables_cached(
-        tech, 6, geom::PlaneConfig::kNone, grid, opt, warm_cache);
+        tech, 6, geom::PlaneConfig::kNone, grid, opt, warm_cache, &stats);
     warm_ms = std::min(warm_ms, ms_since(t0));
-    warm_solves = core::table_build_solve_count();
+    warm_solves = stats.solves;
     if (warm.mutual.values() != cold.mutual.values()) {
       std::printf("ERROR: warm tables differ from cold build\n");
       return 1;

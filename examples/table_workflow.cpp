@@ -82,12 +82,12 @@ int main() {
   cache.purge();
   core::build_tables_cached(tech, 6, geom::PlaneConfig::kNone, grid, sopt,
                             cache);
-  core::reset_table_build_solve_count();
+  core::BuildStats warm;
   core::build_tables_cached(tech, 6, geom::PlaneConfig::kNone, grid, sopt,
-                            cache);
+                            cache, &warm);
   std::printf("\ntable cache %s: %zu hit(s), %zu miss(es), warm rebuild "
               "ran %zu solves\n",
               cache_dir.c_str(), cache.stats().hits, cache.stats().misses,
-              core::table_build_solve_count());
+              warm.solves);
   return 0;
 }

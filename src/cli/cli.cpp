@@ -19,7 +19,6 @@
 #include "core/table_cache.h"
 #include "geom/builders.h"
 #include "numeric/units.h"
-#include "peec/assembly.h"
 #include "peec/kernel_batch.h"
 #include "res/budget.h"
 #include "rt/pool.h"
@@ -166,18 +165,9 @@ core::TableGrid grid_from_args(const Args& args) {
   return grid;
 }
 
-/// The shared cache-stats report of every cache-backed command (extract /
-/// tables / batch): one line of hit/miss + traffic counters — including
-/// the store-retry counters PRs 4-5 added — and, when the build ran any
-/// matrix fills, the kernel-memo hit rate.  The `rlcx serve` stats
-/// request reports the same shape, so one runbook covers both paths.
-void print_cache_stats(const core::TableCache& cache, std::size_t solves,
-                       const core::BuildStats* build, std::ostream& out) {
-  const core::CacheStats cs = cache.stats();
-  out << "table cache " << cache.directory() << ": "
-      << (cs.hits > 0 ? "cache hit" : "cache miss") << ", " << solves
-      << " field solves, " << cs.bytes_read << " bytes read, "
-      << cs.bytes_written << " bytes written";
+/// Ends a command's cache line with the store-retry and crash-recovery
+/// counters that are non-zero.
+void end_cache_line(const core::CacheStats& cs, std::ostream& out) {
   if (cs.write_retries > 0) out << ", " << cs.write_retries
                                 << " write retries";
   if (cs.stores_dropped > 0) out << ", " << cs.stores_dropped
@@ -188,28 +178,20 @@ void print_cache_stats(const core::TableCache& cache, std::size_t solves,
     out << ", " << cs.tmp_swept << " staging files swept";
   if (cs.fsyncs > 0) out << ", " << cs.fsyncs << " fsyncs";
   out << "\n";
-  if (build != nullptr && build->pair_lookups > 0)
-    out << "kernel memo: " << build->memo_hits << "/"
-        << build->pair_lookups << " pair lookups served ("
-        << static_cast<int>(100.0 * build->memo_hit_rate() + 0.5)
-        << "% hit rate, " << build->kernel_evals << " evaluations)\n";
-  if (build != nullptr && build->batch_runs > 0)
-    out << "batch engine: "
-        << build->batch_volume_terms + build->batch_filament_terms
-        << " kernel terms (" << build->batch_volume_terms << " volume, "
-        << build->batch_filament_terms << " filament) in "
-        << build->batch_runs << " batches, "
-        << static_cast<std::uint64_t>(build->batch_terms_per_second() + 0.5)
-        << " terms/s, simd " << peec::batch_simd_name() << "\n";
-  if (build != nullptr && build->dense_solves > 0)
-    out << "impedance solver: " << build->dense_solves
-        << " dense solves, largest " << build->max_filaments
-        << " filaments\n";
-  if (build != nullptr && build->mem_refusals > 0)
-    out << "memory budget: " << build->mem_refusals << " refusal"
-        << (build->mem_refusals == 1 ? "" : "s") << " (budget "
-        << build->mem_limit_bytes << " bytes, peak " << build->mem_peak_bytes
-        << ")\n";
+}
+
+/// The cache-stats report of extract/delay/tables with --table-cache: one
+/// line of hit/miss + traffic counters — including the store-retry
+/// counters — then the build's engine report.
+void print_cache_stats(const core::TableCache& cache,
+                       const core::BuildStats& build, std::ostream& out) {
+  const core::CacheStats cs = cache.stats();
+  out << "table cache " << cache.directory() << ": "
+      << (cs.hits > 0 ? "cache hit" : "cache miss") << ", " << build.solves
+      << " field solves, " << cs.bytes_read << " bytes read, "
+      << cs.bytes_written << " bytes written";
+  end_cache_line(cs, out);
+  print_engine_report(build, out);
   if (cs.quarantined > 0)
     out << "table cache: " << cs.quarantined << " corrupt entr"
         << (cs.quarantined == 1 ? "y" : "ies")
@@ -243,13 +225,11 @@ std::shared_ptr<const core::InductanceProvider> make_inductance_model(
     return std::make_shared<core::DirectInductanceModel>(
         &tech, blk.layer_index(), blk.planes(), sopt);
   core::TableCache cache(args.get("table-cache", ""), cache_policy(args));
-  const std::size_t solves_before = core::table_build_solve_count();
   core::BuildStats bstats;
   core::InductanceTables tables = core::build_tables_cached(
       blk.tech(), blk.layer_index(), blk.planes(), grid_from_args(args),
-      sopt, cache, static_cast<int>(args.get_num("threads", 0)), &bstats);
-  print_cache_stats(cache, core::table_build_solve_count() - solves_before,
-                    &bstats, out);
+      sopt, cache, &bstats);
+  print_cache_stats(cache, bstats, out);
   auto model =
       std::make_shared<core::TableInductanceModel>(std::move(tables));
   model->set_extrapolation_policy(extrapolation);
@@ -402,21 +382,19 @@ int cmd_tables(const Args& args, std::ostream& out) {
       parse_planes(args.get("planes", "none"));
   const int layer = static_cast<int>(args.get_num("layer", 6));
   const core::TableGrid grid = grid_from_args(args);
-  const int threads = static_cast<int>(args.get_num("threads", 0));
   const solver::SolveOptions sopt = solve_options(args);
 
+  // The global pool, already sized by --threads, runs the build.
   core::InductanceTables tables;
   if (args.has("table-cache")) {
     core::TableCache cache(args.get("table-cache", ""), cache_policy(args));
-    const std::size_t solves_before = core::table_build_solve_count();
     core::BuildStats bstats;
     tables = core::build_tables_cached(tech, layer, planes, grid, sopt,
-                                       cache, threads, &bstats);
-    print_cache_stats(cache,
-                      core::table_build_solve_count() - solves_before,
-                      &bstats, out);
+                                       cache, &bstats);
+    print_cache_stats(cache, bstats, out);
   } else {
-    tables = core::build_tables(tech, layer, planes, grid, sopt, threads);
+    tables = core::build_tables(tech, layer, planes, grid, sopt,
+                                /*threads=*/0);
   }
   if (args.has("binary"))
     tables.save_file_binary(args.get("out", ""));
@@ -526,62 +504,19 @@ int cmd_batch(const Args& args, const run::RunControl& rc,
   // job already stored and journaled (exit code 5, resumable).
   run::ScopedSigintCancel sigint(rc.token);
 
-  const std::size_t solves_before = core::table_build_solve_count();
-  const peec::FillStats fills_before = peec::fill_stats_total();
-  const peec::BatchStats batches_before = peec::batch_stats_total();
-  const solver::SolveStats impedance_before = solver::solve_stats_total();
   const core::BatchResult res = core::characterize_batch(tech, jobs, sopt,
                                                          bopt);
-  const std::size_t solves = core::table_build_solve_count() - solves_before;
 
   out << "batch: " << jobs.size() << " jobs (" << layers.size()
       << (layers.size() == 1 ? " layer x " : " layers x ")
       << plane_list.size() << " plane config"
       << (plane_list.size() == 1 ? "" : "s") << "), " << res.jobs_resumed
-      << " resumed from journal, " << solves << " field solves\n";
+      << " resumed from journal, " << res.totals.solves << " field solves\n";
   const core::CacheStats cs = cache.stats();
   out << "cache " << cache.directory() << ": " << cs.hits << " hits, "
       << cs.misses << " misses, " << cs.bytes_written << " bytes written";
-  if (cs.write_retries > 0) out << ", " << cs.write_retries
-                                << " write retries";
-  if (cs.stores_dropped > 0) out << ", " << cs.stores_dropped
-                                 << " stores dropped";
-  if (cs.quarantined_at_startup > 0)
-    out << ", " << cs.quarantined_at_startup << " quarantined at startup";
-  if (cs.tmp_swept > 0)
-    out << ", " << cs.tmp_swept << " staging files swept";
-  if (cs.fsyncs > 0) out << ", " << cs.fsyncs << " fsyncs";
-  out << "\n";
-  // The fan-out phase is shared across jobs, so report the campaign-wide
-  // memo rate from the process aggregate delta.
-  const peec::FillStats fills_delta{
-      peec::fill_stats_total().pair_lookups - fills_before.pair_lookups,
-      peec::fill_stats_total().kernel_evals - fills_before.kernel_evals,
-      peec::fill_stats_total().memo_hits - fills_before.memo_hits};
-  if (fills_delta.pair_lookups > 0)
-    out << "kernel memo: " << fills_delta.memo_hits << "/"
-        << fills_delta.pair_lookups << " pair lookups served ("
-        << static_cast<int>(100.0 * fills_delta.hit_rate() + 0.5)
-        << "% hit rate, " << fills_delta.kernel_evals << " evaluations)\n";
-  const peec::BatchStats bnow = peec::batch_stats_total();
-  const std::size_t bterms =
-      (bnow.volume_terms - batches_before.volume_terms) +
-      (bnow.filament_terms - batches_before.filament_terms);
-  const std::uint64_t bnanos = bnow.eval_nanos - batches_before.eval_nanos;
-  if (bnow.batch_runs > batches_before.batch_runs)
-    out << "batch engine: " << bterms << " kernel terms in "
-        << bnow.batch_runs - batches_before.batch_runs << " batches, "
-        << static_cast<std::uint64_t>(
-               bnanos == 0 ? 0.0
-                           : static_cast<double>(bterms) * 1e9 /
-                                     static_cast<double>(bnanos) +
-                                 0.5)
-        << " terms/s, simd " << peec::batch_simd_name() << "\n";
-  const solver::SolveStats ss = solver::solve_stats_total();
-  if (ss.dense_solves > impedance_before.dense_solves)
-    out << "impedance solver: "
-        << ss.dense_solves - impedance_before.dense_solves
-        << " dense solves, largest " << ss.max_filaments << " filaments\n";
+  end_cache_line(cs, out);
+  print_engine_report(res.totals, out);
   out << "journal " << journal.path() << ": " << journal.size()
       << " completed ids (" << journal.size() - journaled_before
       << " new";
@@ -641,6 +576,27 @@ int cmd_delay(const Args& args, std::ostream& out, ProviderSource* warm) {
 }
 
 }  // namespace
+
+void print_engine_report(const core::BuildStats& s, std::ostream& out) {
+  if (s.pair_lookups > 0)
+    out << "kernel memo: " << s.memo_hits << "/" << s.pair_lookups
+        << " pair lookups served ("
+        << static_cast<int>(100.0 * s.memo_hit_rate() + 0.5)
+        << "% hit rate, " << s.kernel_evals << " evaluations)\n";
+  if (s.batch_runs > 0)
+    out << "batch engine: " << s.batch_volume_terms + s.batch_filament_terms
+        << " kernel terms (" << s.batch_volume_terms << " volume, "
+        << s.batch_filament_terms << " filament) in " << s.batch_runs
+        << " batches, simd " << peec::batch_simd_name() << "\n";
+  if (s.dense_solves > 0)
+    out << "impedance solver: " << s.dense_solves
+        << " dense solves, largest " << s.max_filaments << " filaments\n";
+  if (s.mem_refusals > 0)
+    out << "memory budget: " << s.mem_refusals << " refusal"
+        << (s.mem_refusals == 1 ? "" : "s") << " (budget "
+        << s.mem_limit_bytes << " bytes, peak " << s.mem_peak_bytes
+        << ")\n";
+}
 
 std::string Args::get(const std::string& key,
                       const std::string& fallback) const {

@@ -1,14 +1,17 @@
 // Batched characterisation and extraction (the "pre-computation campaign"
 // view of paper Section III).
 //
-// A real flow characterises many structure classes — several routing
-// layers, with and without plane shielding — before extracting a tree.
-// Running those builds one after another leaves the pool idle at every
-// build's tail; characterize_batch() instead concatenates the grid points
-// of every outstanding build into ONE flat work-stealing range, so the
-// pool drains a single bag of 2-trace solves.  The cache is consulted
-// first (warm classes cost zero solves) and duplicate jobs are folded by
-// cache key before any work is scheduled.
+// characterize_batch() is the one code path that turns grid points into
+// solve tasks: a single build_tables()/build_tables_cached() is a one-job
+// call of it.  A real flow characterises many structure classes — several
+// routing layers, with and without plane shielding — before extracting a
+// tree.  Running those builds one after another leaves the pool idle at
+// every build's tail; characterize_batch() instead concatenates the grid
+// points of every outstanding build into ONE flat work-stealing range, so
+// the pool drains a single bag of 2-trace solves.  The cache is consulted
+// first (warm classes cost zero solves), duplicate jobs are folded by cache
+// key before any work is scheduled, and the process engine counters are
+// snapshotted once around the fan-out (BatchResult::totals).
 //
 // Interruptibility (docs/robustness.md): each job finalises — tables
 // assembled, cache entry stored, journal record appended — the moment its
@@ -59,10 +62,16 @@ struct BatchOptions {
 struct BatchResult {
   /// tables[i] answers jobs[i]; duplicates and cache hits are copies.
   std::vector<InductanceTables> tables;
-  /// stats[i] for jobs[i]: zero solves for a cache hit or a job folded
-  /// into an earlier identical one; built jobs share the fan-out phase's
-  /// wall_seconds (the phase is common, per-job attribution would lie).
+  /// stats[i] for jobs[i] (solves, grid_points, threads, wall_seconds
+  /// only): zero solves for a cache hit or a job folded into an earlier
+  /// identical one; built jobs share the fan-out phase's wall_seconds (the
+  /// phase is common, per-job attribution would lie).
   std::vector<BuildStats> stats;
+  /// The whole batch: summed solves and grid points, the width and wall
+  /// time of the fan-out, and the engine counters delta'd once around it
+  /// (engine_counters(); a shared aggregate when other extraction work
+  /// runs concurrently).
+  BuildStats totals;
   /// All result tables registered under their (layer, plane-config).
   InductanceLibrary library;
   /// Canonical jobs skipped because the journal recorded them complete
@@ -72,8 +81,9 @@ struct BatchResult {
 };
 
 /// Characterises every job, deduplicated by cache key and fanned out as
-/// one flat range of grid-point solves.  Bit-identical to building each
-/// job serially with build_tables(), for any pool size.
+/// one flat range of grid-point solves on options.pool (inline when the
+/// caller is in a parallel region or an rt::SerialRegion).  Bit-identical
+/// for any pool size.
 BatchResult characterize_batch(const geom::Technology& tech,
                                const std::vector<BatchJob>& jobs,
                                const solver::SolveOptions& opt,

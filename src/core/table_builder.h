@@ -7,23 +7,24 @@
 // parts of results to 2-trace subproblems."  Our RI3 stand-in is the
 // rlcx_solver loop/partial extractor.
 //
-// Every grid point is an independent 2-trace solve, so a build is a flat
-// bag of work-stealing tasks on the rlcx::rt pool; GridSolvePlan exposes
-// that decomposition so the batch extractor can fan the points of *many*
-// builds across the same pool.
+// Every grid point is an independent 2-trace solve.  core::characterize_batch
+// (batch_extractor.h) is the one code path that turns grid points into
+// tasks; build_tables() and build_tables_cached() below are one-job calls of
+// it, so a single build and a many-layer campaign share the fan-out, the
+// cache probe and store, and the counter snapshot.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
 #include "core/inductance_model.h"
 #include "geom/technology.h"
-#include "res/budget.h"
 #include "solver/options.h"
 
 namespace rlcx::core {
+
+class TableCache;
 
 struct TableGrid {
   std::vector<double> widths;    ///< trace widths [m]
@@ -37,42 +38,39 @@ struct TableGrid {
 TableGrid default_clock_grid();
 
 /// Resident bytes of one characterisation over `grid`: the three value
-/// arrays the plan accumulates, doubled for the transient copies finish()
-/// makes while assembling the NdTables.  Feeds the memory budget's cost
-/// model (docs/robustness.md "Resource governance"); the per-point solve
-/// cost is priced separately by solver::estimate_*_solve_bytes.
+/// arrays a build accumulates, doubled for the transient copies made while
+/// assembling the NdTables.  Feeds the memory budget's cost model
+/// (docs/robustness.md "Resource governance"); the per-point solve cost is
+/// priced separately by solver::estimate_*_solve_bytes.
 std::size_t estimate_grid_bytes(const TableGrid& grid);
 
-/// What one build actually did — the per-build counters that stay
-/// meaningful when several characterisations run concurrently (the
-/// process-global table_build_solve_count() only aggregates).
+/// What one build (or one batch fan-out) did.  solves/grid_points/threads/
+/// wall_seconds are exact per build; the engine counters below are deltas
+/// of process-global totals taken once around the fan-out, so builds that
+/// overlap other extraction work see a shared aggregate.
 struct BuildStats {
   std::size_t solves = 0;       ///< 2-trace PEEC solves this build performed
-  std::size_t grid_points = 0;  ///< points in the grid (== solves unless
-                                ///< the result came from a cache)
-  int threads = 1;              ///< parallel width the build ran with
-  double wall_seconds = 0.0;    ///< wall-clock time of the solve phase (in a
-                                ///< batch: the shared fan-out phase)
-  // Kernel-memo counters of the matrix fills this build ran (deltas of
-  // peec::fill_stats_total() around the solve phase, so builds running
-  // concurrently with other extraction work see a shared aggregate).
+  std::size_t grid_points = 0;  ///< points in the grids built (== solves;
+                                ///< 0 for a cache hit or a folded job)
+  int threads = 1;              ///< pool width the fan-out ran with (1 when
+                                ///< it ran inline or nothing ran)
+  double wall_seconds = 0.0;    ///< wall-clock time of the fan-out phase
+  // Kernel-memo counters of the matrix fills (peec::fill_stats_total()).
   std::size_t pair_lookups = 0;  ///< filament pairs the fills needed
   std::size_t kernel_evals = 0;  ///< Hoer-Love pair evaluations performed
   std::size_t memo_hits = 0;     ///< pairs served from the geometry memo
-  // Impedance-solver counters (solver::solve_stats_total(): the solve
-  // count delta'd around the solve phase, same sharing caveat as the memo
-  // counters; the filament high-water sampled after it, like
-  // mem_peak_bytes).
+  // Impedance-solver counters (solver::solve_stats_total(); the filament
+  // high-water is sampled, not delta'd).
   std::size_t dense_solves = 0;   ///< impedance solves (blocked dense LU)
   std::size_t max_filaments = 0;  ///< largest solve seen, in filaments
-  // Batch kernel-engine counters (deltas of peec::batch_stats_total()
-  // around the solve phase, same sharing caveat as the memo counters).
+  // Batch kernel-engine counters (peec::batch_stats_total()).
   std::size_t batch_runs = 0;            ///< BatchEvaluator::run() calls
   std::size_t batch_volume_terms = 0;    ///< Hoer-Love SoA entries evaluated
   std::size_t batch_filament_terms = 0;  ///< filament fast-path SoA entries
   std::uint64_t batch_eval_nanos = 0;    ///< wall time inside the SoA kernels
-  // Resource-governance counters (res::Budget::global(), sampled/delta'd
-  // around the solve phase; docs/robustness.md "Resource governance").
+  // Resource-governance counters (res::Budget::global(); limit and peak
+  // are sampled, refusals delta'd; docs/robustness.md "Resource
+  // governance").
   std::uint64_t mem_limit_bytes = 0;   ///< budget in force (0 = unlimited)
   std::uint64_t mem_peak_bytes = 0;    ///< tracked+reserved high-water seen
   std::uint64_t mem_refusals = 0;      ///< reservations refused outright
@@ -83,73 +81,37 @@ struct BuildStats {
                : static_cast<double>(memo_hits) /
                      static_cast<double>(pair_lookups);
   }
-  /// Kernel-evaluation throughput of the batch engine over this build
-  /// (SoA entries per second of in-kernel wall time; 0 when no batch ran).
-  double batch_terms_per_second() const {
-    return batch_eval_nanos == 0
-               ? 0.0
-               : static_cast<double>(batch_volume_terms +
-                                     batch_filament_terms) *
-                     1e9 / static_cast<double>(batch_eval_nanos);
-  }
 };
 
-/// One table characterisation decomposed into independent grid-point
-/// solves.  solve_point() is thread-safe for distinct indices and writes
-/// disjoint slots, so any schedule yields bit-identical tables; every
-/// index in [0, points()) must be solved exactly once before finish().
-/// build_tables() runs a plan on its own; the batch extractor concatenates
-/// the points of many plans into one work-stealing range.
-class GridSolvePlan {
- public:
-  GridSolvePlan(const geom::Technology& tech, int layer,
-                geom::PlaneConfig planes, TableGrid grid,
-                solver::SolveOptions opt);
-
-  std::size_t points() const { return n_points_; }
-  void solve_point(std::size_t index);
-  /// Points solved so far (the per-build solve counter).
-  std::size_t solves() const {
-    return solved_.load(std::memory_order_relaxed);
-  }
-  /// Assembles the tables; call once, after every point is solved.
-  InductanceTables finish();
-
- private:
-  const geom::Technology* tech_;
-  int layer_;
-  geom::PlaneConfig planes_;
-  TableGrid grid_;
-  solver::SolveOptions opt_;
-  std::size_t n_points_ = 0;
-  /// Charges the grid arrays against the memory budget for the plan's
-  /// lifetime; acquiring it in the constructor makes an over-budget
-  /// characterisation fail before the first field solve.
-  res::Reservation grid_reservation_;
-  std::vector<double> mutual_vals_;
-  std::vector<double> self_vals_;
-  std::vector<double> r_vals_;
-  std::atomic<std::size_t> solved_{0};
-};
+/// The process-global engine counters as they stand now: kernel memo,
+/// batch engine, impedance solver and memory budget (solves, grid_points,
+/// threads and wall_seconds stay at their defaults).  characterize_batch
+/// deltas two samples around its fan-out; the daemon's `stats` request
+/// reports one sample as its lifetime totals.
+BuildStats engine_counters();
 
 /// Build the self (width x length) and mutual (w1 x w2 x spacing x length)
 /// tables for the given structure class at opt.frequency (callers pass the
-/// significant frequency 0.32/t_r).  `threads` > 1 fans the grid points
-/// out as work-stealing tasks (long-trace solves cost far more than short
-/// ones, so static sharding load-imbalances); 0 uses the process-global
-/// pool (RLCX_THREADS / --threads / hardware), 1 is fully serial.  The
-/// result is bit-identical for every thread count.  `stats`, when given,
-/// receives the per-build counters.
+/// significant frequency 0.32/t_r) — characterize_batch with one job.
+/// `threads` 1 runs fully serial (so do callers already inside a parallel
+/// region), 0 uses the process-global pool (RLCX_THREADS / --threads /
+/// hardware), N > 1 a pool of exactly N workers for this build.  The result
+/// is bit-identical for every thread count.  `stats`, when given, receives
+/// the batch totals.
 InductanceTables build_tables(const geom::Technology& tech, int layer,
                               geom::PlaneConfig planes, const TableGrid& grid,
                               const solver::SolveOptions& opt,
                               int threads = 1, BuildStats* stats = nullptr);
 
-/// Process-wide count of 2-trace PEEC grid solves performed by
-/// build_tables() so far — a thin aggregate over every build's BuildStats,
-/// kept for the table cache's "a warm hit performs *zero* solves" contract
-/// (tests and the CLI counters observe it here).
-std::size_t table_build_solve_count();
-void reset_table_build_solve_count();
+/// Cache-first table build: characterize_batch with one job and `cache`,
+/// on the process-global pool.  A key hit returns the cached tables and
+/// performs zero PEEC solves (`stats->solves == 0`); a miss builds the
+/// tables and stores them before returning.
+InductanceTables build_tables_cached(const geom::Technology& tech, int layer,
+                                     geom::PlaneConfig planes,
+                                     const TableGrid& grid,
+                                     const solver::SolveOptions& opt,
+                                     TableCache& cache,
+                                     BuildStats* stats = nullptr);
 
 }  // namespace rlcx::core

@@ -415,21 +415,4 @@ std::size_t TableCache::purge() {
   return removed;
 }
 
-InductanceTables build_tables_cached(const geom::Technology& tech, int layer,
-                                     geom::PlaneConfig planes,
-                                     const TableGrid& grid,
-                                     const solver::SolveOptions& opt,
-                                     TableCache& cache, int threads,
-                                     BuildStats* stats) {
-  const std::string key = TableCache::key_text(tech, layer, planes, grid, opt);
-  if (std::optional<InductanceTables> hit = cache.load(key)) {
-    if (stats) *stats = BuildStats{};
-    return *std::move(hit);
-  }
-  InductanceTables built =
-      build_tables(tech, layer, planes, grid, opt, threads, stats);
-  cache.store(key, built);
-  return built;
-}
-
 }  // namespace rlcx::core

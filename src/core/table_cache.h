@@ -165,17 +165,4 @@ class TableCache {
   std::atomic<std::uint64_t> bytes_written_{0};
 };
 
-/// Cache-first table build: returns the cached tables when the key hits
-/// (performing zero PEEC solves), otherwise builds via build_tables() and
-/// stores the result before returning it.  `threads` follows the
-/// build_tables() convention (1 = serial, 0 = global pool, N = ephemeral
-/// pool); on a cache hit `stats` reports zero solves and zero wall time
-/// for the build itself.
-InductanceTables build_tables_cached(const geom::Technology& tech, int layer,
-                                     geom::PlaneConfig planes,
-                                     const TableGrid& grid,
-                                     const solver::SolveOptions& opt,
-                                     TableCache& cache, int threads = 1,
-                                     BuildStats* stats = nullptr);
-
 }  // namespace rlcx::core

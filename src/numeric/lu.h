@@ -65,20 +65,14 @@ inline void rank_update(T* dst, const T* const* src, const T* coef,
   }
 }
 
-/// Real overload: runtime-dispatched to the AVX2 micro-kernel when the CPU
-/// has it (numeric/lu_simd.h) — the scalar and vector bodies are
+/// Complex overload: runtime-dispatched to the AVX2 micro-kernel when the
+/// CPU has it (numeric/lu_simd.h) — the scalar and vector bodies are
 /// bit-identical, so which one served a factorisation is unobservable.
-inline void rank_update(double* dst, const double* const* src,
-                        const double* coef, std::size_t m_count,
-                        std::size_t cbeg, std::size_t cend) {
-  numeric::lu_rank_update(dst, src, coef, m_count, cbeg, cend);
-}
-
-/// Complex overload, same dispatch.  The out-of-line bodies spell out the
-/// (re, im) arithmetic — ac-bd / ad+bc — because the library complex
-/// multiply guards against NaN overflow semantics and defeats
-/// vectorisation; summation order per destination element matches the
-/// generic kernel's 4-wide chunks.
+/// The out-of-line bodies spell out the (re, im) arithmetic — ac-bd /
+/// ad+bc — because the library complex multiply guards against NaN
+/// overflow semantics and defeats vectorisation; summation order per
+/// destination element matches the generic kernel's 4-wide chunks.  Real
+/// matrices take the generic template above.
 inline void rank_update(std::complex<double>* dst,
                         const std::complex<double>* const* src,
                         const std::complex<double>* coef, std::size_t m_count,

@@ -6,31 +6,6 @@ namespace rlcx::numeric {
 
 namespace lu_scalar {
 
-// Rank-4 register-blocked axpy: one read-modify-write pass over dst per
-// four panel columns, scalar tail for m-counts not divisible by 4.  These
-// are the original lu.h bodies, kept verbatim as the dispatch fallback and
-// the tests' oracle.
-void rank_update(double* dst, const double* const* src, const double* coef,
-                 std::size_t m_count, std::size_t cbeg, std::size_t cend) {
-  std::size_t q = 0;
-  for (; q + 4 <= m_count; q += 4) {
-    const double a0 = coef[q], a1 = coef[q + 1];
-    const double a2 = coef[q + 2], a3 = coef[q + 3];
-    const double* s0 = src[q];
-    const double* s1 = src[q + 1];
-    const double* s2 = src[q + 2];
-    const double* s3 = src[q + 3];
-    for (std::size_t c = cbeg; c < cend; ++c)
-      dst[c] -= a0 * s0[c] + a1 * s1[c] + a2 * s2[c] + a3 * s3[c];
-  }
-  for (; q < m_count; ++q) {
-    const double a = coef[q];
-    if (a == 0.0) continue;
-    const double* s = src[q];
-    for (std::size_t c = cbeg; c < cend; ++c) dst[c] -= a * s[c];
-  }
-}
-
 // Explicit (re, im) arithmetic: the library complex multiply guards
 // against NaN overflow semantics; spelling out ac-bd / ad+bc fixes the
 // expression tree the AVX2 body reproduces lane for lane.
@@ -89,15 +64,6 @@ inline bool use_avx2() {
 }
 
 }  // namespace
-
-void lu_rank_update(double* dst, const double* const* src, const double* coef,
-                    std::size_t m_count, std::size_t cbeg, std::size_t cend) {
-#if defined(RLCX_HAVE_AVX2)
-  if (use_avx2())
-    return lu_avx2::rank_update(dst, src, coef, m_count, cbeg, cend);
-#endif
-  lu_scalar::rank_update(dst, src, coef, m_count, cbeg, cend);
-}
 
 void lu_rank_update(std::complex<double>* dst,
                     const std::complex<double>* const* src,

@@ -1,11 +1,13 @@
 // Runtime-dispatched rank-4 micro-kernels for the blocked LU (numeric/lu.h).
 //
 // lu.h's detail::rank_update is the O(n^3) inner loop of both the trailing
-// update and the blocked multi-RHS substitutions.  The double and
-// complex<double> instantiations route through lu_rank_update() below,
-// which picks an AVX2 intrinsics body (lu_simd_avx2.cpp) when the CPU and
-// build support it and the portable scalar body otherwise — same
-// RLCX_SIMD / numeric::simd_mode() policy as the peec batch engine.
+// update and the blocked multi-RHS substitutions.  Its complex<double>
+// instantiation — every production factorisation is complex — routes
+// through lu_rank_update() below, which picks an AVX2 intrinsics body
+// (lu_simd_avx2.cpp) when the CPU and build support it and the portable
+// scalar body otherwise — same RLCX_SIMD / numeric::simd_mode() policy as
+// the peec batch engine.  Real factorisations (tests, the sparse-LU
+// oracle) take lu.h's generic template.
 //
 // Bit-identity contract (tested in tests/test_numeric_lu.cpp): the AVX2
 // bodies evaluate the exact scalar expressions —
@@ -24,8 +26,6 @@ namespace rlcx::numeric {
 
 // Portable bodies (always compiled; the oracle the tests compare against).
 namespace lu_scalar {
-void rank_update(double* dst, const double* const* src, const double* coef,
-                 std::size_t m_count, std::size_t cbeg, std::size_t cend);
 void rank_update(std::complex<double>* dst,
                  const std::complex<double>* const* src,
                  const std::complex<double>* coef, std::size_t m_count,
@@ -35,8 +35,6 @@ void rank_update(std::complex<double>* dst,
 #if defined(RLCX_HAVE_AVX2)
 // Intrinsics bodies (compiled with -mavx2; call only if simd_avx2_supported).
 namespace lu_avx2 {
-void rank_update(double* dst, const double* const* src, const double* coef,
-                 std::size_t m_count, std::size_t cbeg, std::size_t cend);
 void rank_update(std::complex<double>* dst,
                  const std::complex<double>* const* src,
                  const std::complex<double>* coef, std::size_t m_count,
@@ -47,8 +45,6 @@ void rank_update(std::complex<double>* dst,
 /// dst[c] -= sum_q coef[q] * src[q][c] over [cbeg, cend), dispatched on
 /// numeric::simd_mode().  (AVX-512 mode also takes the AVX2 body: the
 /// kernel is load/mul/add-bound and 256-bit lanes already saturate it.)
-void lu_rank_update(double* dst, const double* const* src, const double* coef,
-                    std::size_t m_count, std::size_t cbeg, std::size_t cend);
 void lu_rank_update(std::complex<double>* dst,
                     const std::complex<double>* const* src,
                     const std::complex<double>* coef, std::size_t m_count,

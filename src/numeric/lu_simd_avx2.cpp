@@ -1,4 +1,4 @@
-// AVX2 bodies of the LU rank-4 micro-kernel.  This TU alone is compiled
+// AVX2 body of the complex LU rank-4 micro-kernel.  This TU alone is compiled
 // with -mavx2 (src/numeric/CMakeLists.txt); callers reach it only through
 // lu_rank_update()'s runtime dispatch, so the rest of the library stays
 // portable baseline.
@@ -36,44 +36,6 @@ inline __m128d cmul1(__m128d ar, __m128d ai, __m128d s) {
 }
 
 }  // namespace
-
-void rank_update(double* dst, const double* const* src, const double* coef,
-                 std::size_t m_count, std::size_t cbeg, std::size_t cend) {
-  std::size_t q = 0;
-  for (; q + 4 <= m_count; q += 4) {
-    const double a0 = coef[q], a1 = coef[q + 1];
-    const double a2 = coef[q + 2], a3 = coef[q + 3];
-    const __m256d v0 = _mm256_set1_pd(a0), v1 = _mm256_set1_pd(a1);
-    const __m256d v2 = _mm256_set1_pd(a2), v3 = _mm256_set1_pd(a3);
-    const double* s0 = src[q];
-    const double* s1 = src[q + 1];
-    const double* s2 = src[q + 2];
-    const double* s3 = src[q + 3];
-    std::size_t c = cbeg;
-    for (; c + 4 <= cend; c += 4) {
-      __m256d acc = _mm256_mul_pd(v0, _mm256_loadu_pd(s0 + c));
-      acc = _mm256_add_pd(acc, _mm256_mul_pd(v1, _mm256_loadu_pd(s1 + c)));
-      acc = _mm256_add_pd(acc, _mm256_mul_pd(v2, _mm256_loadu_pd(s2 + c)));
-      acc = _mm256_add_pd(acc, _mm256_mul_pd(v3, _mm256_loadu_pd(s3 + c)));
-      _mm256_storeu_pd(dst + c,
-                       _mm256_sub_pd(_mm256_loadu_pd(dst + c), acc));
-    }
-    for (; c < cend; ++c)
-      dst[c] -= a0 * s0[c] + a1 * s1[c] + a2 * s2[c] + a3 * s3[c];
-  }
-  for (; q < m_count; ++q) {
-    const double a = coef[q];
-    if (a == 0.0) continue;
-    const __m256d va = _mm256_set1_pd(a);
-    const double* s = src[q];
-    std::size_t c = cbeg;
-    for (; c + 4 <= cend; c += 4) {
-      const __m256d t = _mm256_mul_pd(va, _mm256_loadu_pd(s + c));
-      _mm256_storeu_pd(dst + c, _mm256_sub_pd(_mm256_loadu_pd(dst + c), t));
-    }
-    for (; c < cend; ++c) dst[c] -= a * s[c];
-  }
-}
 
 void rank_update(std::complex<double>* dst,
                  const std::complex<double>* const* src,

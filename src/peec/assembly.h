@@ -38,9 +38,9 @@ struct FillStats {
   }
 };
 
-/// Process-wide aggregate of every fill's FillStats (relaxed atomics, same
-/// contract as core::table_build_solve_count): BuildStats and the CLI
-/// snapshot deltas around a build to report the memo hit rate.
+/// Process-wide aggregate of every fill's FillStats (relaxed atomics):
+/// core::characterize_batch deltas it around its fan-out into BuildStats,
+/// which the CLI reports as the memo hit rate.
 FillStats fill_stats_total();
 void reset_fill_stats_total();
 

@@ -91,19 +91,13 @@ void eval_filament(const FilamentSoa& in, std::size_t lo, std::size_t hi,
 /// Process-wide batch-engine telemetry (same relaxed-atomic aggregate
 /// contract as fill_stats_total): how many flattened kernel terms the
 /// engine evaluated, in how many batch runs, and how long the SoA kernels
-/// themselves ran — BuildStats, `cache stats` and serve `stats` report the
-/// eval throughput from deltas of this.
+/// themselves ran — BuildStats deltas it around a build; the engine report
+/// of the CLI and serve `stats` prints the term split and batch count.
 struct BatchStats {
   std::size_t batch_runs = 0;      ///< BatchEvaluator::run() calls
   std::size_t volume_terms = 0;    ///< Hoer-Love chunk pairs evaluated
   std::size_t filament_terms = 0;  ///< filament chunk pairs evaluated
   std::uint64_t eval_nanos = 0;    ///< wall time inside the SoA kernels
-  double terms_per_second() const {
-    return eval_nanos == 0
-               ? 0.0
-               : 1e9 * static_cast<double>(volume_terms + filament_terms) /
-                     static_cast<double>(eval_nanos);
-  }
 };
 
 BatchStats batch_stats_total();

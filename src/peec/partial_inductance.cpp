@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <sstream>
 #include <string>
-#include <vector>
 
 #include "diag/error.h"
 
@@ -54,14 +53,6 @@ void check_filament_args(double l1, double l2, double s, double r) {
 int chunk_count(const Bar& b, double max_aspect) {
   const double max_len = max_aspect * std::max(b.t_width, b.z_thick);
   return std::max(1, static_cast<int>(std::ceil(b.length / max_len)));
-}
-
-std::vector<Bar> chunk_lengthwise(const Bar& b, double max_aspect) {
-  const int n = chunk_count(b, max_aspect);
-  std::vector<Bar> out;
-  out.reserve(static_cast<std::size_t>(n));
-  for (int k = 0; k < n; ++k) out.push_back(chunk_at(b, n, k));
-  return out;
 }
 
 PairChunking pair_chunking(const Bar& b1, const Bar& b2, double max_aspect) {

@@ -19,7 +19,6 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "peec/bar.h"
 
@@ -61,9 +60,6 @@ inline Bar chunk_at(const Bar& b, int n, int k) {
   c.length = step;
   return c;
 }
-
-/// The chunk_count(b, max_aspect) chunks of a bar, in axial order.
-std::vector<Bar> chunk_lengthwise(const Bar& b, double max_aspect);
 
 /// How a same-axis pair is chunked.  Aligned bars (equal a_min and equal
 /// length, as every pair of one conductor block is) are both cut into

@@ -110,7 +110,7 @@ std::uint64_t default_limit_bytes() noexcept;
 bool admission_exhausted(std::uint64_t bytes) noexcept;
 
 /// A movable charge against the global budget, for reservations whose
-/// lifetime outlives a scope (e.g. a member of core::GridSolvePlan).
+/// lifetime outlives a scope (e.g. the grid arrays of a table build).
 /// Acquiring fires the `alloc_fail` fault point exactly once; a charge the
 /// budget refuses throws diag::ResourceExhaustedError (counted as a
 /// refusal).

@@ -53,26 +53,18 @@ struct ChunkRun {
   }
 };
 
-void run_chunks(std::size_t begin, std::size_t end, std::size_t grain,
-                Pool& pool, bool force_chunked_serial,
-                const std::function<void(std::size_t, std::size_t)>& body) {
+}  // namespace
+
+void parallel_for(std::size_t begin, std::size_t end,
+                  const std::function<void(std::size_t, std::size_t)>& body,
+                  const ParallelOptions& options) {
   if (end <= begin) return;
-  if (grain == 0) grain = 1;
+  Pool& pool = options.pool != nullptr ? *options.pool : Pool::global();
+  const std::size_t grain = options.grain > 0 ? options.grain : 1;
   const std::size_t chunks = (end - begin + grain - 1) / grain;
   if (chunks <= 1 || pool.size() <= 1 || in_parallel_region()) {
-    if (!force_chunked_serial) {
-      run::checkpoint("rt");
-      body(begin, end);
-      return;
-    }
-    for (std::size_t c = 0; c < chunks; ++c) {
-      // Same cancellation granularity as the parallel path: one
-      // checkpoint per chunk, so serial and parallel runs stop at
-      // identical boundaries.
-      run::checkpoint("rt");
-      const std::size_t lo = begin + c * grain;
-      body(lo, std::min(end, lo + grain));
-    }
+    run::checkpoint("rt");
+    body(begin, end);
     return;
   }
   ChunkRun run(begin, end, grain, chunks, body);
@@ -94,50 +86,6 @@ void run_chunks(std::size_t begin, std::size_t end, std::size_t grain,
     group.wait();
   }
   if (run.error) std::rethrow_exception(run.error);
-}
-
-}  // namespace
-
-void parallel_for(std::size_t begin, std::size_t end,
-                  const std::function<void(std::size_t, std::size_t)>& body,
-                  const ParallelOptions& options) {
-  Pool& pool = options.pool != nullptr ? *options.pool : Pool::global();
-  run_chunks(begin, end, options.grain, pool, /*force_chunked_serial=*/false,
-             body);
-}
-
-void detail::parallel_for_chunked(
-    std::size_t begin, std::size_t end, std::size_t grain, Pool* pool,
-    const std::function<void(std::size_t, std::size_t)>& body) {
-  Pool& p = pool != nullptr ? *pool : Pool::global();
-  run_chunks(begin, end, grain, p, /*force_chunked_serial=*/true, body);
-}
-
-void parallel_for_2d(
-    std::size_t rows, std::size_t cols,
-    const std::function<void(std::size_t, std::size_t, std::size_t,
-                             std::size_t)>& body,
-    const ParallelOptions2d& options) {
-  if (rows == 0 || cols == 0) return;
-  const std::size_t gr = options.grain_rows > 0 ? options.grain_rows : 1;
-  const std::size_t gc = options.grain_cols > 0 ? options.grain_cols : 1;
-  const std::size_t row_blocks = (rows + gr - 1) / gr;
-  const std::size_t col_blocks = (cols + gc - 1) / gc;
-  ParallelOptions flat;
-  flat.grain = 1;  // one (row-block, col-block) tile per scheduled chunk
-  flat.pool = options.pool;
-  parallel_for(
-      0, row_blocks * col_blocks,
-      [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t t = lo; t < hi; ++t) {
-          const std::size_t rb = t / col_blocks;
-          const std::size_t cb = t % col_blocks;
-          const std::size_t r0 = rb * gr;
-          const std::size_t c0 = cb * gc;
-          body(r0, std::min(rows, r0 + gr), c0, std::min(cols, c0 + gc));
-        }
-      },
-      flat);
 }
 
 }  // namespace rlcx::rt

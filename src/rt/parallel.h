@@ -1,13 +1,9 @@
-// Blocked parallel loops and deterministic reduction on rlcx::rt::Pool.
+// Blocked parallel loops on rlcx::rt::Pool.
 //
-// Determinism contract: parallel_for / parallel_for_2d guarantee nothing
-// about execution order, so bodies must write disjoint output slots (the
-// natural shape of grid solves and matrix fills) — then the result is
-// bit-identical to serial for any worker count.  parallel_reduce_ordered
-// makes reductions deterministic by construction: the range is cut into
-// fixed chunks of `grain` indices and the per-chunk partial results are
-// folded left-to-right in chunk order, so the floating-point evaluation
-// tree depends only on the grain, never on the thread count.
+// Determinism contract: parallel_for guarantees nothing about execution
+// order, so bodies must write disjoint output slots (the natural shape of
+// grid solves and matrix fills) — then the result is bit-identical to
+// serial for any worker count.
 //
 // Grain guidance: the scheduler costs ~1 lock/notify pair per chunk, so
 // size chunks to >= ~10 us of work.  A 2-trace field solve or a PEEC
@@ -21,7 +17,6 @@
 
 #include <cstddef>
 #include <functional>
-#include <vector>
 
 #include "rt/pool.h"
 
@@ -38,50 +33,5 @@ struct ParallelOptions {
 void parallel_for(std::size_t begin, std::size_t end,
                   const std::function<void(std::size_t, std::size_t)>& body,
                   const ParallelOptions& options = {});
-
-struct ParallelOptions2d {
-  std::size_t grain_rows = 1;  ///< rows per block
-  std::size_t grain_cols = 1;  ///< columns per block
-  Pool* pool = nullptr;        ///< nullptr = Pool::global()
-};
-
-/// Runs body(row_lo, row_hi, col_lo, col_hi) over a blocked decomposition
-/// of the [0, rows) x [0, cols) index space.
-void parallel_for_2d(
-    std::size_t rows, std::size_t cols,
-    const std::function<void(std::size_t, std::size_t, std::size_t,
-                             std::size_t)>& body,
-    const ParallelOptions2d& options = {});
-
-namespace detail {
-/// parallel_for, but the serial fallback still iterates chunk-by-chunk so
-/// chunk boundaries are identical to the parallel path (the reduction
-/// determinism hinges on this).
-void parallel_for_chunked(
-    std::size_t begin, std::size_t end, std::size_t grain, Pool* pool,
-    const std::function<void(std::size_t, std::size_t)>& body);
-}  // namespace detail
-
-/// Deterministic map-reduce: partial = map(chunk_lo, chunk_hi) per fixed
-/// chunk of `grain` indices, folded as combine(acc, partial) in ascending
-/// chunk order.  Bit-identical for any thread count (including serial)
-/// given the same grain.
-template <typename T, typename MapFn, typename CombineFn>
-T parallel_reduce_ordered(std::size_t begin, std::size_t end,
-                          std::size_t grain, T init, MapFn map,
-                          CombineFn combine, Pool* pool = nullptr) {
-  if (end <= begin) return init;
-  if (grain == 0) grain = 1;
-  const std::size_t chunks = (end - begin + grain - 1) / grain;
-  std::vector<T> partial(chunks);
-  detail::parallel_for_chunked(
-      begin, end, grain, pool,
-      [&](std::size_t lo, std::size_t hi) {
-        partial[(lo - begin) / grain] = map(lo, hi);
-      });
-  T acc = std::move(init);
-  for (T& p : partial) acc = combine(std::move(acc), std::move(p));
-  return acc;
-}
 
 }  // namespace rlcx::rt

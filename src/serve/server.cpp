@@ -15,7 +15,6 @@
 
 #include "cli/cli.h"
 #include "diag/error.h"
-#include "peec/kernel_batch.h"
 #include "res/budget.h"
 #include "run/fault_injection.h"
 #include "run/signal.h"
@@ -501,16 +500,7 @@ std::string Server::stats_text() {
      << " accept retries, " << cs.quarantined_at_startup
      << " quarantined at startup, " << cs.tmp_swept
      << " staging files swept, " << cs.fsyncs << " fsyncs\n";
-  const solver::SolveStats ss = solver::solve_stats_total();
-  os << "impedance solver: " << ss.dense_solves << " dense solves, largest "
-     << ss.max_filaments << " filaments\n";
-  const peec::BatchStats bs = peec::batch_stats_total();
-  os << "batch engine: " << bs.volume_terms + bs.filament_terms
-     << " kernel terms (" << bs.volume_terms << " volume, "
-     << bs.filament_terms << " filament) in " << bs.batch_runs
-     << " batches, "
-     << static_cast<std::uint64_t>(bs.terms_per_second() + 0.5)
-     << " terms/s, simd " << peec::batch_simd_name() << "\n";
+  cli::print_engine_report(core::engine_counters(), os);
   return os.str();
 }
 

@@ -75,7 +75,7 @@ std::shared_ptr<const core::InductanceProvider> WarmTableStore::provider(
   core::BuildStats bstats;
   core::InductanceTables tables = core::build_tables_cached(
       *request.tech, request.layer, request.planes, request.grid,
-      request.options, cache_, /*threads=*/0, &bstats);
+      request.options, cache_, &bstats);
   auto model =
       std::make_shared<core::TableInductanceModel>(std::move(tables));
   model->set_extrapolation_policy(request.extrapolation);

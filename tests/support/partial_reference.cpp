@@ -59,6 +59,14 @@ double hl_f(double x, double y, double z) {
 
 }  // namespace
 
+std::vector<Bar> chunk_lengthwise(const Bar& b, double max_aspect) {
+  const int n = chunk_count(b, max_aspect);
+  std::vector<Bar> out;
+  out.reserve(static_cast<std::size_t>(n));
+  for (int k = 0; k < n; ++k) out.push_back(chunk_at(b, n, k));
+  return out;
+}
+
 double hoer_love_mutual(double a, double b, double l1, double c, double d,
                         double l2, double E, double P, double l3) {
   detail::check_hoer_love_dims(a, b, l1, c, d, l2);

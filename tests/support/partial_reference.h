@@ -8,10 +8,15 @@
 // the tests so the fill has one implementation.
 #pragma once
 
+#include <vector>
+
 #include "peec/bar.h"
 #include "peec/partial_inductance.h"
 
 namespace rlcx::peec {
+
+/// The chunk_count(b, max_aspect) chunks of a bar, in axial order.
+std::vector<Bar> chunk_lengthwise(const Bar& b, double max_aspect);
 
 /// Exact Hoer-Love mutual partial inductance [H] between two parallel
 /// rectangular bars in canonical coordinates: bar 1 spans x:[0,a], y:[0,b],

@@ -18,6 +18,7 @@
 #include "run/control.h"
 #include "run/fault_injection.h"
 #include "run/journal.h"
+#include "solver/block_solver.h"
 #include "support/scratch_dir.h"
 
 namespace rlcx::core {
@@ -89,9 +90,8 @@ TEST(CharacterizeBatch, FoldsDuplicateJobs) {
   jobs[0] = {6, geom::PlaneConfig::kNone, tiny_grid()};
   jobs[1] = {6, geom::PlaneConfig::kNone, tiny_grid()};  // identical
 
-  reset_table_build_solve_count();
   const BatchResult batch = characterize_batch(tech, jobs, opt);
-  EXPECT_EQ(table_build_solve_count(), 16u);  // one build, not two
+  EXPECT_EQ(batch.totals.solves, 16u);  // one build, not two
   EXPECT_EQ(batch.stats[0].solves, 16u);
   EXPECT_EQ(batch.stats[1].solves, 0u);  // folded into job 0
   expect_same_tables(batch.tables[0], batch.tables[1]);
@@ -114,9 +114,8 @@ TEST(CharacterizeBatch, WarmCachePerformsZeroSolves) {
   TableCache warm(dir.path);
   BatchOptions wopt;
   wopt.cache = &warm;
-  reset_table_build_solve_count();
   const BatchResult hit = characterize_batch(tech, jobs, opt, wopt);
-  EXPECT_EQ(table_build_solve_count(), 0u);
+  EXPECT_EQ(hit.totals.solves, 0u);
   EXPECT_EQ(warm.stats().hits, 1u);
   EXPECT_EQ(hit.stats[0].solves, 0u);
   expect_same_tables(cold.tables[0], hit.tables[0]);
@@ -166,11 +165,10 @@ TEST(CharacterizeBatch, JournaledKeyMissingFromCacheRebuildsWithWarning) {
   BatchOptions bopt;
   bopt.cache = &cache;
   bopt.journal = &journal;
-  reset_table_build_solve_count();
   const BatchResult res = characterize_batch(tech, jobs, opt, bopt);
   // Degrades to an ordinary rebuild, loudly.
   EXPECT_EQ(res.jobs_resumed, 0u);
-  EXPECT_EQ(table_build_solve_count(), 16u);
+  EXPECT_EQ(res.totals.solves, 16u);
   ASSERT_EQ(warnings.size(), 1u);
   EXPECT_NE(warnings[0].message.find(id), std::string::npos);
   EXPECT_NE(warnings[0].message.find("re-characterising"), std::string::npos);
@@ -250,16 +248,88 @@ TEST(CharacterizeBatch, InterruptedCampaignResumesWithZeroReSolves) {
   ropt.cache = &warm;
   ropt.pool = &pool;
   ropt.journal = &journal;
-  reset_table_build_solve_count();
   const BatchResult resumed = characterize_batch(tech, jobs, opt, ropt);
   // Zero re-solves for journaled jobs: only the unfinished ones build.
   EXPECT_EQ(resumed.jobs_resumed, done_after_interrupt);
-  EXPECT_EQ(table_build_solve_count(),
+  EXPECT_EQ(resumed.totals.solves,
             16u * (jobs.size() - done_after_interrupt));
   EXPECT_EQ(journal.size(), 2u);
   // Byte-identical tables vs the uninterrupted campaign.
   for (std::size_t j = 0; j < jobs.size(); ++j)
     expect_same_tables(reference.tables[j], resumed.tables[j]);
+}
+
+// BatchResult::totals is the one counter snapshot of a build: its solve
+// count is the number of grid points built, and each of them is exactly one
+// impedance solve.  A warm re-run builds nothing and counts nothing.
+TEST(CharacterizeBatch, TotalsCountOneSolvePerBuiltGridPoint) {
+  const ScratchDir dir("rlcx_batch_totals");
+  const geom::Technology tech = geom::Technology::generic_025um();
+  const solver::SolveOptions opt = fast_options();
+  const std::vector<BatchJob> jobs = {
+      {6, geom::PlaneConfig::kNone, tiny_grid()},
+      {4, geom::PlaneConfig::kNone, tiny_grid()},
+      {6, geom::PlaneConfig::kNone, tiny_grid()}};  // folded duplicate
+
+  TableCache cache(dir.path);
+  BatchOptions bopt;
+  bopt.cache = &cache;
+  std::size_t dense0 = solver::solve_stats_total().dense_solves;
+  const BatchResult cold = characterize_batch(tech, jobs, opt, bopt);
+  const std::size_t cold_dense =
+      solver::solve_stats_total().dense_solves - dense0;
+  EXPECT_EQ(cold.totals.grid_points, 32u);
+  EXPECT_EQ(cold.totals.solves, cold.totals.grid_points);
+  EXPECT_EQ(cold_dense, cold.totals.solves);
+  EXPECT_EQ(cold.totals.dense_solves, cold.totals.solves);
+  EXPECT_GT(cold.totals.pair_lookups, 0u);
+  EXPECT_GT(cold.totals.batch_runs, 0u);
+
+  dense0 = solver::solve_stats_total().dense_solves;
+  const BatchResult warm = characterize_batch(tech, jobs, opt, bopt);
+  EXPECT_EQ(solver::solve_stats_total().dense_solves - dense0, 0u);
+  EXPECT_EQ(warm.totals.solves, 0u);
+  EXPECT_EQ(warm.totals.grid_points, 0u);
+  EXPECT_EQ(warm.totals.dense_solves, 0u);
+  EXPECT_EQ(warm.totals.threads, 1);  // nothing ran
+}
+
+// build_tables and build_tables_cached are one-job characterize_batch
+// calls: every pool width, and the cache's cold and warm paths, return the
+// one-job batch's tables bit for bit, and their stats are its totals.
+TEST(CharacterizeBatch, OneJobCallsMatchTheBatchAtEveryWidth) {
+  const ScratchDir dir("rlcx_batch_one_job");
+  const geom::Technology tech = geom::Technology::generic_025um();
+  const solver::SolveOptions opt = fast_options();
+  const TableGrid grid = tiny_grid();
+  const BatchResult batch = characterize_batch(
+      tech, {{6, geom::PlaneConfig::kNone, grid}}, opt);
+
+  for (const int threads : {1, 2, 0}) {
+    BuildStats st;
+    const InductanceTables t = build_tables(
+        tech, 6, geom::PlaneConfig::kNone, grid, opt, threads, &st);
+    expect_same_tables(batch.tables[0], t);
+    EXPECT_EQ(st.solves, 16u) << threads;
+    EXPECT_EQ(st.dense_solves, 16u) << threads;
+    const int width = threads == 0 ? rt::Pool::global().size() : threads;
+    EXPECT_EQ(st.threads, width) << threads;
+  }
+
+  TableCache cache(dir.path);
+  BuildStats cold;
+  expect_same_tables(batch.tables[0],
+                     build_tables_cached(tech, 6, geom::PlaneConfig::kNone,
+                                         grid, opt, cache, &cold));
+  EXPECT_EQ(cold.solves, 16u);
+  EXPECT_EQ(cache.stats().misses, 1u);
+  BuildStats warm;
+  expect_same_tables(batch.tables[0],
+                     build_tables_cached(tech, 6, geom::PlaneConfig::kNone,
+                                         grid, opt, cache, &warm));
+  EXPECT_EQ(warm.solves, 0u);
+  EXPECT_EQ(warm.dense_solves, 0u);
+  EXPECT_EQ(cache.stats().hits, 1u);
 }
 
 TEST(ExtractSegmentsBatch, MatchesSerialExtraction) {

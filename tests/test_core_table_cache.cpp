@@ -53,21 +53,20 @@ TEST(TableCache, HitOnIdenticalInputsPerformsZeroSolves) {
   const solver::SolveOptions opt = fast_options();
 
   TableCache cold(dir.path);
-  reset_table_build_solve_count();
+  BuildStats stats;
   const InductanceTables built = build_tables_cached(
-      tech, 6, geom::PlaneConfig::kNone, grid, opt, cold);
+      tech, 6, geom::PlaneConfig::kNone, grid, opt, cold, &stats);
   EXPECT_EQ(cold.stats().misses, 1u);
   EXPECT_EQ(cold.stats().hits, 0u);
   EXPECT_GT(cold.stats().bytes_written, 0u);
-  EXPECT_EQ(table_build_solve_count(), 16u);  // 2*2*2*2 grid points
+  EXPECT_EQ(stats.solves, 16u);  // 2*2*2*2 grid points
 
   // A separate cache instance (a new process, in effect) on the same
   // directory with identical inputs must answer from disk: zero solves.
   TableCache warm(dir.path);
-  reset_table_build_solve_count();
   const InductanceTables cached = build_tables_cached(
-      tech, 6, geom::PlaneConfig::kNone, grid, opt, warm);
-  EXPECT_EQ(table_build_solve_count(), 0u);
+      tech, 6, geom::PlaneConfig::kNone, grid, opt, warm, &stats);
+  EXPECT_EQ(stats.solves, 0u);
   EXPECT_EQ(warm.stats().hits, 1u);
   EXPECT_EQ(warm.stats().misses, 0u);
   EXPECT_GT(warm.stats().bytes_read, 0u);
@@ -92,9 +91,10 @@ TEST(TableCache, MissOnChangedFrequency) {
   TableCache cache(dir.path);
   build_tables_cached(tech, 6, geom::PlaneConfig::kNone, grid, opt, cache);
   opt.frequency = 2e9;  // a different significant frequency: new key
-  reset_table_build_solve_count();
-  build_tables_cached(tech, 6, geom::PlaneConfig::kNone, grid, opt, cache);
-  EXPECT_EQ(table_build_solve_count(), 16u);
+  BuildStats stats;
+  build_tables_cached(tech, 6, geom::PlaneConfig::kNone, grid, opt, cache,
+                      &stats);
+  EXPECT_EQ(stats.solves, 16u);
   EXPECT_EQ(cache.stats().misses, 2u);
   EXPECT_EQ(cache.stats().hits, 0u);
   EXPECT_EQ(cache.list().size(), 2u);
@@ -122,9 +122,10 @@ TEST(TableCache, EntryKeyedUnderOlderVersionIsAMiss) {
   EXPECT_NE(TableCache::key_id(old_key), TableCache::key_id(key));
   EXPECT_FALSE(cache.load(key).has_value());
 
-  reset_table_build_solve_count();
-  build_tables_cached(tech, 6, geom::PlaneConfig::kNone, grid, opt, cache);
-  EXPECT_EQ(table_build_solve_count(), 16u);
+  BuildStats stats;
+  build_tables_cached(tech, 6, geom::PlaneConfig::kNone, grid, opt, cache,
+                      &stats);
+  EXPECT_EQ(stats.solves, 16u);
   EXPECT_EQ(cache.stats().hits, 0u);
   EXPECT_EQ(cache.stats().misses, 2u);
   EXPECT_EQ(cache.list().size(), 2u);

@@ -99,16 +99,16 @@ TEST(FaultInjectionCache, CorruptEntriesAreQuarantinedAndRebuilt) {
   for (const auto& [label, mutate] : modes) {
     corrupt_entry(dir.path, mutate);
     std::vector<diag::Warning> warnings;
-    core::reset_table_build_solve_count();
+    core::BuildStats stats;
     {
       const diag::ScopedWarningHandler capture(
           [&](const diag::Warning& w) { warnings.push_back(w); });
       // Never aborts, never throws: the corrupt entry reads as a miss and
       // the tables are re-characterised from scratch.
       core::build_tables_cached(tech, 6, geom::PlaneConfig::kNone, grid,
-                                opt, cache);
+                                opt, cache, &stats);
     }
-    EXPECT_GT(core::table_build_solve_count(), 0u) << label;
+    EXPECT_GT(stats.solves, 0u) << label;
     EXPECT_EQ(cache.stats().quarantined, ++expected_quarantines) << label;
     ASSERT_EQ(warnings.size(), 1u) << label;
     EXPECT_EQ(warnings[0].category, diag::Category::kCache) << label;

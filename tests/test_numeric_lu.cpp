@@ -235,36 +235,6 @@ class ScopedSimdMode {
 };
 
 #if defined(RLCX_HAVE_AVX2)
-TEST(LuSimd, RankUpdateRealAvx2BitIdenticalToScalar) {
-  if (!numeric::simd_avx2_supported())
-    GTEST_SKIP() << "no AVX2 on this machine/build";
-  Rng rng(60601);
-  constexpr std::size_t kCols = 53;  // odd: exercises the vector tail
-  constexpr std::size_t kRows = 7;   // 4-wide chunk + 3-long scalar tail
-  std::vector<std::vector<double>> rows(kRows, std::vector<double>(kCols));
-  std::vector<const double*> src;
-  for (auto& r : rows) {
-    for (double& v : r) v = rng.next();
-    src.push_back(r.data());
-  }
-  std::vector<double> coef(kRows);
-  for (double& v : coef) v = rng.next();
-  coef[5] = 0.0;  // the tail loop's zero-coefficient skip
-  for (const std::size_t m : {1u, 3u, 4u, 5u, 7u}) {
-    for (const std::size_t cbeg : {0u, 1u, 5u}) {
-      std::vector<double> ds(kCols), dv(kCols);
-      for (std::size_t c = 0; c < kCols; ++c) ds[c] = dv[c] = rng.next();
-      numeric::lu_scalar::rank_update(ds.data(), src.data(), coef.data(), m,
-                                      cbeg, kCols);
-      numeric::lu_avx2::rank_update(dv.data(), src.data(), coef.data(), m,
-                                    cbeg, kCols);
-      for (std::size_t c = 0; c < kCols; ++c)
-        EXPECT_EQ(ds[c], dv[c]) << "m=" << m << " cbeg=" << cbeg
-                                << " c=" << c;
-    }
-  }
-}
-
 TEST(LuSimd, RankUpdateComplexAvx2BitIdenticalToScalar) {
   if (!numeric::simd_avx2_supported())
     GTEST_SKIP() << "no AVX2 on this machine/build";
@@ -298,34 +268,36 @@ TEST(LuSimd, RankUpdateComplexAvx2BitIdenticalToScalar) {
 #endif  // RLCX_HAVE_AVX2
 
 TEST(LuSimd, PivotHostileFactorizationAgreesAcrossSimdModes) {
-  // The full blocked LU through the dispatcher, both modes, on a system
-  // where every panel column pivots across panel boundaries: each mode
-  // must match the textbook oracle to 1e-13, and each other bit for bit.
+  // The full blocked complex LU through the dispatcher, both modes, on a
+  // system where every panel column pivots across panel boundaries: each
+  // mode must match the textbook oracle to 1e-13, and each other bit for
+  // bit.
   const std::size_t n = 130;
   Rng rng(777);
-  Matrix<double> a(n, n);
+  Matrix<C> a(n, n);
   for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = 0; j < n; ++j) a(i, j) = 0.01 * rng.next();
+    for (std::size_t j = 0; j < n; ++j)
+      a(i, j) = 0.01 * C(rng.next(), rng.next());
   for (std::size_t i = 0; i < n; ++i) {
     a(i, i) = 0.0;
-    a((i + 1) % n, i) = 4.0 + static_cast<double>(i % 3);
+    a((i + 1) % n, i) = C(4.0 + static_cast<double>(i % 3), 1.0);
   }
-  std::vector<double> b(n);
-  for (auto& v : b) v = rng.next();
-  const std::vector<double> oracle = ReferenceLu<double>(a).solve(b);
+  std::vector<C> b(n);
+  for (auto& v : b) v = C(rng.next(), rng.next());
+  const std::vector<C> oracle = ReferenceLu<C>(a).solve(b);
 
-  std::vector<double> x_scalar;
+  std::vector<C> x_scalar;
   {
     ScopedSimdMode mode(numeric::SimdMode::kScalar);
-    x_scalar = LuDecomposition<double>(a).solve(b);
+    x_scalar = LuDecomposition<C>(a).solve(b);
   }
   EXPECT_LT(max_rel_diff(x_scalar, oracle), 1e-13);
   if (!numeric::simd_avx2_supported())
     GTEST_SKIP() << "no AVX2 on this machine/build";
-  std::vector<double> x_avx2;
+  std::vector<C> x_avx2;
   {
     ScopedSimdMode mode(numeric::SimdMode::kAvx2);
-    x_avx2 = LuDecomposition<double>(a).solve(b);
+    x_avx2 = LuDecomposition<C>(a).solve(b);
   }
   EXPECT_LT(max_rel_diff(x_avx2, oracle), 1e-13);
   for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(x_scalar[i], x_avx2[i]);

@@ -24,6 +24,7 @@
 #include "peec/mesh.h"
 #include "peec/partial_inductance.h"
 #include "rt/pool.h"
+#include "support/partial_reference.h"
 
 namespace rlcx::peec {
 namespace {

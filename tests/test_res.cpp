@@ -279,14 +279,14 @@ TEST_F(ResTest, AllocFailAtPeecFillThrowsTyped) {
 }
 
 TEST_F(ResTest, AllocFailAtTableGridFailsBeforeFirstSolve) {
-  core::reset_table_build_solve_count();
+  const std::size_t solves0 = solver::solve_stats_total().dense_solves;
   run::FaultInjector::global().set_schedule("alloc_fail:1");
   EXPECT_THROW(core::build_tables(tech(), 6, geom::PlaneConfig::kNone,
                                   tiny_grid(), meshed_options(1, 1),
                                   /*threads=*/1),
                diag::ResourceExhaustedError);
   // The refusal happened at grid construction — zero field solves ran.
-  EXPECT_EQ(core::table_build_solve_count(), 0u);
+  EXPECT_EQ(solver::solve_stats_total().dense_solves, solves0);
 }
 
 TEST_F(ResTest, AllocFailAtDenseReservationRefusesTyped) {

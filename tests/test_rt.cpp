@@ -154,47 +154,6 @@ TEST(ParallelFor, LowestChunkExceptionWins) {
   }
 }
 
-TEST(ParallelFor2d, TilesCoverTheFullGrid) {
-  Pool pool(3);
-  const std::size_t rows = 9, cols = 14;
-  std::vector<int> hits(rows * cols, 0);
-  ParallelOptions2d opt;
-  opt.grain_rows = 2;
-  opt.grain_cols = 5;
-  opt.pool = &pool;
-  parallel_for_2d(rows, cols,
-                  [&](std::size_t r0, std::size_t r1, std::size_t c0,
-                      std::size_t c1) {
-                    EXPECT_LE(r1, rows);
-                    EXPECT_LE(c1, cols);
-                    for (std::size_t r = r0; r < r1; ++r)
-                      for (std::size_t c = c0; c < c1; ++c)
-                        ++hits[r * cols + c];
-                  },
-                  opt);
-  for (std::size_t i = 0; i < hits.size(); ++i) EXPECT_EQ(hits[i], 1) << i;
-}
-
-TEST(ParallelReduce, OrderedFoldIsBitIdenticalAcrossPoolSizes) {
-  // A sum whose value depends on FP association: any reordering of the
-  // chunk fold would change the low bits.
-  auto map = [](std::size_t lo, std::size_t hi) {
-    double acc = 0.0;
-    for (std::size_t i = lo; i < hi; ++i)
-      acc += 1.0 / (1.0 + static_cast<double>(i) * 1.000001);
-    return acc;
-  };
-  auto combine = [](double a, double b) { return a + b; };
-  Pool serial(1);
-  Pool wide(7);
-  const double s =
-      parallel_reduce_ordered(0, 10007, 16, 0.0, map, combine, &serial);
-  const double w =
-      parallel_reduce_ordered(0, 10007, 16, 0.0, map, combine, &wide);
-  EXPECT_EQ(s, w);  // exact: identical chunking, identical fold order
-  EXPECT_GT(s, 0.0);
-}
-
 TEST(TaskGroup, RunsEverythingBeforeWaitReturns) {
   Pool pool(3);
   std::atomic<int> done{0};
