@@ -2,9 +2,10 @@
 // blocked complex LU.
 //
 // Part 1 times the partial-inductance matrix fill on a uniform skin-depth
-// style mesh, memo off vs memo on, single-threaded (rt::SerialRegion), and
-// checks the two fills agree element-exactly (the translation-only key's
-// contract on a uniform mesh).  Part 2 times the cold (memo-off) fill of
+// style mesh, memo off (the direct-fill oracle of tests/support) vs memo on
+// (the library's fill), single-threaded (rt::SerialRegion), and checks the
+// two fills agree element-exactly (the translation-only key's contract on
+// a uniform mesh).  Part 2 times the cold (memo-off) direct fill through
 // the batch engine against the scalar libm kernels.  Part 3 runs one
 // serial planes-below table build on a small grid and records its
 // deterministic kernel counters.  Part 4 times complex LU factorisation
@@ -46,6 +47,7 @@
 #include "peec/partial_inductance.h"
 #include "rt/pool.h"
 #include "solver/frequency.h"
+#include "support/direct_fill_reference.h"
 #include "support/lu_reference.h"
 #include "support/partial_reference.h"
 
@@ -105,7 +107,7 @@ struct FillResult {
   double wall_off = 0.0;
   double wall_on = 0.0;
   double hit_rate = 0.0;
-  std::size_t kernel_evals_off = 0;
+  std::size_t kernel_evals_off = 0;  ///< the direct fill evaluates every pair
   std::size_t kernel_evals_on = 0;
   std::size_t pair_lookups = 0;
   double max_rel_dev = 0.0;
@@ -118,24 +120,19 @@ FillResult run_fill(std::size_t nw, std::size_t nt) {
 
   FillResult r;
   r.filaments = fils.size();
-  peec::PartialOptions opt;
 
-  opt.memo = false;
-  peec::FillStats off;
   const auto t0 = std::chrono::steady_clock::now();
-  const RealMatrix direct =
-      peec::partial_inductance_matrix(fils, opt, nullptr, &off);
+  const RealMatrix direct = peec::direct_partial_inductance_matrix(fils);
   r.wall_off = now_wall(t0);
-  r.kernel_evals_off = off.kernel_evals;
 
-  opt.memo = true;
   peec::FillStats on;
   const auto t1 = std::chrono::steady_clock::now();
   const RealMatrix memo =
-      peec::partial_inductance_matrix(fils, opt, nullptr, &on);
+      peec::partial_inductance_matrix(fils, {}, nullptr, &on);
   r.wall_on = now_wall(t1);
   r.kernel_evals_on = on.kernel_evals;
   r.pair_lookups = on.pair_lookups;
+  r.kernel_evals_off = on.pair_lookups;
   r.hit_rate = on.hit_rate();
 
   double scale = 0.0;
@@ -162,7 +159,7 @@ struct ColdResult {
   std::size_t filaments = 0;
 };
 
-/// Cold fill: memo disabled, so every upper-triangle pair pays its full
+/// Cold fill: the direct fill, so every upper-triangle pair pays its full
 /// kernel evaluation.  This isolates raw kernel throughput — the quantity
 /// the batch engine vectorizes — from the memo's class collapsing.  The
 /// legacy baseline walks the pairs through the scalar libm kernels
@@ -173,8 +170,7 @@ ColdResult run_cold(std::size_t nw, std::size_t nt, int reps) {
   const std::vector<peec::Filament> fils = uniform_mesh(nw, nt);
   rt::SerialRegion serial;
   const std::size_t n = fils.size();
-  peec::PartialOptions opt;
-  opt.memo = false;
+  const peec::PartialOptions opt;
 
   ColdResult r;
   r.filaments = n;
@@ -212,7 +208,7 @@ ColdResult run_cold(std::size_t nw, std::size_t nt, int reps) {
     *wall = 1e300;
     for (int rep = 0; rep < reps; ++rep) {
       const auto t0 = std::chrono::steady_clock::now();
-      out = peec::partial_inductance_matrix(fils, opt);
+      out = peec::direct_partial_inductance_matrix(fils, opt);
       *wall = std::min(*wall, now_wall(t0));
     }
     return out;

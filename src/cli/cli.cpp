@@ -158,11 +158,7 @@ solver::SolveOptions solve_options(const Args& args) {
 core::TableGrid grid_from_args(const Args& args) {
   const auto n = static_cast<std::size_t>(args.get_num("points", 4));
   if (n < 2) throw diag::UsageError("cli", "--points must be >= 2");
-  core::TableGrid grid;
-  grid.widths = geomspace(um(1), um(20), n);
-  grid.spacings = geomspace(um(0.5), um(10), n);
-  grid.lengths = geomspace(um(100), um(6000), n);
-  return grid;
+  return core::default_clock_grid(n);
 }
 
 /// Ends a command's cache line with the store-retry and crash-recovery
@@ -591,11 +587,6 @@ void print_engine_report(const core::BuildStats& s, std::ostream& out) {
   if (s.dense_solves > 0)
     out << "impedance solver: " << s.dense_solves
         << " dense solves, largest " << s.max_filaments << " filaments\n";
-  if (s.mem_refusals > 0)
-    out << "memory budget: " << s.mem_refusals << " refusal"
-        << (s.mem_refusals == 1 ? "" : "s") << " (budget "
-        << s.mem_limit_bytes << " bytes, peak " << s.mem_peak_bytes
-        << ")\n";
 }
 
 std::string Args::get(const std::string& key,

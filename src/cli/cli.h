@@ -74,10 +74,10 @@ class ProviderSource {
 };
 
 /// The engine report of a build or of a process: the kernel-memo,
-/// batch-engine, impedance-solver and memory-budget lines, each printed
-/// only when its counters are non-zero.  extract/delay/tables/batch pass
-/// the build's BuildStats; the serve daemon's `stats` passes the process
-/// totals (core::engine_counters()).
+/// batch-engine and impedance-solver lines, each printed only when its
+/// counters are non-zero.  extract/delay/tables/batch pass the build's
+/// BuildStats; the serve daemon's `stats` passes the process totals
+/// (core::engine_counters()).
 void print_engine_report(const core::BuildStats& stats, std::ostream& out);
 
 /// Execute.  Returns a process exit code; normal output goes to `out`,

@@ -162,8 +162,8 @@ struct PendingBuild {
   std::unique_ptr<std::atomic<std::size_t>> remaining;
 };
 
-/// after - before for the counted engine fields; the high-water marks and
-/// the budget limit are samples, so they are taken from `after`.
+/// after - before for the counted engine fields; the filament high-water
+/// mark is a sample, so it is taken from `after`.
 BuildStats engine_delta(const BuildStats& before, const BuildStats& after) {
   BuildStats d = after;
   d.pair_lookups -= before.pair_lookups;
@@ -174,7 +174,6 @@ BuildStats engine_delta(const BuildStats& before, const BuildStats& after) {
   d.batch_volume_terms -= before.batch_volume_terms;
   d.batch_filament_terms -= before.batch_filament_terms;
   d.batch_eval_nanos -= before.batch_eval_nanos;
-  d.mem_refusals -= before.mem_refusals;
   return d;
 }
 

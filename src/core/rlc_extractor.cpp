@@ -1,7 +1,5 @@
 #include "core/rlc_extractor.h"
 
-#include <algorithm>
-
 #include "cap/models.h"
 
 namespace rlcx::core {
@@ -50,37 +48,11 @@ SegmentRlc extract_segment_rlc(const geom::Block& block,
     }
   }
 
-  const bool use_tables = options.cap_tables != nullptr &&
-                          !options.cap_tables->empty() &&
-                          options.cap_tables->layer() ==
-                              block.layer_index() &&
-                          options.cap_tables->planes() == block.planes();
-  if (use_tables) {
-    const cap::CapTables& ct = *options.cap_tables;
-    for (std::size_t i = 0; i < n; ++i) {
-      double s = 0.0;
-      if (i > 0) s = block.spacing(i - 1, i);
-      if (i + 1 < n) {
-        const double sr = block.spacing(i, i + 1);
-        s = (s == 0.0) ? sr : std::min(s, sr);
-      }
-      if (s == 0.0) s = 10.0 * block.trace(i).width;  // isolated trace
-      seg.cap_ground.push_back(ct.cg(block.trace(i).width, s) *
-                               block.length());
-    }
-    for (std::size_t i = 0; i + 1 < n; ++i) {
-      const double w_avg =
-          0.5 * (block.trace(i).width + block.trace(i + 1).width);
-      seg.cap_coupling.push_back(
-          ct.cc(w_avg, block.spacing(i, i + 1)) * block.length());
-    }
-  } else {
-    const cap::CapResult c = cap::extract_cap(block);
-    for (std::size_t i = 0; i < n; ++i)
-      seg.cap_ground.push_back(c.cg[i] * block.length());
-    for (std::size_t i = 0; i + 1 < n; ++i)
-      seg.cap_coupling.push_back(c.cc[i] * block.length());
-  }
+  const cap::CapResult c = cap::extract_cap(block);
+  for (std::size_t i = 0; i < n; ++i)
+    seg.cap_ground.push_back(c.cg[i] * block.length());
+  for (std::size_t i = 0; i + 1 < n; ++i)
+    seg.cap_coupling.push_back(c.cc[i] * block.length());
   return seg;
 }
 

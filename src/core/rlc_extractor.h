@@ -8,7 +8,6 @@
 
 #include <vector>
 
-#include "cap/cap_tables.h"
 #include "cap/extractor.h"
 #include "core/inductance_model.h"
 #include "geom/block.h"
@@ -44,13 +43,6 @@ struct ExtractOptions {
   /// frequency-dependent (skin/proximity) series resistance instead of the
   /// paper's analytic DC value.
   bool ac_resistance = false;
-
-  /// Pre-characterised capacitance tables (paper ref. [4] flow).  When set
-  /// and matching the block's (layer, plane-config), capacitances come from
-  /// the field-solver tables instead of the closed forms.  The tables are
-  /// characterised with same-width neighbours, so mixed-width blocks are
-  /// approximated with each trace's own width and its nearest spacing.
-  const cap::CapTables* cap_tables = nullptr;
 };
 
 /// Extract a segment: R analytically (or from the provider's AC-resistance

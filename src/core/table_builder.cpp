@@ -9,7 +9,6 @@
 #include "numeric/units.h"
 #include "peec/assembly.h"
 #include "peec/kernel_batch.h"
-#include "res/budget.h"
 #include "rt/pool.h"
 #include "solver/block_solver.h"
 
@@ -17,11 +16,11 @@ namespace rlcx::core {
 
 using units::um;
 
-TableGrid default_clock_grid() {
+TableGrid default_clock_grid(std::size_t points) {
   TableGrid g;
-  g.widths = geomspace(um(1), um(20), 5);
-  g.spacings = geomspace(um(0.5), um(10), 5);
-  g.lengths = geomspace(um(100), um(6000), 5);
+  g.widths = geomspace(um(1), um(20), points);
+  g.spacings = geomspace(um(0.5), um(10), points);
+  g.lengths = geomspace(um(100), um(6000), points);
   return g;
 }
 
@@ -47,10 +46,6 @@ BuildStats engine_counters() {
   s.batch_volume_terms = batches.volume_terms;
   s.batch_filament_terms = batches.filament_terms;
   s.batch_eval_nanos = batches.eval_nanos;
-  const res::Stats budget = res::Budget::global().stats();
-  s.mem_limit_bytes = budget.limit_bytes;
-  s.mem_peak_bytes = budget.peak_bytes;
-  s.mem_refusals = budget.refusals;
   return s;
 }
 

@@ -33,9 +33,10 @@ struct TableGrid {
 };
 
 /// A sensible default grid for clock wiring: widths 1-20 um, spacings
-/// 0.5-10 um, lengths 100-6000 um (geometric spacing, since L is closer to
-/// log-linear in geometry).
-TableGrid default_clock_grid();
+/// 0.5-10 um, lengths 100-6000 um, `points` samples per axis (geometric
+/// spacing, since L is closer to log-linear in geometry).  The CLI's
+/// --points grid is this grid.
+TableGrid default_clock_grid(std::size_t points = 5);
 
 /// Resident bytes of one characterisation over `grid`: the three value
 /// arrays a build accumulates, doubled for the transient copies made while
@@ -68,12 +69,6 @@ struct BuildStats {
   std::size_t batch_volume_terms = 0;    ///< Hoer-Love SoA entries evaluated
   std::size_t batch_filament_terms = 0;  ///< filament fast-path SoA entries
   std::uint64_t batch_eval_nanos = 0;    ///< wall time inside the SoA kernels
-  // Resource-governance counters (res::Budget::global(); limit and peak
-  // are sampled, refusals delta'd; docs/robustness.md "Resource
-  // governance").
-  std::uint64_t mem_limit_bytes = 0;   ///< budget in force (0 = unlimited)
-  std::uint64_t mem_peak_bytes = 0;    ///< tracked+reserved high-water seen
-  std::uint64_t mem_refusals = 0;      ///< reservations refused outright
   /// Fraction of pair values served without a kernel evaluation.
   double memo_hit_rate() const {
     return pair_lookups == 0
@@ -84,7 +79,7 @@ struct BuildStats {
 };
 
 /// The process-global engine counters as they stand now: kernel memo,
-/// batch engine, impedance solver and memory budget (solves, grid_points,
+/// batch engine and impedance solver (solves, grid_points,
 /// threads and wall_seconds stay at their defaults).  characterize_batch
 /// deltas two samples around its fan-out; the daemon's `stats` request
 /// reports one sample as its lifetime totals.

@@ -9,7 +9,6 @@
 
 #include "peec/kernel_batch.h"
 #include "res/budget.h"
-#include "rt/parallel.h"
 
 namespace rlcx::peec {
 
@@ -30,8 +29,14 @@ std::size_t tri_index(std::size_t i, std::size_t j, std::size_t n) {
   return i * n - i * (i - 1) / 2 + (j - i);
 }
 
+/// Relative tolerance of the PairKey quantization, in units of the fill's
+/// largest geometric extent.  1e-12 is ~4 decades above coordinate
+/// round-off (so translated copies of the same pair land in one class)
+/// and far below any intentional mesh perturbation.
+constexpr double kMemoRelTol = 1e-12;
+
 /// Largest coordinate magnitude / dimension in the fill; the PairKey
-/// quantum is this scale times memo_rel_tol, so quantization noise is
+/// quantum is this scale times kMemoRelTol, so quantization noise is
 /// measured against the whole structure rather than any single bar.
 double fill_scale(const std::vector<Filament>& filaments) {
   double s = 0.0;
@@ -45,13 +50,9 @@ double fill_scale(const std::vector<Filament>& filaments) {
   return s;
 }
 
-// Below this many rows the direct fill is a few hundred kernel terms —
-// cheaper to run in place than to dispatch row blocks to the pool.
-constexpr std::size_t kParallelThreshold = 16;
-
 constexpr std::uint32_t kOrthogonalClass = 0xffffffffu;
 
-// Flush the memo path's batch once this many SoA entries accumulate:
+// Flush pass 2's batch once this many SoA entries accumulate:
 // bounds the evaluator's working memory (13 doubles/entry -> ~7 MB) on
 // huge fills without giving up long vector runs.  Values are elementwise
 // per entry, so the flush boundary cannot change any result.
@@ -65,12 +66,6 @@ FillStats fill_stats_total() {
   s.kernel_evals = g_kernel_evals.load(std::memory_order_relaxed);
   s.memo_hits = g_memo_hits.load(std::memory_order_relaxed);
   return s;
-}
-
-void reset_fill_stats_total() {
-  g_pair_lookups.store(0, std::memory_order_relaxed);
-  g_kernel_evals.store(0, std::memory_order_relaxed);
-  g_memo_hits.store(0, std::memory_order_relaxed);
 }
 
 std::size_t estimate_fill_bytes(std::size_t filaments) {
@@ -91,130 +86,87 @@ RealMatrix partial_inductance_matrix(const std::vector<Filament>& filaments,
   FillStats local;
 
   const double scale = fill_scale(filaments);
-  const double quantum = scale * opt.memo_rel_tol;
-  const bool memo = opt.memo && quantum > 0.0;
+  // A fill of all-zero bars has no scale; any quantum keys it, and the
+  // kernel's geometry guards reject it in pass 2.
+  const double quantum = scale > 0.0 ? scale * kMemoRelTol : 1.0;
 
-  if (!memo) {
-    // Direct fill: row i covers the diagonal plus every j > i, mirrored
-    // into (j, i); rows write disjoint elements and can run in any order.
-    // Row cost shrinks with i (n - i kernel evaluations), which is exactly
-    // the imbalance the work-stealing grain of one row absorbs.  Each row
-    // is flattened into one batch so the SoA kernels get long vector runs
-    // even with memoization off; the engine runs inline here (the outer
-    // loop already owns the pool's parallelism).
-    auto fill_rows = [&](std::size_t lo, std::size_t hi) {
-      BatchEvaluator ev;
-      std::vector<double> row;
-      for (std::size_t i = lo; i < hi; ++i) {
-        ev.clear();
-        ev.add_self(filaments[i].bar, opt);
-        for (std::size_t j = i + 1; j < n; ++j)
-          ev.add_pair(filaments[i].bar, filaments[j].bar, opt);
-        row.resize(ev.slots());
-        ev.run(row.data(), pool);
-        lp(i, i) = row[0];
-        for (std::size_t j = i + 1; j < n; ++j) {
-          const double m =
-              filaments[i].sign * filaments[j].sign * row[j - i];
-          lp(i, j) = m;
-          lp(j, i) = m;
-        }
+  // Pass 1 (serial): group the upper triangle into relative-geometry
+  // classes.  The first pair scanned becomes the class representative,
+  // so the class list — and therefore every memoized value — is
+  // independent of how pass 2 is scheduled.
+  struct ClassRec {
+    std::uint32_t i, j;
+    double value = 0.0;
+  };
+  std::vector<ClassRec> classes;
+  std::unordered_map<PairKey, std::uint32_t, PairKeyHash> self_ids;
+  std::unordered_map<PairKey, std::uint32_t, PairKeyHash> pair_ids;
+  std::vector<std::uint32_t> cls(n * (n + 1) / 2, kOrthogonalClass);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = i; j < n; ++j) {
+      const Bar& bi = filaments[i].bar;
+      const Bar& bj = filaments[j].bar;
+      if (i != j && bi.axis != bj.axis) continue;  // exact zero, no kernel
+      ++local.pair_lookups;
+      // Self classes and pair classes live in separate maps: a pair of
+      // *distinct* bars whose key degenerates to a self key is a
+      // coincident-bar layout error, and must reach the kernel's
+      // disjointness guard instead of silently reusing a self value.
+      auto& ids = i == j ? self_ids : pair_ids;
+      const PairKey key = i == j ? make_self_key(bi, quantum)
+                                 : make_pair_key(bi, bj, quantum);
+      const auto [it, inserted] =
+          ids.try_emplace(key, static_cast<std::uint32_t>(classes.size()));
+      if (inserted) {
+        classes.push_back({static_cast<std::uint32_t>(i),
+                           static_cast<std::uint32_t>(j), 0.0});
+      } else {
+        ++local.memo_hits;
       }
+      cls[tri_index(i, j, n)] = it->second;
+    }
+  }
+
+  // Pass 2: one batched kernel evaluation per class.  Classes append in
+  // pass-1 order into SoA batches the engine fans out across the pool;
+  // every class value is an order-fixed reduction of elementwise entry
+  // values, so the result is independent of pool width and of where the
+  // memory-bounding flushes land.
+  {
+    BatchEvaluator ev;
+    std::size_t flushed = 0;
+    std::vector<double> values(classes.size());
+    auto flush = [&] {
+      ev.run(values.data() + flushed, pool);
+      flushed += ev.slots();
+      ev.clear();
     };
-    if (n < kParallelThreshold) {
-      fill_rows(0, n);
-    } else {
-      rt::ParallelOptions popt;
-      popt.grain = 1;
-      popt.pool = pool;
-      rt::parallel_for(0, n, fill_rows, popt);
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      ++local.pair_lookups;  // the diagonal
-      for (std::size_t j = i + 1; j < n; ++j)
-        if (filaments[i].bar.axis == filaments[j].bar.axis)
-          ++local.pair_lookups;
-    }
-    local.kernel_evals = local.pair_lookups;
-  } else {
-    // Pass 1 (serial): group the upper triangle into relative-geometry
-    // classes.  The first pair scanned becomes the class representative,
-    // so the class list — and therefore every memoized value — is
-    // independent of how pass 2 is scheduled.
-    struct ClassRec {
-      std::uint32_t i, j;
-      double value = 0.0;
-    };
-    std::vector<ClassRec> classes;
-    std::unordered_map<PairKey, std::uint32_t, PairKeyHash> self_ids;
-    std::unordered_map<PairKey, std::uint32_t, PairKeyHash> pair_ids;
-    std::vector<std::uint32_t> cls(n * (n + 1) / 2, kOrthogonalClass);
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = i; j < n; ++j) {
-        const Bar& bi = filaments[i].bar;
-        const Bar& bj = filaments[j].bar;
-        if (i != j && bi.axis != bj.axis) continue;  // exact zero, no kernel
-        ++local.pair_lookups;
-        // Self classes and pair classes live in separate maps: a pair of
-        // *distinct* bars whose key degenerates to a self key is a
-        // coincident-bar layout error, and must reach the kernel's
-        // disjointness guard instead of silently reusing a self value.
-        auto& ids = i == j ? self_ids : pair_ids;
-        const PairKey key = i == j ? make_self_key(bi, quantum)
-                                   : make_pair_key(bi, bj, quantum);
-        const auto [it, inserted] =
-            ids.try_emplace(key, static_cast<std::uint32_t>(classes.size()));
-        if (inserted) {
-          classes.push_back({static_cast<std::uint32_t>(i),
-                             static_cast<std::uint32_t>(j), 0.0});
-        } else {
-          ++local.memo_hits;
-        }
-        cls[tri_index(i, j, n)] = it->second;
+    for (const ClassRec& r : classes) {
+      if (r.i == r.j) {
+        ev.add_self(filaments[r.i].bar, opt);
+      } else {
+        ev.add_pair(filaments[r.i].bar, filaments[r.j].bar, opt);
       }
+      if (ev.volume_entries() + ev.filament_entries() >= kBatchFlushEntries)
+        flush();
     }
+    flush();
+    for (std::size_t c = 0; c < classes.size(); ++c)
+      classes[c].value = values[c];
+  }
+  local.kernel_evals = classes.size();
 
-    // Pass 2: one batched kernel evaluation per class.  Classes append in
-    // pass-1 order into SoA batches the engine fans out across the pool;
-    // every class value is an order-fixed reduction of elementwise entry
-    // values, so the result is independent of pool width and of where the
-    // memory-bounding flushes land.
-    {
-      BatchEvaluator ev;
-      std::size_t flushed = 0;
-      std::vector<double> values(classes.size());
-      auto flush = [&] {
-        ev.run(values.data() + flushed, pool);
-        flushed += ev.slots();
-        ev.clear();
-      };
-      for (const ClassRec& r : classes) {
-        if (r.i == r.j) {
-          ev.add_self(filaments[r.i].bar, opt);
-        } else {
-          ev.add_pair(filaments[r.i].bar, filaments[r.j].bar, opt);
-        }
-        if (ev.volume_entries() + ev.filament_entries() >= kBatchFlushEntries)
-          flush();
-      }
-      flush();
-      for (std::size_t c = 0; c < classes.size(); ++c)
-        classes[c].value = values[c];
-    }
-    local.kernel_evals = classes.size();
-
-    // Pass 3: scatter with the orientation signs folded in.  Orthogonal
-    // pairs keep the zero the matrix was initialised with.
-    for (std::size_t i = 0; i < n; ++i) {
-      lp(i, i) = classes[cls[tri_index(i, i, n)]].value;
-      for (std::size_t j = i + 1; j < n; ++j) {
-        const std::uint32_t c = cls[tri_index(i, j, n)];
-        if (c == kOrthogonalClass) continue;
-        const double m =
-            filaments[i].sign * filaments[j].sign * classes[c].value;
-        lp(i, j) = m;
-        lp(j, i) = m;
-      }
+  // Pass 3: scatter with the orientation signs folded in.  Orthogonal
+  // pairs keep the zero the matrix was initialised with.
+  for (std::size_t i = 0; i < n; ++i) {
+    lp(i, i) = classes[cls[tri_index(i, i, n)]].value;
+    for (std::size_t j = i + 1; j < n; ++j) {
+      const std::uint32_t c = cls[tri_index(i, j, n)];
+      if (c == kOrthogonalClass) continue;
+      const double m =
+          filaments[i].sign * filaments[j].sign * classes[c].value;
+      lp(i, j) = m;
+      lp(j, i) = m;
     }
   }
 

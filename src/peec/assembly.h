@@ -42,7 +42,6 @@ struct FillStats {
 /// core::characterize_batch deltas it around its fan-out into BuildStats,
 /// which the CLI reports as the memo hit rate.
 FillStats fill_stats_total();
-void reset_fill_stats_total();
 
 /// Dense symmetric partial-inductance matrix [H] over the filaments,
 /// orientation signs folded in (Lp_ij = s_i s_j M_ij).  The O(n^2) fill is
@@ -50,10 +49,11 @@ void reset_fill_stats_total();
 /// docs/performance.md):
 ///   * the batch engine sums aligned bar pairs over chunk offsets, not
 ///     over every chunk pair (BatchEvaluator in kernel_batch.h);
-///   * with opt.memo (default on), pairs are grouped into translation-
-///     invariant relative-geometry classes (PairKey) and the kernel runs
-///     once per class — on a regular mesh that is O(n) evaluations for the
-///     O(n^2) fill.
+///   * pairs are grouped into translation-invariant relative-geometry
+///     classes (PairKey) and the kernel runs once per class — on a regular
+///     mesh that is O(n) evaluations for the O(n^2) fill.  The result is
+///     element-exact to evaluating every pair (the direct-fill oracle,
+///     tests/support/direct_fill_reference.h).
 /// Class evaluations fan out across `pool` (nullptr = the process-global
 /// pool) once the fill is big enough to pay for the trip; the class list
 /// and representatives are fixed by a serial scan, so the result is

@@ -96,13 +96,6 @@ BatchStats batch_stats_total() {
   return s;
 }
 
-void reset_batch_stats_total() {
-  g_batch_runs.store(0, std::memory_order_relaxed);
-  g_volume_terms.store(0, std::memory_order_relaxed);
-  g_filament_terms.store(0, std::memory_order_relaxed);
-  g_eval_nanos.store(0, std::memory_order_relaxed);
-}
-
 const char* batch_simd_name() {
   return numeric::simd_mode_name(numeric::simd_mode());
 }

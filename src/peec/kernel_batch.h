@@ -101,7 +101,6 @@ struct BatchStats {
 };
 
 BatchStats batch_stats_total();
-void reset_batch_stats_total();
 
 /// The SimdMode (as a name, "scalar"/"avx2"/"avx512") the engine currently
 /// dispatches to; convenience for reports.

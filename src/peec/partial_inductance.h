@@ -6,7 +6,7 @@
 // extractors evaluate — with an exact thin-filament closed form for
 // well-separated chunk pairs; the batch engine (kernel_batch.h) evaluates
 // both.  This header provides what the engine and the fill share:
-//   * the fill options (chunk aspect, far-field threshold, memoization),
+//   * the fill options (chunk aspect, far-field threshold),
 //   * lengthwise subdivision to keep the kernel numerically healthy for the
 //     huge aspect ratios of clock wiring (6000 um long, 1-10 um wide),
 //   * a translation-invariant PairKey so matrix fills evaluate the kernel
@@ -31,15 +31,6 @@ struct PartialOptions {
   /// Center distance (in units of mean cross diagonal) beyond which the
   /// exact filament formula replaces the volume kernel (<0.1 % error).
   double far_factor = 12.0;
-  /// Memoize kernel evaluations by relative-geometry class during matrix
-  /// fills (partial_inductance_matrix).  On a regular mesh this turns the
-  /// O(n^2) pair fill into O(unique classes) kernel evaluations.
-  bool memo = true;
-  /// Relative tolerance of the PairKey quantization, in units of the fill's
-  /// largest geometric extent.  1e-12 is ~4 decades above coordinate
-  /// round-off (so translated copies of the same pair land in one class)
-  /// and far below any intentional mesh perturbation.
-  double memo_rel_tol = 1e-12;
 };
 
 // ---------------------------------------------------------------------------
@@ -104,7 +95,7 @@ struct PairKeyHash {
 };
 
 /// Canonical key of a same-axis pair; `quantum` is the absolute geometric
-/// tolerance (fill scale × PartialOptions::memo_rel_tol).  Any translated
+/// tolerance (the fill's scale × its relative tolerance).  Any translated
 /// copy of the pair maps to the same key.
 PairKey make_pair_key(const Bar& b1, const Bar& b2, double quantum);
 

@@ -18,17 +18,15 @@ double rise_time_for_frequency(double frequency) {
   return 0.32 / frequency;
 }
 
-namespace {
-
-/// Shared sweep driver: one extraction per frequency point, fanned out
-/// with one point per task (a full block solve dwarfs the dispatch cost).
-/// Inside a worker the extraction's inner layers run serial, so the
-/// per-point numbers match a standalone serial call bit for bit.
-template <typename Result, typename Extract>
-std::vector<Result> sweep(const geom::Block& block, const SolveOptions& base,
-                          const std::vector<double>& frequencies,
-                          rt::Pool* pool, Extract extract) {
-  std::vector<Result> out(frequencies.size());
+// One extraction per frequency point, fanned out with one point per task
+// (a full block solve dwarfs the dispatch cost).  Inside a worker the
+// extraction's inner layers run serial, so the per-point numbers match a
+// standalone serial call bit for bit.
+std::vector<LoopResult> sweep_loop(const geom::Block& block,
+                                   const SolveOptions& base,
+                                   const std::vector<double>& frequencies,
+                                   rt::Pool* pool) {
+  std::vector<LoopResult> out(frequencies.size());
   rt::ParallelOptions opt;
   opt.grain = 1;
   opt.pool = pool;
@@ -37,27 +35,11 @@ std::vector<Result> sweep(const geom::Block& block, const SolveOptions& base,
                      for (std::size_t i = lo; i < hi; ++i) {
                        SolveOptions o = base;
                        o.frequency = frequencies[i];
-                       out[i] = extract(block, o);
+                       out[i] = extract_loop(block, o);
                      }
                    },
                    opt);
   return out;
-}
-
-}  // namespace
-
-std::vector<LoopResult> sweep_loop(const geom::Block& block,
-                                   const SolveOptions& base,
-                                   const std::vector<double>& frequencies,
-                                   rt::Pool* pool) {
-  return sweep<LoopResult>(block, base, frequencies, pool, extract_loop);
-}
-
-std::vector<PartialResult> sweep_partial(
-    const geom::Block& block, const SolveOptions& base,
-    const std::vector<double>& frequencies, rt::Pool* pool) {
-  return sweep<PartialResult>(block, base, frequencies, pool,
-                              extract_partial);
 }
 
 }  // namespace rlcx::solver

@@ -2,9 +2,9 @@
 // f_s = 0.32 / t_r, where t_r is the minimum rise/fall time [1].
 //
 // Frequency sweeps (skin/proximity R(f), L(f) curves, multi-corner
-// characterisation) are embarrassingly parallel across points; the sweep_*
-// entry points fan the per-frequency solves out on the rlcx::rt pool and
-// return results in input order, each bit-identical to a serial extract_*
+// characterisation) are embarrassingly parallel across points; sweep_loop
+// fans the per-frequency solves out on the rlcx::rt pool and returns
+// results in input order, each bit-identical to a serial extract_loop
 // call at that frequency.
 #pragma once
 
@@ -32,10 +32,5 @@ std::vector<LoopResult> sweep_loop(const geom::Block& block,
                                    const SolveOptions& base,
                                    const std::vector<double>& frequencies,
                                    rt::Pool* pool = nullptr);
-
-/// Partial-inductance flavour of the same sweep.
-std::vector<PartialResult> sweep_partial(
-    const geom::Block& block, const SolveOptions& base,
-    const std::vector<double>& frequencies, rt::Pool* pool = nullptr);
 
 }  // namespace rlcx::solver

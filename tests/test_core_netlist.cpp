@@ -145,40 +145,6 @@ TEST(StampSegment, RcOnlyModeHasNoInductors) {
   EXPECT_FALSE(nl.resistors().empty());
 }
 
-TEST(SegmentRlc, CapTablesOverrideClosedForms) {
-  // With matching pre-characterised capacitance tables the segment caps
-  // come from the FD tables instead of the closed forms.
-  cap::CapTableGrid grid;
-  grid.widths = {um(2), um(5), um(10)};
-  grid.spacings = {um(1), um(2.5), um(6)};
-  cap::Fd2dOptions fdo;
-  fdo.cell = 0.5e-6;
-  const cap::CapTables ct = cap::CapTables::build(
-      tech(), 6, PlaneConfig::kNone, grid, fdo);
-
-  const geom::Block blk =
-      geom::coplanar_waveguide(tech(), 6, um(1000), um(5), um(5), um(2.5));
-  ExtractOptions with;
-  with.cap_tables = &ct;
-  const SegmentRlc a = extract_segment_rlc(blk, cpw_model(), with);
-  const SegmentRlc b = extract_segment_rlc(blk, cpw_model());
-  // Different models, same ballpark.
-  EXPECT_NE(a.cap_ground[1], b.cap_ground[1]);
-  EXPECT_NEAR(a.cap_ground[1], b.cap_ground[1], 0.6 * b.cap_ground[1]);
-  EXPECT_NEAR(a.cap_coupling[0], b.cap_coupling[0],
-              0.7 * b.cap_coupling[0]);
-  // Table values match the table directly (same-width uniform structure).
-  EXPECT_NEAR(a.cap_coupling[0], ct.cc(um(5), um(2.5)) * um(1000), 1e-20);
-  // Mismatched config falls back to closed forms.
-  const geom::Block ms =
-      geom::microstrip(tech(), 6, um(1000), um(5), um(5), um(2.5));
-  static const DirectInductanceModel loop_model(
-      &tech(), 6, PlaneConfig::kBelow, fast_opts());
-  const SegmentRlc fallback = extract_segment_rlc(ms, loop_model, with);
-  const SegmentRlc plain = extract_segment_rlc(ms, loop_model);
-  EXPECT_DOUBLE_EQ(fallback.cap_ground[1], plain.cap_ground[1]);
-}
-
 TEST(StampSegment, SimulatedDcResistanceMatches) {
   // Drive the stamped segment with a DC source through a known resistor and
   // check the final divider ratio implies the extracted wire resistance.

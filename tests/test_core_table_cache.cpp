@@ -11,12 +11,14 @@
 #include <thread>
 #include <vector>
 
+#include "core/table_builder.h"
 #include "core/table_cache.h"
 #include "diag/error.h"
 #include "diag/warnings.h"
 #include "geom/technology.h"
 #include "numeric/units.h"
 #include "run/fault_injection.h"
+#include "solver/frequency.h"
 #include "support/scratch_dir.h"
 
 namespace rlcx::core {
@@ -219,6 +221,21 @@ TEST(TableCache, KeyTextLinesFollowTheDocumentedRecipe) {
   EXPECT_EQ(k, lines.size())
       << "undocumented key line: \"" << (k < lines.size() ? lines[k] : "")
       << "\"";
+}
+
+TEST(TableCache, CliDefaultClassKeyIdIsPinned) {
+  // The class `rlcx tables --layer 6 --points 3` characterises at the
+  // CLI's default 200 ps rise (1.6 GHz).  Every user's cache directory is
+  // filed under ids like this one, so a change that moves it (a new
+  // SolveOptions or PartialOptions field, a reformatted fingerprint)
+  // silently orphans every cache.  Update the golden id only together
+  // with a kCacheKeyVersion bump.
+  solver::SolveOptions opt;
+  opt.frequency = solver::significant_frequency(200e-12);
+  const std::string key = TableCache::key_text(
+      geom::Technology::generic_025um(), 6, geom::PlaneConfig::kNone,
+      default_clock_grid(3), opt);
+  EXPECT_EQ(TableCache::key_id(key), "06dbf4cc2ee53155") << key;
 }
 
 TEST(TableCache, KeyHashIsStableFnv1a64) {

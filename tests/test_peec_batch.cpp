@@ -28,6 +28,7 @@
 #include "peec/kernel_batch.h"
 #include "peec/partial_inductance.h"
 #include "rt/pool.h"
+#include "support/direct_fill_reference.h"
 #include "support/partial_reference.h"
 
 namespace rlcx::peec {
@@ -468,24 +469,23 @@ std::vector<Filament> test_mesh(std::size_t nw) {
 }
 
 TEST(BatchEngine, SimdModesAreBitIdentical) {
-  PartialOptions opt;
-  opt.memo = false;  // direct path: every pair through the engine
+  // The direct-fill oracle sends every pair through the engine.
   const std::vector<Filament> mesh = test_mesh(12);
   RealMatrix scalar_lp(0, 0);
   {
     ScopedSimdMode mode(numeric::SimdMode::kScalar);
-    scalar_lp = partial_inductance_matrix(mesh, opt);
+    scalar_lp = direct_partial_inductance_matrix(mesh);
   }
   if (numeric::simd_avx2_supported()) {
     ScopedSimdMode mode(numeric::SimdMode::kAvx2);
-    const RealMatrix lp = partial_inductance_matrix(mesh, opt);
+    const RealMatrix lp = direct_partial_inductance_matrix(mesh);
     for (std::size_t i = 0; i < lp.rows(); ++i)
       for (std::size_t j = 0; j < lp.cols(); ++j)
         EXPECT_EQ(lp(i, j), scalar_lp(i, j)) << "avx2 " << i << "," << j;
   }
   if (numeric::simd_avx512_supported()) {
     ScopedSimdMode mode(numeric::SimdMode::kAvx512);
-    const RealMatrix lp = partial_inductance_matrix(mesh, opt);
+    const RealMatrix lp = direct_partial_inductance_matrix(mesh);
     for (std::size_t i = 0; i < lp.rows(); ++i)
       for (std::size_t j = 0; j < lp.cols(); ++j)
         EXPECT_EQ(lp(i, j), scalar_lp(i, j)) << "avx512 " << i << "," << j;
@@ -591,15 +591,11 @@ TEST(BatchEngine, OverlappingBarsThrowAtAppend) {
 }
 
 TEST(BatchEngine, MemoizedFillStaysElementExactToDirectFill) {
-  // The PR-4 contract, now carried end-to-end by the engine: the memoized
-  // three-pass fill and the direct fill agree element-exactly.
-  PartialOptions direct_opt;
-  direct_opt.memo = false;
-  PartialOptions memo_opt;
-  memo_opt.memo = true;
+  // The memo contract, carried end-to-end by the engine: the memoized
+  // three-pass fill and the direct-fill oracle agree element-exactly.
   const std::vector<Filament> mesh = test_mesh(16);
-  const RealMatrix direct = partial_inductance_matrix(mesh, direct_opt);
-  const RealMatrix memo = partial_inductance_matrix(mesh, memo_opt);
+  const RealMatrix direct = direct_partial_inductance_matrix(mesh);
+  const RealMatrix memo = partial_inductance_matrix(mesh);
   for (std::size_t i = 0; i < direct.rows(); ++i)
     for (std::size_t j = 0; j < direct.cols(); ++j)
       EXPECT_EQ(memo(i, j), direct(i, j)) << i << "," << j;

@@ -4,7 +4,8 @@
 //  * PairKey is invariant under translation only (not under mirror
 //    reflection or bar exchange), and separates genuinely different
 //    geometry;
-//  * the memoized fill equals the direct fill element-exactly — on a
+//  * the memoized fill equals the direct-fill oracle
+//    (tests/support/direct_fill_reference.h) element-exactly — on a
 //    dyadic uniform mesh (where translation-equal pairs are bit-identical
 //    and the memo collapses them), on a perturbed mesh (where every pair
 //    is its own class) and on a graded skin-depth mesh whose filaments
@@ -24,6 +25,7 @@
 #include "peec/mesh.h"
 #include "peec/partial_inductance.h"
 #include "rt/pool.h"
+#include "support/direct_fill_reference.h"
 #include "support/partial_reference.h"
 
 namespace rlcx::peec {
@@ -105,22 +107,19 @@ std::vector<Filament> dyadic_mesh() {
 
 TEST(MemoFill, ElementExactOnUniformMesh) {
   const std::vector<Filament> fils = dyadic_mesh();
-  PartialOptions opt;
-  opt.memo = false;
-  FillStats off;
-  const RealMatrix direct = partial_inductance_matrix(fils, opt, nullptr, &off);
-  opt.memo = true;
+  const RealMatrix direct = direct_partial_inductance_matrix(fils);
   FillStats on;
-  const RealMatrix memo = partial_inductance_matrix(fils, opt, nullptr, &on);
+  const RealMatrix memo =
+      partial_inductance_matrix(fils, PartialOptions{}, nullptr, &on);
 
   ASSERT_EQ(direct.rows(), memo.rows());
   for (std::size_t i = 0; i < direct.rows(); ++i)
     for (std::size_t j = 0; j < direct.cols(); ++j)
       EXPECT_EQ(direct(i, j), memo(i, j)) << "(" << i << "," << j << ")";
 
-  EXPECT_EQ(off.memo_hits, 0u);
-  EXPECT_EQ(off.kernel_evals, off.pair_lookups);
-  EXPECT_EQ(on.pair_lookups, off.pair_lookups);
+  // Every filament shares the axis: the fill looks up the whole upper
+  // triangle, each lookup either evaluated or served by the memo.
+  EXPECT_EQ(on.pair_lookups, fils.size() * (fils.size() + 1) / 2);
   EXPECT_EQ(on.kernel_evals + on.memo_hits, on.pair_lookups);
   // 64 filaments = 2080 pairs; the uniform grid collapses them to the
   // O(n) distinct signed (di, dj) offset classes.
@@ -137,12 +136,10 @@ TEST(MemoFill, ElementExactOnPerturbedMesh) {
     fils[i].bar.t_width *= shrink;
     fils[i].bar.z_thick *= shrink;
   }
-  PartialOptions opt;
-  opt.memo = false;
-  const RealMatrix direct = partial_inductance_matrix(fils, opt);
-  opt.memo = true;
+  const RealMatrix direct = direct_partial_inductance_matrix(fils);
   FillStats on;
-  const RealMatrix memo = partial_inductance_matrix(fils, opt, nullptr, &on);
+  const RealMatrix memo =
+      partial_inductance_matrix(fils, PartialOptions{}, nullptr, &on);
   EXPECT_EQ(on.memo_hits, 0u);
   for (std::size_t i = 0; i < direct.rows(); ++i)
     for (std::size_t j = 0; j < direct.cols(); ++j)
@@ -153,11 +150,8 @@ TEST(MemoFill, SignsFoldedLikeDirectFill) {
   std::vector<Filament> fils = dyadic_mesh();
   for (std::size_t i = 0; i < fils.size(); ++i)
     fils[i].sign = (i % 3 == 0) ? -1.0 : 1.0;
-  PartialOptions opt;
-  opt.memo = false;
-  const RealMatrix direct = partial_inductance_matrix(fils, opt);
-  opt.memo = true;
-  const RealMatrix memo = partial_inductance_matrix(fils, opt);
+  const RealMatrix direct = direct_partial_inductance_matrix(fils);
+  const RealMatrix memo = partial_inductance_matrix(fils);
   for (std::size_t i = 0; i < direct.rows(); ++i)
     for (std::size_t j = 0; j < direct.cols(); ++j)
       EXPECT_EQ(direct(i, j), memo(i, j));
@@ -231,9 +225,7 @@ TEST(MemoFill, ElementExactOnGradedMeshWithMixedChunkCounts) {
     counts.insert(chunk_count(f.bar, opt.max_aspect));
   ASSERT_GT(counts.size(), 1u);
 
-  opt.memo = false;
-  const RealMatrix direct = partial_inductance_matrix(fils, opt);
-  opt.memo = true;
+  const RealMatrix direct = direct_partial_inductance_matrix(fils, opt);
   FillStats on;
   const RealMatrix memo = partial_inductance_matrix(fils, opt, nullptr, &on);
   EXPECT_GT(on.memo_hits, 0u);
@@ -256,14 +248,16 @@ TEST(MemoFill, DeterministicAcrossPoolWidths) {
 }
 
 TEST(MemoFill, GlobalCountersAggregate) {
-  reset_fill_stats_total();
+  // The process totals only grow; a fill adds exactly its own counters
+  // (nothing else in this test binary fills concurrently).
   const std::vector<Filament> fils = dyadic_mesh();
+  const FillStats before = fill_stats_total();
   FillStats local;
   partial_inductance_matrix(fils, PartialOptions{}, nullptr, &local);
-  const FillStats total = fill_stats_total();
-  EXPECT_EQ(total.pair_lookups, local.pair_lookups);
-  EXPECT_EQ(total.kernel_evals, local.kernel_evals);
-  EXPECT_EQ(total.memo_hits, local.memo_hits);
+  const FillStats after = fill_stats_total();
+  EXPECT_EQ(after.pair_lookups - before.pair_lookups, local.pair_lookups);
+  EXPECT_EQ(after.kernel_evals - before.kernel_evals, local.kernel_evals);
+  EXPECT_EQ(after.memo_hits - before.memo_hits, local.memo_hits);
 }
 
 TEST(MemoFill, CoincidentBarsStillRejected) {

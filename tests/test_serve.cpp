@@ -8,6 +8,7 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -21,6 +22,7 @@
 
 #include "cli/cli.h"
 #include "diag/error.h"
+#include "res/budget.h"
 #include "run/control.h"
 #include "run/fault_injection.h"
 #include "run/journal.h"
@@ -459,6 +461,31 @@ TEST(ServeFlow, StatsReportWarmStoreAndAdmissionCounters) {
       << stats.out;
   EXPECT_NE(stats.out.find("requests: 2 served"), std::string::npos);
   EXPECT_NE(stats.out.find("table cache "), std::string::npos);
+}
+
+TEST(ServeFlow, StatsPrintOneMemoryBudgetLineAfterARefusal) {
+  // The daemon-wide budget, as `rlcx serve --mem-budget 64` sets it.
+  const std::uint64_t saved_limit = res::Budget::global().limit();
+  res::Budget::global().set_limit(std::uint64_t{64} << 20);
+  const ScratchDir dir("rlcx_serve");
+  std::ostringstream diag;
+  Server server(test_config(dir), diag);
+  std::vector<std::string> oversized = extract_argv();
+  oversized.push_back("--points");
+  oversized.push_back("64");
+  const std::vector<Frame> replies = drive(
+      server,
+      encode_frame(FrameKind::kRequest, join_request(oversized)) +
+          encode_frame(FrameKind::kRequest, "stats"));
+  res::Budget::global().set_limit(saved_limit);
+  ASSERT_EQ(replies.size(), 2u);
+  EXPECT_EQ(parse_response(replies[0].payload).status, 7);
+  const Response stats = parse_response(replies[1].payload);
+  std::istringstream lines(stats.out);
+  int budget_lines = 0;
+  for (std::string line; std::getline(lines, line);)
+    if (line.rfind("memory budget:", 0) == 0) ++budget_lines;
+  EXPECT_EQ(budget_lines, 1) << stats.out;
 }
 
 // ------------------------------------------------- hostile-client defense
