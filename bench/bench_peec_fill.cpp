@@ -18,10 +18,11 @@
 //   --smoke               tiny sizes, for the CI tier-1 job (seconds, not
 //                         minutes; speedup numbers are not meaningful there)
 //   --check FILE          exit 1 unless the table build's counters (pair
-//                         lookups, kernel evaluations, volume and filament
-//                         terms) appear verbatim in FILE, the committed
-//                         baseline; the build is the same with or without
-//                         --smoke, and wall time is never gated
+//                         lookups, kernel evaluations, volume terms and
+//                         corners, filament terms) appear verbatim in FILE,
+//                         the committed baseline; the build is the same
+//                         with or without --smoke, and wall time is never
+//                         gated
 //   RLCX_BENCH_MESH=N     override the cross-section mesh to N x N cells
 //   RLCX_BENCH_LU=N       override the LU system size
 #include <chrono>
@@ -256,6 +257,7 @@ struct TableBuildResult {
   std::size_t pair_lookups = 0;
   std::size_t kernel_evals = 0;
   std::size_t volume_terms = 0;
+  std::size_t volume_corners = 0;
   std::size_t filament_terms = 0;
   double wall_s = 0.0;
 
@@ -265,6 +267,7 @@ struct TableBuildResult {
     s << "\"points\": " << points << ", \"pair_lookups\": " << pair_lookups
       << ", \"kernel_evals\": " << kernel_evals
       << ", \"volume_terms\": " << volume_terms
+      << ", \"volume_corners\": " << volume_corners
       << ", \"filament_terms\": " << filament_terms;
     return s.str();
   }
@@ -294,6 +297,7 @@ TableBuildResult run_table_build() {
   r.pair_lookups = stats.pair_lookups;
   r.kernel_evals = stats.kernel_evals;
   r.volume_terms = stats.batch_volume_terms;
+  r.volume_corners = stats.batch_volume_corners;
   r.filament_terms = stats.batch_filament_terms;
   return r;
 }

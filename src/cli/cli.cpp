@@ -1,5 +1,6 @@
 #include "cli/cli.h"
 
+#include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -156,9 +157,15 @@ solver::SolveOptions solve_options(const Args& args) {
 // The characterisation grid the `tables` command and the --table-cache
 // paths share: --points samples per axis over the clock-wiring ranges.
 core::TableGrid grid_from_args(const Args& args) {
-  const auto n = static_cast<std::size_t>(args.get_num("points", 4));
-  if (n < 2) throw diag::UsageError("cli", "--points must be >= 2");
-  return core::default_clock_grid(n);
+  // Checked before the cast: a negative, NaN or huge value would make the
+  // conversion undefined, and a fraction would be truncated silently.  The
+  // cap keeps the grid's byte estimate (points^4 values) from overflowing.
+  constexpr double kMaxPoints = 1024;
+  const double n = args.get_num("points", 4);
+  if (!(n >= 2 && n <= kMaxPoints) || n != std::floor(n))
+    throw diag::UsageError("cli",
+                           "--points must be an integer from 2 to 1024");
+  return core::default_clock_grid(static_cast<std::size_t>(n));
 }
 
 /// Ends a command's cache line with the store-retry and crash-recovery
@@ -583,7 +590,8 @@ void print_engine_report(const core::BuildStats& s, std::ostream& out) {
     out << "batch engine: " << s.batch_volume_terms + s.batch_filament_terms
         << " kernel terms (" << s.batch_volume_terms << " volume, "
         << s.batch_filament_terms << " filament) in " << s.batch_runs
-        << " batches, simd " << peec::batch_simd_name() << "\n";
+        << " batches, " << s.batch_volume_corners << " volume corners, simd "
+        << peec::batch_simd_name() << "\n";
   if (s.dense_solves > 0)
     out << "impedance solver: " << s.dense_solves
         << " dense solves, largest " << s.max_filaments << " filaments\n";

@@ -172,6 +172,7 @@ BuildStats engine_delta(const BuildStats& before, const BuildStats& after) {
   d.dense_solves -= before.dense_solves;
   d.batch_runs -= before.batch_runs;
   d.batch_volume_terms -= before.batch_volume_terms;
+  d.batch_volume_corners -= before.batch_volume_corners;
   d.batch_filament_terms -= before.batch_filament_terms;
   d.batch_eval_nanos -= before.batch_eval_nanos;
   return d;

@@ -44,6 +44,7 @@ BuildStats engine_counters() {
   const peec::BatchStats batches = peec::batch_stats_total();
   s.batch_runs = batches.batch_runs;
   s.batch_volume_terms = batches.volume_terms;
+  s.batch_volume_corners = batches.volume_corners;
   s.batch_filament_terms = batches.filament_terms;
   s.batch_eval_nanos = batches.eval_nanos;
   return s;

@@ -66,7 +66,8 @@ struct BuildStats {
   std::size_t max_filaments = 0;  ///< largest solve seen, in filaments
   // Batch kernel-engine counters (peec::batch_stats_total()).
   std::size_t batch_runs = 0;            ///< BatchEvaluator::run() calls
-  std::size_t batch_volume_terms = 0;    ///< Hoer-Love SoA entries evaluated
+  std::size_t batch_volume_terms = 0;    ///< Hoer-Love brackets summed
+  std::size_t batch_volume_corners = 0;  ///< f(x,y,z) evaluations for them
   std::size_t batch_filament_terms = 0;  ///< filament fast-path SoA entries
   std::uint64_t batch_eval_nanos = 0;    ///< wall time inside the SoA kernels
   /// Fraction of pair values served without a kernel evaluation.

@@ -29,7 +29,10 @@ namespace {
 // bar pairs at one common chunk count, which moves table values by ~1e-4.
 // Version 3: an aligned pair's filament-routed chunk offsets are summed in
 // one whole-bar closed form, which moves table values by round-off.
-constexpr int kCacheKeyVersion = 3;
+// Version 4: a self's or aligned pair's volume-routed offsets share their
+// Hoer-Love z-slices, which moves table values at the bracket's round-off
+// floor.
+constexpr int kCacheKeyVersion = 4;
 
 std::string hex16(std::uint64_t v) {
   char buf[17];

@@ -17,14 +17,15 @@ namespace {
 // synchronization point) — mirrors assembly.cpp's fill counters.
 std::atomic<std::size_t> g_batch_runs{0};
 std::atomic<std::size_t> g_volume_terms{0};
+std::atomic<std::size_t> g_volume_corners{0};
 std::atomic<std::size_t> g_filament_terms{0};
 std::atomic<std::uint64_t> g_eval_nanos{0};
 
-// Scheduling grains: a volume entry costs ~1-3 us (64 corner evaluations),
-// a filament entry ~0.1 us, so these keep chunks well above the ~10 us
-// scheduler overhead floor.  Values are elementwise per entry, so chunk
-// boundaries cannot change results (determinism is layout-borne).
-constexpr std::size_t kVolumeGrain = 128;
+// Scheduling grains: a slice entry costs ~0.1-0.5 us (16 corner
+// evaluations), a filament entry ~0.1 us, so these keep chunks well above
+// the ~10 us scheduler overhead floor.  Values are elementwise per entry,
+// so chunk boundaries cannot change results (determinism is layout-borne).
+constexpr std::size_t kSliceGrain = 512;
 constexpr std::size_t kFilamentGrain = 1024;
 
 // Batches smaller than a couple of chunks run inline: for a batch of one
@@ -32,22 +33,22 @@ constexpr std::size_t kFilamentGrain = 1024;
 // measurable overhead.
 constexpr std::size_t kInlineCutoff = 2;
 
-using VolumeFn = void (*)(const detail::VolumeSoa&, std::size_t, std::size_t,
-                          double*);
+using SliceFn = void (*)(const detail::SliceSoa&, std::size_t, std::size_t,
+                         double*);
 using FilamentFn = void (*)(const detail::FilamentSoa&, std::size_t,
                             std::size_t, double*);
 
-VolumeFn pick_volume() {
+SliceFn pick_slice() {
   const numeric::SimdMode mode = numeric::simd_mode();
 #if defined(RLCX_HAVE_AVX512)
   if (mode == numeric::SimdMode::kAvx512)
-    return detail::kb_avx512::eval_volume;
+    return detail::kb_avx512::eval_slice;
 #endif
 #if defined(RLCX_HAVE_AVX2)
-  if (mode == numeric::SimdMode::kAvx2) return detail::kb_avx2::eval_volume;
+  if (mode == numeric::SimdMode::kAvx2) return detail::kb_avx2::eval_slice;
 #endif
   (void)mode;
-  return detail::kb_scalar::eval_volume;
+  return detail::kb_scalar::eval_slice;
 }
 
 FilamentFn pick_filament() {
@@ -85,12 +86,18 @@ double axial_gap(const Bar& p, const Bar& q) {
                            std::min(p.a_max(), q.a_max()));
 }
 
+bool volume_routed(const Bar& p, const Bar& q, const PartialOptions& opt) {
+  const double limit = far_limit(p, q, opt);
+  return radial_distance(p, q) <= limit && axial_gap(p, q) <= limit;
+}
+
 }  // namespace
 
 BatchStats batch_stats_total() {
   BatchStats s;
   s.batch_runs = g_batch_runs.load(std::memory_order_relaxed);
   s.volume_terms = g_volume_terms.load(std::memory_order_relaxed);
+  s.volume_corners = g_volume_corners.load(std::memory_order_relaxed);
   s.filament_terms = g_filament_terms.load(std::memory_order_relaxed);
   s.eval_nanos = g_eval_nanos.load(std::memory_order_relaxed);
   return s;
@@ -118,33 +125,58 @@ void BatchEvaluator::append_filament(double l1, double l2, double s,
   terms_.push_back(Term{idx | kFilamentBit, weight});
 }
 
-void BatchEvaluator::append_volume(const Bar& p, const Bar& q,
-                                   double weight) {
-  detail::check_hoer_love_dims(p.t_width, p.z_thick, p.length, q.t_width,
-                               q.z_thick, q.length);
+void BatchEvaluator::append_slice(const Bar& p, const Bar& q, double z,
+                                  double weight) {
   const auto idx = static_cast<std::uint32_t>(va_.size());
   va_.push_back(p.t_width);
   vb_.push_back(p.z_thick);
-  vl1_.push_back(p.length);
   vc_.push_back(q.t_width);
   vd_.push_back(q.z_thick);
-  vl2_.push_back(q.length);
   vE_.push_back(q.t_min - p.t_min);
   vP_.push_back(q.z_min - p.z_min);
-  vl3_.push_back(q.a_min - p.a_min);
+  vz_.push_back(z);
   terms_.push_back(Term{idx, weight});
 }
 
 void BatchEvaluator::append_chunk_pair(const Bar& p, const Bar& q,
-                                       const PartialOptions& opt,
-                                       double weight) {
-  const double limit = far_limit(p, q, opt);
-  const double r = radial_distance(p, q);
-  if (r > limit || axial_gap(p, q) > limit) {
-    append_filament(p.length, q.length, q.a_min - p.a_min, r, weight);
-  } else {
-    append_volume(p, q, weight);
+                                       const PartialOptions& opt) {
+  if (!volume_routed(p, q, opt)) {
+    append_filament(p.length, q.length, q.a_min - p.a_min,
+                    radial_distance(p, q), 1.0);
+    return;
   }
+  detail::check_hoer_love_dims(p.t_width, p.z_thick, p.length, q.t_width,
+                               q.z_thick, q.length);
+  ++volume_terms_;
+  // The bracket's axial corners qz_k with their signs +, -, +, -.
+  const double l3 = q.a_min - p.a_min;
+  append_slice(p, q, l3 - p.length, 1.0);
+  append_slice(p, q, l3 + q.length - p.length, -1.0);
+  append_slice(p, q, l3 + q.length, 1.0);
+  append_slice(p, q, l3, -1.0);
+}
+
+void BatchEvaluator::add_offset_bracket(int d, double weight) {
+  // Chunks of length c at offset d: the axial corners are (d - 1)c, dc, dc
+  // and (d + 1)c, and f is even in z.
+  const auto m = [](int k) { return static_cast<std::size_t>(std::abs(k)); };
+  if (slice_w_.size() < m(d) + 2) slice_w_.resize(m(d) + 2, 0.0);
+  slice_w_[m(d - 1)] += weight;
+  slice_w_[m(d)] -= 2.0 * weight;
+  slice_w_[m(d + 1)] += weight;
+  ++volume_terms_;
+}
+
+void BatchEvaluator::append_class_slices(const Bar& p, const Bar& q) {
+  if (slice_w_.empty()) return;
+  detail::check_hoer_love_dims(p.t_width, p.z_thick, p.length, q.t_width,
+                               q.z_thick, q.length);
+  // The weights are sums of small integers, so a slice whose brackets
+  // cancel is exactly 0 and skipped.
+  for (std::size_t m = 0; m < slice_w_.size(); ++m)
+    if (slice_w_[m] != 0.0)
+      append_slice(p, q, static_cast<double>(m) * p.length, slice_w_[m]);
+  slice_w_.clear();
 }
 
 std::size_t BatchEvaluator::add_self(const Bar& bar,
@@ -155,9 +187,17 @@ std::size_t BatchEvaluator::add_self(const Bar& bar,
   // the symmetric n x n sweep.
   const int n = chunk_count(bar, opt.max_aspect);
   const Bar first = chunk_at(bar, n, 0);
-  for (int d = 0; d < n; ++d)
-    append_chunk_pair(first, chunk_at(bar, n, d), opt,
-                      d == 0 ? n : 2.0 * (n - d));
+  for (int d = 0; d < n; ++d) {
+    const Bar q = chunk_at(bar, n, d);
+    const double w = d == 0 ? n : 2.0 * (n - d);
+    if (volume_routed(first, q, opt)) {
+      add_offset_bracket(d, w);
+    } else {
+      append_filament(first.length, q.length, q.a_min - first.a_min,
+                      radial_distance(first, q), w);
+    }
+  }
+  append_class_slices(first, first);
   return slot;
 }
 
@@ -172,11 +212,11 @@ void BatchEvaluator::append_aligned(const Bar& b1, const Bar& b2, int n,
   // varies with d.
   const double limit = far_limit(b1, b2, opt);
   const double r = radial_distance(b1, b2);
-  const auto volume_routed = [&](int d) {
+  const auto offset_routed = [&](int d) {
     return r <= limit && axial_gap(p_of(d), q_of(d)) <= limit;
   };
   int volume_offsets = 0;
-  for (int d = 1 - n; d < n; ++d) volume_offsets += volume_routed(d);
+  for (int d = 1 - n; d < n; ++d) volume_offsets += offset_routed(d);
 
   // The Neumann integral is additive over any split of the filaments, so
   // the filament terms of all offsets sum to one whole-bar term:
@@ -185,7 +225,7 @@ void BatchEvaluator::append_aligned(const Bar& b1, const Bar& b2, int n,
   // offsets' filament terms.  Take it only when it has fewer terms.
   const bool whole_bar = 2 * volume_offsets + 1 < 2 * n - 1;
   for (int d = 1 - n; d < n; ++d) {
-    const bool volume = volume_routed(d);
+    const bool volume = offset_routed(d);
     if (whole_bar && !volume) continue;  // inside the whole-bar term
     const Bar p = p_of(d), q = q_of(d);
     const double w = n - std::abs(d);
@@ -193,10 +233,11 @@ void BatchEvaluator::append_aligned(const Bar& b1, const Bar& b2, int n,
       append_filament(p.length, q.length, q.a_min - p.a_min, r, w);
       continue;
     }
-    append_volume(p, q, w);
+    add_offset_bracket(d, w);
     if (whole_bar)
       append_filament(p.length, q.length, q.a_min - p.a_min, r, -w);
   }
+  append_class_slices(p_of(0), q_of(0));
   if (whole_bar)
     append_filament(b1.length, b2.length, b2.a_min - b1.a_min, r, 1.0);
 }
@@ -214,7 +255,7 @@ std::size_t BatchEvaluator::add_pair(const Bar& b1, const Bar& b2,
   for (int i = 0; i < pc.n1; ++i) {
     const Bar p = chunk_at(b1, pc.n1, i);
     for (int j = 0; j < pc.n2; ++j)
-      append_chunk_pair(p, chunk_at(b2, pc.n2, j), opt, 1.0);
+      append_chunk_pair(p, chunk_at(b2, pc.n2, j), opt);
   }
   return slot;
 }
@@ -227,17 +268,17 @@ void BatchEvaluator::run(double* results, rt::Pool* pool) {
   vvals_.resize(nv);
   fvals_.resize(nf);
 
-  const detail::VolumeSoa vsoa{va_.data(), vb_.data(),  vl1_.data(),
-                               vc_.data(), vd_.data(),  vl2_.data(),
-                               vE_.data(), vP_.data(),  vl3_.data()};
+  const detail::SliceSoa vsoa{va_.data(), vb_.data(), vc_.data(),
+                              vd_.data(), vE_.data(), vP_.data(),
+                              vz_.data()};
   const detail::FilamentSoa fsoa{fl1_.data(), fl2_.data(), fs_.data(),
                                  fr_.data()};
-  const VolumeFn vol = pick_volume();
+  const SliceFn vol = pick_slice();
   const FilamentFn fil = pick_filament();
 
   const auto t0 = std::chrono::steady_clock::now();
   if (nv > 0) {
-    if (nv < kInlineCutoff * kVolumeGrain) {
+    if (nv < kInlineCutoff * kSliceGrain) {
       vol(vsoa, 0, nv, vvals_.data());
     } else {
       rt::parallel_for(
@@ -245,7 +286,7 @@ void BatchEvaluator::run(double* results, rt::Pool* pool) {
           [&](std::size_t lo, std::size_t hi) {
             vol(vsoa, lo, hi, vvals_.data());
           },
-          {.grain = kVolumeGrain, .pool = pool});
+          {.grain = kSliceGrain, .pool = pool});
     }
   }
   if (nf > 0) {
@@ -284,7 +325,8 @@ void BatchEvaluator::run(double* results, rt::Pool* pool) {
   }
 
   g_batch_runs.fetch_add(1, std::memory_order_relaxed);
-  g_volume_terms.fetch_add(nv, std::memory_order_relaxed);
+  g_volume_terms.fetch_add(volume_terms_, std::memory_order_relaxed);
+  g_volume_corners.fetch_add(16 * nv, std::memory_order_relaxed);
   g_filament_terms.fetch_add(nf, std::memory_order_relaxed);
   g_eval_nanos.fetch_add(
       static_cast<std::uint64_t>(
@@ -296,18 +338,18 @@ void BatchEvaluator::run(double* results, rt::Pool* pool) {
 void BatchEvaluator::clear() {
   va_.clear();
   vb_.clear();
-  vl1_.clear();
   vc_.clear();
   vd_.clear();
-  vl2_.clear();
   vE_.clear();
   vP_.clear();
-  vl3_.clear();
+  vz_.clear();
   fl1_.clear();
   fl2_.clear();
   fs_.clear();
   fr_.clear();
   terms_.clear();
+  volume_terms_ = 0;
+  slice_w_.clear();
   slot_begin_.clear();
   slot_self_.clear();
 }

@@ -12,7 +12,8 @@
 // bit-identical lanes at every vector width.  See docs/performance.md.
 //
 // The math mirrors the scalar oracle's hl_f / hoer_love_mutual /
-// filament_mutual (tests/support/partial_reference.cpp) term for term, with every `if` rewritten as a select:
+// filament_mutual (tests/support/partial_reference.cpp) term for term,
+// with every `if` rewritten as a select:
 // a guarded term contributes `cond ? term : 0.0` (never `mask * term` —
 // the discarded side may be Inf/NaN from a speculated division, and
 // 0 * NaN would poison the accumulator; a blend discards it for free).
@@ -35,74 +36,75 @@ using numeric::vecmath::atan_bf;
 using numeric::vecmath::log_bf;
 
 // Tile width: sized so the whole per-tile working set (corner/reciprocal
-// arrays + the 16-combo transverse tables + coef/acc, ~38 KB) stays in
-// L1-or-near; measured flat within a few percent over 16/32/64 on both
-// AVX2 and AVX-512, so the value is not load-bearing.
+// arrays + the transverse tables + coef/acc, ~20 KB) stays in L1; kernel
+// time measured flat within run-to-run noise over 16/32/64 on AVX-512, so
+// the value is not load-bearing.
 constexpr std::size_t kTile = 32;
 
 }  // namespace
 
-// Branch-free tiled Hoer-Love bracket.  Same math as hoer_love_mutual +
-// hl_f with two restructurings that cut the per-corner division/sqrt
-// count (they, not the transcendentals, bound the vector throughput):
+// Branch-free tiled Hoer-Love z-slice, the volume kernel of every chunk
+// pair: S(z) = sum_{i,j} (-1)^(i+j) f(qx_i, qy_j, z), the 16 transverse
+// corners of the 64-corner bracket at one axial coordinate.  A chunk pair's
+// bracket is sum_k (-1)^k S(qz_k) over its four axial corners, and f is
+// even in z, so the engine evaluates each |z| of a pair class once and
+// weights it (kernel_batch.cpp).  Each row is scaled to O(1) on its own and
+// returns 1e-7 S(z) / (a b c d), the physical slice value, so slices of
+// different scales add.  Same math as the oracle's hl_f with two
+// restructurings that cut the per-corner division/sqrt count (they, not the
+// transcendentals, bound the vector throughput):
 //
 //   * log-ratio identity: (v + rho)(rho - v) = rho^2 - v^2 = w2, so
 //       v ln((v + rho)/sqrt(w2)) = |v| ln((|v| + rho)/sqrt(w2));
 //     |v| + rho only ever adds positives, so this is the stable
 //     evaluation for BOTH signs of v — it replaces hl_f's v < 0 rewrite
 //     (and its speculated division) with an abs.
-//   * hoisting: 1/sqrt(w2) depends only on the 16 transverse corner
-//     combos and 1/v only on the 4 per-axis corner values, so both move
-//     out of the 64-corner loop into per-tile tables; the corner loop
-//     keeps one sqrt (rho) and one division (1/rho) plus the rationals
-//     inside log_bf / atan_bf.
+//   * hoisting: 1/sqrt(w2), the log prefactors and the reciprocals of the
+//     corner coordinates depend on at most two of x, y, z, so they move out
+//     of the corner loop into per-tile tables; the corner loop keeps one
+//     sqrt (rho) and one division (1/rho) plus the rationals inside
+//     log_bf / atan_bf.
 //
 // Guarded terms select garbage away (w2 == 0 rows of the tables are Inf;
 // their prefactor is identically 0), never multiply it by zero.
-void eval_volume(const VolumeSoa& in, std::size_t lo, std::size_t hi,
-                 double* out) {
+void eval_slice(const SliceSoa& in, std::size_t lo, std::size_t hi,
+                double* out) {
   for (std::size_t base = lo; base < hi; base += kTile) {
     const std::size_t n = (hi - base < kTile) ? hi - base : kTile;
 
-    double qx[4][kTile], qy[4][kTile], qz[4][kTile];
-    double ivx[4][kTile], ivy[4][kTile], ivz[4][kTile];
-    // Transverse-pair tables, indexed [4 * first + second][g] with the
-    // first/second index convention of the corner loop below: 1/sqrt(w2)
-    // for each log axis, the log prefactors, w2 of the x axis (doubles as
-    // the rho^2 partial sum), and the x-free part of the polynomial term.
-    double iswx[16][kTile], iswy[16][kTile], iswz[16][kTile];
-    double pxt[16][kTile], pyt[16][kTile], pzt[16][kTile];
-    double w2xt[16][kTile], p1t[16][kTile];
+    double qx[4][kTile], qy[4][kTile], zs[kTile];
+    double ivx[4][kTile], ivy[4][kTile], ivz[kTile];
+    // Transverse tables: per y corner j the x-log term's 1/sqrt(y^2 + z^2),
+    // prefactor, w2 (doubles as the rho^2 partial sum) and the x-free part
+    // of the polynomial term; per x corner i the y-log term's; per (i, j)
+    // combo [4 i + j] the z-log term's.
+    double iswx[4][kTile], pxt[4][kTile], w2xt[4][kTile], p1t[4][kTile];
+    double iswy[4][kTile], pyt[4][kTile];
+    double iswz[16][kTile], pzt[16][kTile];
     double coef[kTile], acc[kTile];
 
-    // Phase 1: scale to O(1) and lay out the four-point corner limits,
-    // exactly as hoer_love_mutual does per call; reciprocals alongside.
+    // Phase 1: scale to O(1) and lay out the four-point transverse corner
+    // limits, as the oracle's hoer_love_mutual does; reciprocals alongside.
 #pragma omp simd
     for (std::size_t g = 0; g < n; ++g) {
       const double a = in.a[base + g], b = in.b[base + g];
-      const double l1 = in.l1[base + g];
       const double c = in.c[base + g], d = in.d[base + g];
-      const double l2 = in.l2[base + g];
       const double E = in.E[base + g], P = in.P[base + g];
-      const double l3 = in.l3[base + g];
+      const double z = std::abs(in.z[base + g]);
 
       double s = a;
       s = (b > s) ? b : s;
       s = (c > s) ? c : s;
       s = (d > s) ? d : s;
-      s = (l1 > s) ? l1 : s;
-      s = (l2 > s) ? l2 : s;
       const double aE = std::abs(E) + c;
       s = (aE > s) ? aE : s;
       const double aP = std::abs(P) + d;
       s = (aP > s) ? aP : s;
-      const double aL = std::abs(l3) + l2;
-      s = (aL > s) ? aL : s;
+      s = (z > s) ? z : s;
 
       const double inv = 1.0 / s;
       const double as = a * inv, bs = b * inv, cs = c * inv, ds = d * inv;
-      const double l1s = l1 * inv, l2s = l2 * inv;
-      const double Es = E * inv, Ps = P * inv, l3s = l3 * inv;
+      const double Es = E * inv, Ps = P * inv;
 
       qx[0][g] = Es - as;
       qx[1][g] = Es + cs - as;
@@ -112,10 +114,8 @@ void eval_volume(const VolumeSoa& in, std::size_t lo, std::size_t hi,
       qy[1][g] = Ps + ds - bs;
       qy[2][g] = Ps + ds;
       qy[3][g] = Ps;
-      qz[0][g] = l3s - l1s;
-      qz[1][g] = l3s + l2s - l1s;
-      qz[2][g] = l3s + l2s;
-      qz[3][g] = l3s;
+      zs[g] = z * inv;
+      ivz[g] = 1.0 / zs[g];
 
       coef[g] = 1e-7 / (((as * bs) * cs) * ds) * s;  // mu0/4pi = 1e-7
       acc[g] = 0.0;
@@ -126,88 +126,75 @@ void eval_volume(const VolumeSoa& in, std::size_t lo, std::size_t hi,
       for (std::size_t g = 0; g < n; ++g) {
         ivx[i][g] = 1.0 / qx[i][g];
         ivy[i][g] = 1.0 / qy[i][g];
-        ivz[i][g] = 1.0 / qz[i][g];
+        const double z2 = zs[g] * zs[g];
+        const double x2 = qx[i][g] * qx[i][g];
+        const double y2 = qy[i][g] * qy[i][g];
+        const double w2x = y2 + z2;
+        iswx[i][g] = 1.0 / std::sqrt(w2x);
+        w2xt[i][g] = w2x;
+        pxt[i][g] = y2 * z2 / 4.0 - y2 * y2 / 24.0 - z2 * z2 / 24.0;
+        p1t[i][g] = y2 * y2 + z2 * z2 - 3.0 * (y2 * z2);
+        iswy[i][g] = 1.0 / std::sqrt(x2 + z2);
+        pyt[i][g] = x2 * z2 / 4.0 - x2 * x2 / 24.0 - z2 * z2 / 24.0;
       }
     }
-    for (int j = 0; j < 4; ++j) {
-      for (int k = 0; k < 4; ++k) {
+    for (int i = 0; i < 4; ++i) {
+      for (int j = 0; j < 4; ++j) {
 #pragma omp simd
         for (std::size_t g = 0; g < n; ++g) {
-          // iswx/pxt/w2xt/p1t combo (j, k) = (y, z) indices; iswy/iswz
-          // and pyt/pzt have an x index first, so reuse (j, k) as
-          // (first, second).
+          const double x2 = qx[i][g] * qx[i][g];
           const double y2 = qy[j][g] * qy[j][g];
-          const double z2 = qz[k][g] * qz[k][g];
-          const double x2 = qx[j][g] * qx[j][g];
-          const double yk2 = qy[k][g] * qy[k][g];
-          const double w2x = y2 + z2;
-          iswx[4 * j + k][g] = 1.0 / std::sqrt(w2x);
-          iswy[4 * j + k][g] = 1.0 / std::sqrt(x2 + z2);
-          iswz[4 * j + k][g] = 1.0 / std::sqrt(x2 + yk2);
-          w2xt[4 * j + k][g] = w2x;
-          pxt[4 * j + k][g] =
-              y2 * z2 / 4.0 - y2 * y2 / 24.0 - z2 * z2 / 24.0;
-          pyt[4 * j + k][g] =
-              x2 * z2 / 4.0 - x2 * x2 / 24.0 - z2 * z2 / 24.0;
-          pzt[4 * j + k][g] =
-              x2 * yk2 / 4.0 - x2 * x2 / 24.0 - yk2 * yk2 / 24.0;
-          p1t[4 * j + k][g] = y2 * y2 + z2 * z2 - 3.0 * (y2 * z2);
+          iswz[4 * i + j][g] = 1.0 / std::sqrt(x2 + y2);
+          pzt[4 * i + j][g] =
+              x2 * y2 / 4.0 - x2 * x2 / 24.0 - y2 * y2 / 24.0;
         }
       }
     }
 
-    // Phase 2: the 64-corner bracket, one simd sweep per corner so the
-    // per-entry accumulation order is fixed (i, j, k ascending) no matter
-    // how the lanes are grouped.
+    // Phase 2: the 16-corner slice, one simd sweep per corner so the
+    // per-entry accumulation order is fixed (i, j ascending) no matter how
+    // the lanes are grouped.
     for (int i = 0; i < 4; ++i) {
       for (int j = 0; j < 4; ++j) {
-        for (int k = 0; k < 4; ++k) {
-          const double sign = ((i + j + k) % 2 == 0) ? 1.0 : -1.0;
+        const double sign = ((i + j) % 2 == 0) ? 1.0 : -1.0;
 #pragma omp simd
-          for (std::size_t g = 0; g < n; ++g) {
-            const double x = qx[i][g], y = qy[j][g], z = qz[k][g];
-            const double x2 = x * x, y2 = y * y, z2 = z * z;
-            const double rho2 = x2 + w2xt[4 * j + k][g];
-            const double rho = std::sqrt(rho2);
-            const double irho = 1.0 / rho;
+        for (std::size_t g = 0; g < n; ++g) {
+          const double x = qx[i][g], y = qy[j][g], z = zs[g];
+          const double x2 = x * x, y2 = y * y, z2 = z * z;
+          const double rho2 = x2 + w2xt[j][g];
+          const double rho = std::sqrt(rho2);
+          const double irho = 1.0 / rho;
 
-            double f = 0.0;
+          double f = 0.0;
 
-            const double px = pxt[4 * j + k][g];
-            const double tx =
-                px * std::abs(x) *
-                log_bf((std::abs(x) + rho) * iswx[4 * j + k][g]);
-            f += ((px != 0.0) & (x != 0.0)) ? tx : 0.0;
+          const double px = pxt[j][g];
+          const double tx =
+              px * std::abs(x) * log_bf((std::abs(x) + rho) * iswx[j][g]);
+          f += ((px != 0.0) & (x != 0.0)) ? tx : 0.0;
 
-            const double py = pyt[4 * i + k][g];
-            const double ty =
-                py * std::abs(y) *
-                log_bf((std::abs(y) + rho) * iswy[4 * i + k][g]);
-            f += ((py != 0.0) & (y != 0.0)) ? ty : 0.0;
+          const double py = pyt[i][g];
+          const double ty =
+              py * std::abs(y) * log_bf((std::abs(y) + rho) * iswy[i][g]);
+          f += ((py != 0.0) & (y != 0.0)) ? ty : 0.0;
 
-            const double pz = pzt[4 * i + j][g];
-            const double tz =
-                pz * std::abs(z) *
-                log_bf((std::abs(z) + rho) * iswz[4 * i + j][g]);
-            f += ((pz != 0.0) & (z != 0.0)) ? tz : 0.0;
+          // z >= 0: the row's |z| was taken at load.
+          const double pz = pzt[4 * i + j][g];
+          const double tz = pz * z * log_bf((z + rho) * iswz[4 * i + j][g]);
+          f += ((pz != 0.0) & (z != 0.0)) ? tz : 0.0;
 
-            f += (x2 * x2 - 3.0 * x2 * w2xt[4 * j + k][g] +
-                  p1t[4 * j + k][g]) *
-                 rho / 60.0;
+          f += (x2 * x2 - 3.0 * x2 * w2xt[j][g] + p1t[j][g]) * rho / 60.0;
 
-            const bool corner = (x != 0.0) & (y != 0.0) & (z != 0.0);
-            f -= corner
-                     ? x * y * z * z2 / 6.0 * atan_bf(x * y * ivz[k][g] * irho)
-                     : 0.0;
-            f -= corner
-                     ? x * y * y2 * z / 6.0 * atan_bf(x * z * ivy[j][g] * irho)
-                     : 0.0;
-            f -= corner
-                     ? x * x2 * y * z / 6.0 * atan_bf(y * z * ivx[i][g] * irho)
-                     : 0.0;
+          const bool corner = (x != 0.0) & (y != 0.0) & (z != 0.0);
+          f -= corner ? x * y * z * z2 / 6.0 * atan_bf(x * y * ivz[g] * irho)
+                      : 0.0;
+          f -= corner
+                   ? x * y * y2 * z / 6.0 * atan_bf(x * z * ivy[j][g] * irho)
+                   : 0.0;
+          f -= corner
+                   ? x * x2 * y * z / 6.0 * atan_bf(y * z * ivx[i][g] * irho)
+                   : 0.0;
 
-            acc[g] += sign * f;
-          }
+          acc[g] += sign * f;
         }
       }
     }

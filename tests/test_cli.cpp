@@ -235,6 +235,17 @@ TEST(Cli, TablesRequireOutAndBuild) {
   EXPECT_EQ(magic, "rlcx-tables");
 }
 
+TEST(Cli, PointsMustBeAnIntegerFromTwo) {
+  // Checked before the grid is built: a negative, NaN or huge count would
+  // reach an undefined cast, and a fraction would build a smaller grid.
+  for (const char* points : {"-3", "nan", "2.5", "1", "1e30"}) {
+    const Result r =
+        drive({"tables", "--out", "/dev/null", "--points", points});
+    EXPECT_EQ(r.code, 2) << "--points " << points << ": " << r.err;
+    EXPECT_NE(r.err.find("--points"), std::string::npos) << r.err;
+  }
+}
+
 // ---- Exit-code contract (see cli.h): 2 usage, 3 invalid input, 4 numeric.
 
 TEST(CliExitCodes, ValidationFailureExitsThree) {

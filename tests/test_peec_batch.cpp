@@ -183,15 +183,16 @@ TEST(BatchEngine, LongChunkedPairMatchesScalarOracle) {
 }
 
 // ---------------------------------------------------------------------------
-// Chunk-offset collapse: a self or an aligned pair appends one term per
-// chunk offset; every other pair appends its full chunk sweep.  The scalar
-// oracle sums every chunk pair of the same pair_chunking decomposition.
+// Chunk-offset collapse: a self or an aligned pair sums one term per chunk
+// offset; every other pair sums its full chunk sweep.  The scalar oracle
+// sums every chunk pair of the same pair_chunking decomposition.  A term is
+// a Hoer-Love bracket (volume_terms) or a filament entry.
 
 std::size_t batch_terms(const Bar& b1, const Bar& b2,
                         const PartialOptions& opt) {
   BatchEvaluator ev;
   ev.add_pair(b1, b2, opt);
-  return ev.volume_entries() + ev.filament_entries();
+  return ev.volume_terms() + ev.filament_entries();
 }
 
 TEST(ChunkOffsetCollapse, AlignedPairWithUnequalChunkCountsMatchesOracle) {
@@ -229,8 +230,11 @@ TEST(ChunkOffsetCollapse, LongSelfOneTermPerOffsetMatchesOracle) {
   ASSERT_EQ(n, 94);
   BatchEvaluator ev;
   ev.add_self(b, opt);
-  EXPECT_EQ(ev.volume_entries() + ev.filament_entries(),
-            static_cast<std::size_t>(n));
+  // Offsets 0 and 1 (touching chunks) take the volume kernel, in the three
+  // slices at |z| = 0, c, 2c; the other 92 one filament term each.
+  EXPECT_EQ(ev.volume_terms(), 2u);
+  EXPECT_EQ(ev.volume_entries(), 3u);
+  EXPECT_EQ(ev.filament_entries(), static_cast<std::size_t>(n - 2));
   const double oracle = self_partial(b, opt);
   EXPECT_NEAR(batch_self(b, opt), oracle, 1e-6 * std::abs(oracle));
 }
@@ -250,6 +254,11 @@ TEST(ChunkOffsetCollapse, NonAlignedPairsTakeTheFullSweep) {
     EXPECT_EQ(pc.n2, chunk_count(b2, opt.max_aspect));
     EXPECT_EQ(batch_terms(b1, b2, opt),
               static_cast<std::size_t>(pc.n1 * pc.n2));
+    // Each volume-routed chunk pair is its own four slices.
+    BatchEvaluator ev;
+    ev.add_pair(b1, b2, opt);
+    EXPECT_GT(ev.volume_terms(), 0u);
+    EXPECT_EQ(ev.volume_entries(), 4 * ev.volume_terms());
     const double oracle = mutual_partial(b1, b2, opt);
     EXPECT_NEAR(batch_pair(b1, b2, opt), oracle,
                 kOracleRelTol * std::abs(oracle));
@@ -263,7 +272,10 @@ TEST(ChunkOffsetCollapse, NonAlignedPairsTakeTheFullSweep) {
 // and the engine appends that term in place of the filament-routed offsets.
 // The reference is the same engine summing the pair offset by offset: one
 // single-chunk pair per offset, weighted n - |d|, in offset order — the
-// per-offset decomposition the closed form replaces.
+// per-offset decomposition the closed form replaces.  Its volume-routed
+// offsets evaluate four slices each at their own chunk coordinates, which
+// the class shares at |z| = m c instead (docs/performance.md "Volume
+// offsets in shared z-slices"), so the two agree to round-off.
 
 struct OffsetSum {
   double value = 0.0;
@@ -284,25 +296,28 @@ OffsetSum per_offset_sum(const Bar& b1, const Bar& b2,
     EXPECT_EQ(chunk_count(q, opt.max_aspect), 1);
     ev.add_pair(p, q, opt);
   }
-  EXPECT_EQ(ev.volume_entries() + ev.filament_entries(),
+  EXPECT_EQ(ev.volume_terms() + ev.filament_entries(),
             static_cast<std::size_t>(2 * n - 1));
   std::vector<double> vals(ev.slots());
   ev.run(vals.data());
   OffsetSum sum;
-  sum.volume_offsets = ev.volume_entries();
+  sum.volume_offsets = ev.volume_terms();
   sum.n = n;
   for (int d = 1 - n; d < n; ++d)
     sum.value += (n - std::abs(d)) * vals[static_cast<std::size_t>(d + n - 1)];
   return sum;
 }
 
-TEST(FilamentOffsetsClosedForm, TermCountsAndValueMatchPerOffsetSum) {
-  // A transversely far pair (V empty) appends the whole-bar filament term
-  // alone; a near one |V| volume terms and 1 + |V| filament terms, where V
-  // is the set of volume-routed offsets.
-  PartialOptions opt;
-  // Trace filaments of the clock metal (2 um thick) and strips of a plane
-  // 3 um below it; near and far spacings, equal and unequal widths.
+/// Aligned pairs of trace filaments of the clock metal (2 um thick) and
+/// strips of a plane 3 um below it: near and far spacings, equal and
+/// unequal widths, each at lengths 100, 700, 2000 and 6000 um (48 pairs).
+struct AlignedCase {
+  Bar b1, b2;
+  double l_um;
+  double dx_um;  ///< lateral offset of b2's left edge from b1's
+};
+
+std::vector<AlignedCase> aligned_case_grid() {
   struct Shape {
     double w, t, z;
   };
@@ -310,7 +325,7 @@ TEST(FilamentOffsetsClosedForm, TermCountsAndValueMatchPerOffsetSum) {
       thin{0.5, 0.25, 10.5}, strip{8.0, 1.0, 6.0};
   struct Case {
     Shape a, b;
-    double dx;  ///< lateral offset of b's left edge from a's [um]
+    double dx;
   };
   const Case cases[] = {
       {trace, trace, 3.0},    {trace, trace, 60.0},  {trace, wide, 2.5},
@@ -318,39 +333,57 @@ TEST(FilamentOffsetsClosedForm, TermCountsAndValueMatchPerOffsetSum) {
       {thin, wide, 30.0},     {trace, strip, -3.0},  {trace, strip, 40.0},
       {strip, strip, 8.0},    {strip, strip, 400.0}, {thin, strip, 2.0},
   };
+  std::vector<AlignedCase> out;
+  for (const double l_um : {100.0, 700.0, 2000.0, 6000.0})
+    for (const Case& c : cases)
+      out.push_back(
+          {make_bar(um(c.a.w), um(c.a.t), um(l_um), 0.0, um(c.a.z)),
+           make_bar(um(c.b.w), um(c.b.t), um(l_um), um(c.dx), um(c.b.z)),
+           l_um, c.dx});
+  return out;
+}
+
+TEST(FilamentOffsetsClosedForm, TermCountsAndValueMatchPerOffsetSum) {
+  // A transversely far pair (V empty) appends the whole-bar filament term
+  // alone; a near one |V| volume terms and 1 + |V| filament terms, where V
+  // is the set of volume-routed offsets.
+  PartialOptions opt;
+  const std::vector<AlignedCase> cases = aligned_case_grid();
   std::size_t far_collapsed = 0, near_collapsed = 0;
-  for (const double l_um : {100.0, 700.0, 2000.0, 6000.0}) {
-    for (const Case& c : cases) {
-      const Bar b1 = make_bar(um(c.a.w), um(c.a.t), um(l_um), 0.0, um(c.a.z));
-      const Bar b2 =
-          make_bar(um(c.b.w), um(c.b.t), um(l_um), um(c.dx), um(c.b.z));
-      BatchEvaluator ev;
-      ev.add_pair(b1, b2, opt);
-      const OffsetSum ref = per_offset_sum(b1, b2, opt);
-      const std::size_t nv = ref.volume_offsets;
-      const std::size_t offsets = static_cast<std::size_t>(2 * ref.n - 1);
-      // The closed form is taken exactly when it lowers the term count.
-      const bool collapse = 2 * nv + 1 < offsets;
-      (nv == 0 ? far_collapsed : near_collapsed) += collapse;
-      EXPECT_EQ(ev.volume_entries(), nv);
-      EXPECT_EQ(ev.filament_entries(), collapse ? 1 + nv : offsets - nv);
-      double got = 0.0;
-      ev.run(&got);
-      EXPECT_NEAR(got, ref.value, 1e-12 * std::abs(ref.value))
-          << "l=" << l_um << " um, widths " << c.a.w << "/" << c.b.w
-          << ", dx=" << c.dx << " um, n=" << ref.n;
-    }
+  for (const AlignedCase& c : cases) {
+    const Bar& b1 = c.b1;
+    const Bar& b2 = c.b2;
+    BatchEvaluator ev;
+    ev.add_pair(b1, b2, opt);
+    const OffsetSum ref = per_offset_sum(b1, b2, opt);
+    const std::size_t nv = ref.volume_offsets;
+    const std::size_t offsets = static_cast<std::size_t>(2 * ref.n - 1);
+    // The closed form is taken exactly when it lowers the term count.
+    const bool collapse = 2 * nv + 1 < offsets;
+    (nv == 0 ? far_collapsed : near_collapsed) += collapse;
+    EXPECT_EQ(ev.volume_terms(), nv);
+    EXPECT_EQ(ev.filament_entries(), collapse ? 1 + nv : offsets - nv);
+    double got = 0.0;
+    ev.run(&got);
+    EXPECT_NEAR(got, ref.value, 1e-12 * std::abs(ref.value))
+        << "l=" << c.l_um << " um, widths " << b1.t_width / um(1) << "/"
+        << b2.t_width / um(1) << ", dx=" << c.dx_um << " um, n=" << ref.n;
   }
   // Most cases take the closed form, near and far; some short near ones
   // do not.
-  EXPECT_GT(far_collapsed, std::size(cases) / 2);
-  EXPECT_GT(near_collapsed, std::size(cases) / 2);
+  EXPECT_GT(far_collapsed, cases.size() / 8);
+  EXPECT_GT(near_collapsed, cases.size() / 8);
 }
 
-TEST(FilamentOffsetsClosedForm, PairWithoutSavingIsUnchangedBitForBit) {
+TEST(FilamentOffsetsClosedForm, PairWithoutSavingMatchesPerOffsetSum) {
   // When the closed form would not lower the term count — every offset
-  // volume-routed, or |V| = n - 1 — the pair appends its per-offset terms
-  // exactly as before, so its value is bit-identical to the per-offset sum.
+  // volume-routed, or |V| = n - 1 — the pair appends its per-offset
+  // filament terms, and only the shared slices' round-off separates it
+  // from the per-offset sum.  Measured: 2e-16 for n = 2 and n = 4; 5.3e-11
+  // for n = 7 with all 13 offsets volume-routed, where the class is the
+  // two slices of the whole-bar bracket and the per-offset sum 52 slices
+  // that cancel down to it.
+  constexpr double kPerOffsetRelTol = 1e-10;
   PartialOptions opt;
   PartialOptions fine = opt;
   fine.max_aspect = 8.0;    // 2 x 1 um bars of 100 um cut into 7 chunks,
@@ -369,11 +402,170 @@ TEST(FilamentOffsetsClosedForm, PairWithoutSavingIsUnchangedBitForBit) {
     ASSERT_EQ(ref.volume_offsets, c.volume_offsets) << "l=" << c.l_um;
     BatchEvaluator ev;
     ev.add_pair(b1, b2, *c.opt);
-    EXPECT_EQ(ev.volume_entries() + ev.filament_entries(),
+    EXPECT_EQ(ev.volume_terms() + ev.filament_entries(),
               static_cast<std::size_t>(2 * ref.n - 1));
     double got = 0.0;
     ev.run(&got);
-    EXPECT_EQ(got, ref.value) << "l=" << c.l_um << " um, n=" << ref.n;
+    EXPECT_NEAR(got, ref.value, kPerOffsetRelTol * std::abs(ref.value))
+        << "l=" << c.l_um << " um, n=" << ref.n;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Volume offsets in shared z-slices: a chunk pair's Hoer-Love bracket is
+// sum_k (-1)^k S(qz_k) over its four axial corners, where the z-slice S is
+// the 16-corner transverse sum at one axial coordinate and is even in z.
+// A self or an aligned class evaluates each slice |z| = m c once, weighted
+// by every bracket it enters; any other volume-routed chunk pair appends
+// its four slices weighted +-1.
+
+/// Slice kernel outputs of rows (a, b, c, d, E, P, z) on one ISA.
+using SliceKernel = void (*)(const detail::SliceSoa&, std::size_t,
+                             std::size_t, double*);
+
+std::vector<double> eval_slices(SliceKernel kernel,
+                                const std::vector<std::vector<double>>& cols) {
+  const detail::SliceSoa soa{cols[0].data(), cols[1].data(), cols[2].data(),
+                             cols[3].data(), cols[4].data(), cols[5].data(),
+                             cols[6].data()};
+  std::vector<double> out(cols[0].size());
+  kernel(soa, 0, out.size(), out.data());
+  return out;
+}
+
+TEST(SliceContract, SliceIsEvenInZBitForBitOnEveryIsa) {
+  // Boundary geometries among them: a face-touching pair (E = a), an
+  // edge-touching one (E = a, P = b), the self (E = P = 0) and z = 0,
+  // where the corner set includes the origin.
+  struct Row {
+    double a, b, c, d, E, P, z;
+  };
+  const Row rows[] = {
+      {2, 0.5, 2, 0.5, 3, 0, 400},   {2, 0.5, 2, 0.5, 2, 0, 200},
+      {2, 0.5, 2, 0.5, 2, 0.5, 200}, {3, 1, 3, 1, 0, 0, 90},
+      {3, 1, 3, 1, 0, 0, 0},         {1, 1, 6.7, 1, 1.5, -0.25, 127.7},
+      {0.5, 0.25, 8, 1, -3, -4, 1e-3},
+  };
+  // Rows at +z, then the same rows at -z.
+  std::vector<std::vector<double>> cols(7);
+  for (const double sign : {1.0, -1.0})
+    for (const Row& r : rows) {
+      const double v[] = {r.a, r.b, r.c, r.d, r.E, r.P, sign * r.z};
+      for (int k = 0; k < 7; ++k) cols[k].push_back(um(v[k]));
+    }
+  const std::size_t n = std::size(rows);
+  std::vector<SliceKernel> kernels{detail::kb_scalar::eval_slice};
+#if defined(RLCX_HAVE_AVX2)
+  if (numeric::simd_avx2_supported())
+    kernels.push_back(detail::kb_avx2::eval_slice);
+#endif
+#if defined(RLCX_HAVE_AVX512)
+  if (numeric::simd_avx512_supported())
+    kernels.push_back(detail::kb_avx512::eval_slice);
+#endif
+  const std::vector<double> scalar = eval_slices(kernels.front(), cols);
+  for (const SliceKernel kernel : kernels) {
+    const std::vector<double> out = eval_slices(kernel, cols);
+    for (std::size_t k = 0; k < n; ++k) {
+      EXPECT_TRUE(std::isfinite(out[k])) << "row " << k;
+      EXPECT_EQ(out[k], out[k + n]) << "row " << k;
+      EXPECT_EQ(out[k], scalar[k]) << "row " << k;
+    }
+  }
+}
+
+TEST(SliceContract, FourSlicesAreTheBracket) {
+  // One chunk pair's four slices, signed +, -, +, -, against the libm
+  // bracket of the oracle: a near lateral pair, an axially offset one of
+  // unequal lengths, and the self.
+  struct Pair {
+    double a, b, l1, c, d, l2, E, P, l3;
+  };
+  const Pair pairs[] = {
+      {2, 0.5, 400, 2, 0.5, 400, 3, 0, 0},
+      {1, 0.5, 125, 2, 0.5, 100, 3, 0, 10},
+      {3, 1, 90, 3, 1, 90, 0, 0, 0},
+  };
+  for (const Pair& p : pairs) {
+    const double zk[] = {p.l3 - p.l1, p.l3 + p.l2 - p.l1, p.l3 + p.l2, p.l3};
+    std::vector<std::vector<double>> cols(7);
+    for (const double z : zk) {
+      const double v[] = {p.a, p.b, p.c, p.d, p.E, p.P, z};
+      for (int k = 0; k < 7; ++k) cols[k].push_back(um(v[k]));
+    }
+    const std::vector<double> s =
+        eval_slices(detail::kb_scalar::eval_slice, cols);
+    const double oracle =
+        hoer_love_mutual(um(p.a), um(p.b), um(p.l1), um(p.c), um(p.d),
+                         um(p.l2), um(p.E), um(p.P), um(p.l3));
+    EXPECT_NEAR(s[0] - s[1] + s[2] - s[3], oracle,
+                kOracleRelTol * std::abs(oracle))
+        << "l1=" << p.l1 << " um, l3=" << p.l3 << " um";
+  }
+}
+
+TEST(SliceContract, SliceCountPerClass) {
+  PartialOptions opt;
+  const auto counts = [&](const Bar& b1, const Bar* b2) {
+    BatchEvaluator ev;
+    if (b2 == nullptr) {
+      ev.add_self(b1, opt);
+    } else {
+      ev.add_pair(b1, *b2, opt);
+    }
+    return std::pair{ev.volume_terms(), ev.volume_entries()};
+  };
+  using Counts = std::pair<std::size_t, std::size_t>;
+  // Aligned near pair, n = 47, V = {-1, 0, 1}: slices at 0, c, 2c.
+  const Bar thin = make_bar(um(1), um(1), um(6000));
+  const Bar wide = make_bar(um(6.7), um(1), um(6000), um(1.5));
+  EXPECT_EQ(counts(thin, &wide), (Counts{3, 3}));
+  // Self, n = 47, V = {0, 1} (touching chunks): slices at 0, c, 2c.
+  const Bar self = make_bar(um(1), um(0.5), um(6000));
+  ASSERT_EQ(chunk_count(self, opt.max_aspect), 47);
+  EXPECT_EQ(counts(self, nullptr), (Counts{2, 3}));
+  // n = 1, pair and self: the one bracket's slices at 0 and c.
+  const Bar s1 = make_bar(um(2), um(0.5), um(100));
+  const Bar s2 = make_bar(um(2), um(0.5), um(100), um(3));
+  EXPECT_EQ(counts(s1, &s2), (Counts{1, 2}));
+  EXPECT_EQ(counts(s1, nullptr), (Counts{1, 2}));
+  // Every offset volume-routed: the weights telescope to the whole-bar
+  // bracket, slices at 0 and n c.
+  PartialOptions fine;
+  fine.max_aspect = 8.0;
+  fine.far_factor = 100.0;
+  BatchEvaluator ev;
+  ev.add_pair(make_bar(um(2), um(1), um(100)),
+              make_bar(um(2), um(1), um(100), um(3)), fine);
+  EXPECT_EQ(ev.volume_terms(), 13u);
+  EXPECT_EQ(ev.volume_entries(), 2u);
+}
+
+TEST(SliceContract, CaseGridPairsAndSelvesMatchOracle) {
+  // Non-aligned pairs: ChunkOffsetCollapse.NonAlignedPairsTakeTheFullSweep.
+  // Flat bars (width >= 5 x thickness: the 10 x 2 um trace, the 8 x 1 um
+  // plane strip) cancel further, because chunk_count caps the chunk length
+  // at max_aspect times the larger side only.  For them the libm oracle
+  // itself sits up to 8e-7 from a long-double evaluation of the same sum,
+  // and the engine up to 5e-7 (docs/performance.md "Volume offsets in
+  // shared z-slices"); the two differ by up to 1.24e-6 there.
+  constexpr double kFlatOracleRelTol = 2e-6;
+  const auto tol = [](const Bar& b1, const Bar& b2) {
+    const bool flat = b1.t_width >= 5.0 * b1.z_thick ||
+                      b2.t_width >= 5.0 * b2.z_thick;
+    return flat ? kFlatOracleRelTol : kOracleRelTol;
+  };
+  PartialOptions opt;
+  for (const AlignedCase& c : aligned_case_grid()) {
+    const double oracle = mutual_partial(c.b1, c.b2, opt);
+    EXPECT_NEAR(batch_pair(c.b1, c.b2, opt), oracle,
+                tol(c.b1, c.b2) * std::abs(oracle))
+        << "l=" << c.l_um << " um, dx=" << c.dx_um << " um";
+    for (const Bar& b : {c.b1, c.b2}) {
+      const double self = self_partial(b, opt);
+      EXPECT_NEAR(batch_self(b, opt), self, tol(b, b) * std::abs(self))
+          << "self w=" << b.t_width / um(1) << " um, l=" << c.l_um << " um";
+    }
   }
 }
 
@@ -559,7 +751,7 @@ TEST(BatchEngine, StatsCountTermsAndRuns) {
   const Bar b2 = make_bar(um(1), um(0.5), um(300), um(2));
   BatchEvaluator ev;
   ev.add_pair(b1, b2, opt);
-  const std::size_t terms = ev.volume_entries() + ev.filament_entries();
+  const std::size_t terms = ev.volume_terms() + ev.filament_entries();
   EXPECT_GT(terms, 0u);
   const BatchStats before = batch_stats_total();
   double v = 0.0;
@@ -569,6 +761,8 @@ TEST(BatchEngine, StatsCountTermsAndRuns) {
   EXPECT_EQ((after.volume_terms + after.filament_terms) -
                 (before.volume_terms + before.filament_terms),
             terms);
+  EXPECT_EQ(after.volume_corners - before.volume_corners,
+            16 * ev.volume_entries());
 }
 
 // ---------------------------------------------------------------------------
