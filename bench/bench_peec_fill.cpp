@@ -10,9 +10,14 @@
 // serial planes-below table build on a small grid and records its
 // deterministic kernel counters.  Part 4 times complex LU factorisation
 // plus a multi-RHS solve, blocked LuDecomposition vs the textbook
-// ReferenceLu, and checks the solutions agree to 1e-13 relative.  Output
-// is JSON so CI and plotting scripts can consume it directly; the
-// committed baseline lives in BENCH_peec.json.
+// ReferenceLu, and checks the solutions agree to 1e-13 relative.  Part 5
+// times the impedance solve's dense phase at the two plane sizes (76 and
+// 196 filaments): the pivoted LU plus the multi-RHS solve over one column
+// per conductor, against the complex-symmetric LDLᵀ plus the forward-only
+// reduction over the signals and the merged return, and checks the two
+// merged port admittances agree to 1e-12 relative.  Output is JSON so CI
+// and plotting scripts can consume it directly; the committed baseline
+// lives in BENCH_peec.json.
 //
 // Flags / environment:
 //   --smoke               tiny sizes, for the CI tier-1 job (seconds, not
@@ -39,6 +44,7 @@
 
 #include "core/table_builder.h"
 #include "geom/technology.h"
+#include "numeric/ldlt.h"
 #include "numeric/lu.h"
 #include "numeric/matrix.h"
 #include "numeric/simd.h"
@@ -355,6 +361,90 @@ LuResult run_lu(std::size_t n, std::size_t nrhs) {
   return r;
 }
 
+struct LdltResult {
+  std::size_t n = 0;
+  std::size_t conductors = 0;  ///< LU path: one port per conductor
+  std::size_t ports = 0;       ///< LDLᵀ path: signals + merged return
+  double lu_factor_s = 0.0;
+  double lu_solve_s = 0.0;  ///< multi-RHS solve and PᵀX
+  double ldlt_factor_s = 0.0;
+  double ldlt_reduce_s = 0.0;
+  double max_rel_dev = 0.0;
+};
+
+/// The dense phase of one impedance solve on a plane-sized system.  Z is
+/// diag(R) + jωLp over the partial inductances of an nw x nt uniform mesh
+/// (R = 5 % of ωLp's diagonal, the inductive regime of the significant
+/// frequency); its filaments split into `conductors` contiguous runs, the
+/// first two signals and the rest grounds.  The LU path reduces to one
+/// port per conductor as the bordered reduction did; the LDLᵀ path to the
+/// two signals plus the merged return.  The gate compares the merged
+/// admittances: QᵀY_cQ from the LU path against the LDLᵀ's Y.  Best of
+/// `reps` per phase.
+LdltResult run_ldlt(std::size_t nw, std::size_t nt, std::size_t conductors,
+                    int reps) {
+  const std::vector<peec::Filament> fils = uniform_mesh(nw, nt);
+  rt::SerialRegion serial;
+  const std::size_t n = fils.size();
+  const RealMatrix lp = peec::partial_inductance_matrix(fils);
+  Matrix<C> z(n, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) z(i, j) = C(0.0, lp(i, j));
+    z(i, i) += 0.05 * lp(i, i);
+  }
+  constexpr std::size_t kSignals = 2;
+  const std::size_t ports = kSignals + 1;
+  std::vector<std::size_t> owner(n), port(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    owner[i] = i * conductors / n;
+    port[i] = std::min(owner[i], kSignals);
+  }
+
+  LdltResult r;
+  r.n = n;
+  r.conductors = conductors;
+  r.ports = ports;
+  r.lu_factor_s = r.lu_solve_s = r.ldlt_factor_s = r.ldlt_reduce_s = 1e300;
+  Matrix<C> yc(conductors, conductors), ym(ports, ports);
+  for (int rep = 0; rep < reps; ++rep) {
+    const auto t0 = std::chrono::steady_clock::now();
+    const LuDecomposition<C> lu(z);
+    r.lu_factor_s = std::min(r.lu_factor_s, now_wall(t0));
+    const auto t1 = std::chrono::steady_clock::now();
+    Matrix<C> p(n, conductors);
+    for (std::size_t i = 0; i < n; ++i) p(i, owner[i]) = 1.0;
+    const Matrix<C> x = lu.solve(p);
+    Matrix<C> y(conductors, conductors);
+    for (std::size_t i = 0; i < n; ++i)
+      for (std::size_t b = 0; b < conductors; ++b) y(owner[i], b) += x(i, b);
+    r.lu_solve_s = std::min(r.lu_solve_s, now_wall(t1));
+    yc = y;
+
+    const auto t2 = std::chrono::steady_clock::now();
+    const ComplexSymmetricLdlt ldlt(z);
+    r.ldlt_factor_s = std::min(r.ldlt_factor_s, now_wall(t2));
+    const auto t3 = std::chrono::steady_clock::now();
+    Matrix<C> q(n, ports);
+    for (std::size_t i = 0; i < n; ++i) q(i, port[i]) = 1.0;
+    ym = ldlt.reduce(std::move(q));
+    r.ldlt_reduce_s = std::min(r.ldlt_reduce_s, now_wall(t3));
+  }
+
+  Matrix<C> merged(ports, ports);
+  for (std::size_t a = 0; a < conductors; ++a)
+    for (std::size_t b = 0; b < conductors; ++b)
+      merged(std::min(a, kSignals), std::min(b, kSignals)) += yc(a, b);
+  double scale = 0.0;
+  for (std::size_t a = 0; a < ports; ++a)
+    for (std::size_t b = 0; b < ports; ++b)
+      scale = std::max(scale, std::abs(merged(a, b)));
+  for (std::size_t a = 0; a < ports; ++a)
+    for (std::size_t b = 0; b < ports; ++b)
+      r.max_rel_dev = std::max(r.max_rel_dev,
+                               std::abs(merged(a, b) - ym(a, b)) / scale);
+  return r;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -395,6 +485,11 @@ int main(int argc, char** argv) {
   const TableBuildResult build = run_table_build();
   std::vector<LuResult> lus;
   for (const std::size_t n : lu_sizes) lus.push_back(run_lu(n, lu_nrhs));
+  // The production plane sizes: layer 6 over one plane (2 traces + 15
+  // strips, 76 filaments) and between two (2 + 30 strips, 196).
+  const int ldlt_reps = smoke ? 3 : 50;
+  const std::vector<LdltResult> ldlts = {run_ldlt(4, 19, 17, ldlt_reps),
+                                         run_ldlt(14, 14, 32, ldlt_reps)};
 
   std::printf("{\n  \"experiment\": \"peec_fill\",\n");
   std::printf("  \"smoke\": %s,\n", smoke ? "true" : "false");
@@ -441,6 +536,21 @@ int main(int argc, char** argv) {
                 lu.wall_ref / lu.wall_blocked, lu.max_rel_dev,
                 i + 1 < lus.size() ? "," : "");
   }
+  std::printf("  ],\n");
+  std::printf("  \"ldlt\": [\n");
+  for (std::size_t i = 0; i < ldlts.size(); ++i) {
+    const LdltResult& l = ldlts[i];
+    const double lu_s = l.lu_factor_s + l.lu_solve_s;
+    const double ldlt_s = l.ldlt_factor_s + l.ldlt_reduce_s;
+    std::printf("    {\"n\": %zu, \"conductors\": %zu, \"ports\": %zu, "
+                "\"lu_factor_us\": %.1f, \"lu_solve_us\": %.1f, "
+                "\"ldlt_factor_us\": %.1f, \"ldlt_reduce_us\": %.1f, "
+                "\"speedup\": %.2f, \"max_rel_dev\": %.3e}%s\n",
+                l.n, l.conductors, l.ports, 1e6 * l.lu_factor_s,
+                1e6 * l.lu_solve_s, 1e6 * l.ldlt_factor_s,
+                1e6 * l.ldlt_reduce_s, lu_s / ldlt_s, l.max_rel_dev,
+                i + 1 < ldlts.size() ? "," : "");
+  }
   std::printf("  ]\n}\n");
 
   // Correctness gates; the speedup numbers are informational (they depend
@@ -473,6 +583,17 @@ int main(int argc, char** argv) {
     if (lu.max_rel_dev > 1e-13) {
       std::fprintf(stderr, "FAIL: blocked LU deviates beyond 1e-13 at n=%zu\n",
                    lu.n);
+      return 1;
+    }
+  // The merged-return identity is exact; the two paths differ by
+  // round-off only (docs/performance.md "Complex-symmetric LDLᵀ and the
+  // merged return").
+  for (const LdltResult& l : ldlts)
+    if (l.max_rel_dev > 1e-12) {
+      std::fprintf(stderr,
+                   "FAIL: LDLᵀ reduction deviates from the LU beyond 1e-12 "
+                   "at n=%zu\n",
+                   l.n);
       return 1;
     }
   return 0;

@@ -32,7 +32,10 @@ namespace {
 // Version 4: a self's or aligned pair's volume-routed offsets share their
 // Hoer-Love z-slices, which moves table values at the bracket's round-off
 // floor.
-constexpr int kCacheKeyVersion = 4;
+// Version 5: the impedance solve factors Z by a complex-symmetric LDLᵀ and
+// reduces to the signals plus one merged return port, which moves table
+// values by round-off.
+constexpr int kCacheKeyVersion = 5;
 
 std::string hex16(std::uint64_t v) {
   char buf[17];

@@ -1,13 +1,15 @@
 // LU decomposition with partial pivoting, templated over the scalar type so
-// the same code factors the complex filament impedance matrices of the loop
-// solver, the complex AC systems of the circuit simulator and real dense
-// systems (the transient's sparse MNA path is numeric/sparse_lu.h).
+// the same code factors the non-symmetric complex systems — the PEEC
+// networks of solver/network and the AC systems of the circuit simulator —
+// and real dense systems (the transient's sparse MNA path is
+// numeric/sparse_lu.h).  The filament impedance matrices of the block
+// solver are complex symmetric and go through numeric/ldlt.h instead, which
+// reuses this file's blocking constants and rank-4 micro-kernel.
 //
 // The factorisation is cache-blocked (right-looking with a panel of
 // kPanelWidth columns and a column-tiled trailing update): the O(n^3) bulk
 // runs as rank-kPanelWidth updates that stream each trailing row once per
-// panel instead of once per column, which is what makes the dense complex
-// solves of the PEEC hot path memory-bandwidth-friendly.  For systems no
+// panel instead of once per column.  For systems no
 // larger than one panel the arithmetic degenerates to exactly the textbook
 // scalar elimination (tests/support/lu_reference.h, the test oracle);
 // larger systems agree with it to last-ulp reordering (docs/performance.md).
@@ -293,8 +295,8 @@ class LuDecomposition {
   double pivot_min_ = std::numeric_limits<double>::infinity();
 };
 
-/// Convenience: invert a square matrix (used for the small conductor-level
-/// reductions; prefer LuDecomposition::solve for anything large).
+/// Convenience: invert a square matrix (small systems and tests; prefer
+/// LuDecomposition::solve for anything large).
 template <typename T>
 Matrix<T> inverse(const Matrix<T>& a) {
   LuDecomposition<T> lu(a);

@@ -1,8 +1,9 @@
 // Runtime-dispatched rank-4 micro-kernels for the blocked LU (numeric/lu.h).
 //
 // lu.h's detail::rank_update is the O(n^3) inner loop of both the trailing
-// update and the blocked multi-RHS substitutions.  Its complex<double>
-// instantiation — every production factorisation is complex — routes
+// update and the blocked multi-RHS substitutions, and of the complex-
+// symmetric LDLᵀ (numeric/ldlt.h).  Its complex<double> instantiation —
+// every production factorisation is complex — routes
 // through lu_rank_update() below, which picks an AVX2 intrinsics body
 // (lu_simd_avx2.cpp) when the CPU and build support it and the portable
 // scalar body otherwise — same RLCX_SIMD / numeric::simd_mode() policy as

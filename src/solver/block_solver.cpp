@@ -6,16 +6,14 @@
 #include <atomic>
 #include <complex>
 #include <cstdint>
-#include <memory>
 #include <numbers>
-#include <stdexcept>
 #include <string>
 
-#include "res/budget.h"
-#include "numeric/lu.h"
+#include "numeric/ldlt.h"
 #include "peec/assembly.h"
 #include "peec/mesh.h"
-#include "rt/parallel.h"
+#include "res/budget.h"
+#include "run/control.h"
 
 namespace rlcx::solver {
 
@@ -34,13 +32,6 @@ void record_solve(std::size_t filaments) {
                                                 std::memory_order_relaxed)) {
   }
 }
-
-/// One extraction conductor: a set of parallel filaments sharing terminals.
-struct Conductor {
-  std::vector<peec::Filament> filaments;
-  bool is_ground = false;
-  std::size_t block_trace = SIZE_MAX;  ///< index into block (signals/grounds)
-};
 
 peec::Bar trace_bar(const geom::Block& block, std::size_t i) {
   const geom::Trace& t = block.trace(i);
@@ -74,73 +65,7 @@ std::vector<peec::Filament> mesh_conductor(const peec::Bar& envelope,
   return out;
 }
 
-/// Conductor-level complex impedance matrix at the solve frequency:
-/// filaments of a conductor are strictly parallel, so
-/// Z_cond = (P^T Z_fil^{-1} P)^{-1} exactly, for any terminal conditions.
-/// Full fill + blocked LU (numeric/lu.h).
-ComplexMatrix conductor_impedance(const std::vector<Conductor>& conductors,
-                                  const SolveOptions& opt) {
-  std::vector<peec::Filament> all;
-  std::vector<std::size_t> owner;
-  for (std::size_t c = 0; c < conductors.size(); ++c) {
-    for (const peec::Filament& f : conductors[c].filaments) {
-      all.push_back(f);
-      owner.push_back(c);
-    }
-  }
-  const std::size_t nc = conductors.size();
-  const std::size_t nf = all.size();
-  // The whole solve is charged once, here on the serial spine before any
-  // pool fan-out, so the outcome is identical at every pool width.  A
-  // solve the budget cannot fit is refused with ResourceExhaustedError
-  // (exit code 7; docs/robustness.md "Resource governance").
-  const res::ScopedReservation reservation(
-      "solver-dense", estimate_dense_solve_bytes(nf, nc));
-
-  const RealMatrix lp = peec::partial_inductance_matrix(all, opt.partial);
-  const double omega = 2.0 * std::numbers::pi * opt.frequency;
-
-  ComplexMatrix z(nf, nf);
-  for (std::size_t i = 0; i < nf; ++i) {
-    for (std::size_t j = 0; j < nf; ++j)
-      z(i, j) = Complex(0.0, omega * lp(i, j));
-    z(i, i) += all[i].resistance;
-  }
-
-  // Z^{-1} P goes through the blocked multi-RHS substitution; column blocks
-  // are independent (the substitution never mixes RHS columns), so they fan
-  // out across the pool with each task writing its own columns.
-  std::unique_ptr<LuDecomposition<Complex>> lu;
-  try {
-    lu = std::make_unique<LuDecomposition<Complex>>(std::move(z));
-  } catch (const diag::SingularSystem& e) {
-    throw diag::SingularSystem(
-        "solver", "filament impedance matrix: " + e.message(), e.column(),
-        e.dimension(), e.condition_estimate());
-  }
-  ComplexMatrix zinv_p(nf, nc);
-  rt::parallel_for(0, nc, [&](std::size_t lo, std::size_t hi) {
-    ComplexMatrix rhs(nf, hi - lo);
-    for (std::size_t i = 0; i < nf; ++i)
-      if (owner[i] >= lo && owner[i] < hi) rhs(i, owner[i] - lo) = 1.0;
-    const ComplexMatrix x = lu->solve(rhs);
-    for (std::size_t i = 0; i < nf; ++i)
-      for (std::size_t b = lo; b < hi; ++b) zinv_p(i, b) = x(i, b - lo);
-  });
-  record_solve(nf);
-
-  // Y = P^T (Z^-1 P) reduced to conductor level, then inverted.  Row a of
-  // Y accumulates the zinv_p rows of conductor a's filaments, in ascending
-  // filament order.
-  ComplexMatrix y(nc, nc);
-  for (std::size_t i = 0; i < nf; ++i) {
-    const std::size_t a = owner[i];
-    for (std::size_t b = 0; b < nc; ++b) y(a, b) += zinv_p(i, b);
-  }
-  return inverse(y);
-}
-
-std::vector<Conductor> block_conductors(const geom::Block& block,
+std::vector<Conductor> trace_conductors(const geom::Block& block,
                                         const SolveOptions& opt) {
   std::vector<Conductor> conductors;
   const double rho = block.layer().rho;
@@ -151,6 +76,83 @@ std::vector<Conductor> block_conductors(const geom::Block& block,
     c.block_trace = i;
     conductors.push_back(std::move(c));
   }
+  return conductors;
+}
+
+/// Port admittance Y = PᵀZ⁻¹P of the filament system at the solve
+/// frequency, where P is the 0/1 incidence of each conductor's filaments
+/// on port `port_of[c]`.  Filaments on one port are strictly parallel:
+/// they share its voltage drop and their currents sum to its current, so
+/// Y is exact for any terminal conditions.  The filaments are filled in
+/// conductor order whatever the ports are, so the fill does not depend on
+/// how conductors are grouped.
+ComplexMatrix port_admittance(const std::vector<Conductor>& conductors,
+                              const std::vector<std::size_t>& port_of,
+                              std::size_t nports, const SolveOptions& opt) {
+  std::vector<peec::Filament> all;
+  std::vector<std::size_t> port;
+  for (std::size_t c = 0; c < conductors.size(); ++c) {
+    for (const peec::Filament& f : conductors[c].filaments) {
+      all.push_back(f);
+      port.push_back(port_of[c]);
+    }
+  }
+  const std::size_t nf = all.size();
+  // The whole solve is charged once, here on the serial spine before any
+  // pool fan-out, so the outcome is identical at every pool width.  A
+  // solve the budget cannot fit is refused with ResourceExhaustedError
+  // (exit code 7; docs/robustness.md "Resource governance").
+  const res::ScopedReservation reservation(
+      "solver-dense", estimate_dense_solve_bytes(nf, nports));
+
+  // Cooperative cancellation before each phase — fill, factor, reduction
+  // (docs/robustness.md): a stop never interrupts one mid-write.
+  run::checkpoint("solver");
+  // Z = diag(R) + jωLp, lower triangle only: the LDLᵀ reads nothing else.
+  // Z is allocated after the fill has released its temporaries, and the
+  // real fill is released as soon as Z is built.
+  ComplexMatrix z = [&] {
+    const RealMatrix lp = peec::partial_inductance_matrix(all, opt.partial);
+    const double omega = 2.0 * std::numbers::pi * opt.frequency;
+    ComplexMatrix zf(nf, nf);
+    for (std::size_t i = 0; i < nf; ++i) {
+      for (std::size_t j = 0; j <= i; ++j)
+        zf(i, j) = Complex(0.0, omega * lp(i, j));
+      zf(i, i) += all[i].resistance;
+    }
+    return zf;
+  }();
+  run::checkpoint("solver");
+  const ComplexSymmetricLdlt ldlt = [&] {
+    try {
+      return ComplexSymmetricLdlt(std::move(z));
+    } catch (const diag::SingularSystem& e) {
+      throw diag::SingularSystem(
+          "solver", "filament impedance matrix: " + e.message(), e.column(),
+          e.dimension(), e.condition_estimate());
+    }
+  }();
+  run::checkpoint("solver");
+  ComplexMatrix p(nf, nports);
+  for (std::size_t i = 0; i < nf; ++i) p(i, port[i]) = 1.0;
+  ComplexMatrix y = ldlt.reduce(std::move(p));
+  record_solve(nf);
+  return y;
+}
+
+/// Port impedance Y⁻¹ of a port admittance.  Y = PᵀZ⁻¹P inherits Z's
+/// complex symmetry and definite real and imaginary parts, so the same
+/// unpivoted LDLᵀ inverts it, as the reduction of the identity.
+ComplexMatrix port_impedance(ComplexMatrix y) {
+  const std::size_t m = y.rows();
+  return ComplexSymmetricLdlt(std::move(y)).reduce(ComplexMatrix::identity(m));
+}
+
+}  // namespace
+
+std::vector<Conductor> block_conductors(const geom::Block& block,
+                                        const SolveOptions& opt) {
+  std::vector<Conductor> conductors = trace_conductors(block, opt);
   auto add_plane = [&](int plane_layer) {
     const double prho = block.tech().layer(plane_layer).rho;
     for (const peec::Bar& strip : plane_strips(block, plane_layer, opt.plane)) {
@@ -168,8 +170,6 @@ std::vector<Conductor> block_conductors(const geom::Block& block,
   return conductors;
 }
 
-}  // namespace
-
 SolveStats solve_stats_total() {
   SolveStats s;
   s.dense_solves = g_dense_solves.load(std::memory_order_relaxed);
@@ -178,15 +178,13 @@ SolveStats solve_stats_total() {
 }
 
 std::size_t estimate_dense_solve_bytes(std::size_t filaments,
-                                       std::size_t conductors) {
+                                       std::size_t ports) {
   const std::size_t nf = filaments;
-  const std::size_t nc = conductors;
-  // Coexisting peaks: the real fill (lp, kept for the Z build), the
-  // complex Z moved in place into its LU factors, and the multi-RHS
-  // substitution blocks (zinv_p plus per-chunk rhs and solution).
+  // The real fill (released once Z is built), the complex Z factored in
+  // place into its LDLᵀ, and the incidence block swept into L⁻¹P.
   return std::max<std::size_t>(peec::estimate_fill_bytes(nf) +
                                    nf * nf * sizeof(Complex) +
-                                   3 * nf * nc * sizeof(Complex),
+                                   nf * ports * sizeof(Complex),
                                1024);
 }
 
@@ -195,7 +193,11 @@ std::size_t estimate_extract_bytes(const geom::Block& block,
   const std::vector<Conductor> conductors = block_conductors(block, opt);
   std::size_t nf = 0;
   for (const Conductor& c : conductors) nf += c.filaments.size();
-  return estimate_dense_solve_bytes(nf, conductors.size());
+  // extract_partial has a port per trace; extract_loop one per signal plus
+  // the merged return, which only a plane can make the larger count.
+  const std::size_t ports =
+      block.size() + (block.planes() == geom::PlaneConfig::kNone ? 0 : 1);
+  return estimate_dense_solve_bytes(nf, ports);
 }
 
 std::vector<peec::Bar> plane_strips(const geom::Block& block, int plane_layer,
@@ -239,15 +241,12 @@ PartialResult extract_partial(const geom::Block& block,
                       std::to_string(opt.frequency) + " Hz");
   // Partial-inductance extraction ignores planes by definition: the return
   // path is decided later by the circuit simulator (paper Section II.A).
-  std::vector<Conductor> conductors;
-  const double rho = block.layer().rho;
-  for (std::size_t i = 0; i < block.size(); ++i) {
-    Conductor c;
-    c.filaments = mesh_conductor(trace_bar(block, i), rho, opt);
-    c.block_trace = i;
-    conductors.push_back(std::move(c));
-  }
-  const ComplexMatrix z = conductor_impedance(conductors, opt);
+  // Every trace is its own port.
+  const std::vector<Conductor> conductors = trace_conductors(block, opt);
+  std::vector<std::size_t> port(conductors.size());
+  for (std::size_t c = 0; c < port.size(); ++c) port[c] = c;
+  const ComplexMatrix z =
+      port_impedance(port_admittance(conductors, port, port.size(), opt));
   const double omega = 2.0 * std::numbers::pi * opt.frequency;
 
   const std::size_t n = block.size();
@@ -269,68 +268,39 @@ LoopResult extract_loop(const geom::Block& block, const SolveOptions& opt) {
                       std::to_string(opt.frequency) + " Hz");
   const std::vector<Conductor> conductors = block_conductors(block, opt);
 
-  std::vector<std::size_t> sig, gnd;
-  for (std::size_t c = 0; c < conductors.size(); ++c)
-    (conductors[c].is_ground ? gnd : sig).push_back(c);
+  std::vector<std::size_t> sig;
+  std::size_t grounds = 0;
+  for (std::size_t c = 0; c < conductors.size(); ++c) {
+    if (conductors[c].is_ground)
+      ++grounds;
+    else
+      sig.push_back(c);
+  }
   if (sig.empty())
     throw diag::GeometryError(
         "solver", "extract_loop: the block has no signal traces (all " +
                       std::to_string(conductors.size()) +
                       " conductors are grounds/planes)");
-  if (gnd.empty())
+  if (grounds == 0)
     throw diag::GeometryError(
         "solver",
         "extract_loop: no return path — the block needs ground traces or a "
         "plane (use extract_partial for bare coplanar signals)");
 
-  const ComplexMatrix z = conductor_impedance(conductors, opt);
+  // Every ground conductor (ground traces and plane strips) shares the
+  // return drop V_G at the far-end sink node, which is exactly one merged
+  // port: its incidence column is the union of theirs.  With I_G = -sum I_S
+  // the loop impedance of the (ns+1)-port Z is z_ij - z_iG - z_Gj + z_GG
+  // (DESIGN.md "Loop solver").
   const std::size_t ns = sig.size();
-  const std::size_t ng = gnd.size();
-
-  ComplexMatrix zss(ns, ns), zsg(ns, ng), zgs(ng, ns), zgg(ng, ng);
-  for (std::size_t i = 0; i < ns; ++i) {
-    for (std::size_t j = 0; j < ns; ++j) zss(i, j) = z(sig[i], sig[j]);
-    for (std::size_t g = 0; g < ng; ++g) zsg(i, g) = z(sig[i], gnd[g]);
-  }
-  for (std::size_t g = 0; g < ng; ++g) {
-    for (std::size_t j = 0; j < ns; ++j) zgs(g, j) = z(gnd[g], sig[j]);
-    for (std::size_t h = 0; h < ng; ++h) zgg(g, h) = z(gnd[g], gnd[h]);
-  }
-
-  // All grounds join the signals' far-end sink node and share the common
-  // return drop V_G; enforcing sum(I_G) = -sum(I_S) yields the bordered
-  // Schur reduction below (see DESIGN.md).
-  LuDecomposition<Complex> lug(zgg);
-  const ComplexMatrix zgg_inv_zgs = lug.solve(zgs);
-  std::vector<Complex> ones(ng, Complex(1.0, 0.0));
-  const std::vector<Complex> zgg_inv_1 = lug.solve(ones);
-
-  Complex denom = 0.0;
-  for (std::size_t g = 0; g < ng; ++g) denom += zgg_inv_1[g];
-
-  // Row vector r_j = sum_g (Zgg^-1 Zgs)(g, j) - 1.
-  std::vector<Complex> r(ns);
-  for (std::size_t j = 0; j < ns; ++j) {
-    Complex acc = 0.0;
-    for (std::size_t g = 0; g < ng; ++g) acc += zgg_inv_zgs(g, j);
-    r[j] = acc - Complex(1.0, 0.0);
-  }
-  // Column vector c_i = (Zsg Zgg^-1 1)(i) - 1.
-  std::vector<Complex> cvec(ns);
-  for (std::size_t i = 0; i < ns; ++i) {
-    Complex acc = 0.0;
-    for (std::size_t g = 0; g < ng; ++g) acc += zsg(i, g) * zgg_inv_1[g];
-    cvec[i] = acc - Complex(1.0, 0.0);
-  }
-
-  // Zsg (Zgg^-1 Zgs) — Zgg^-1 Zgs came out of the blocked multi-RHS solve
-  // above, and the matmul accumulates over g in the same ascending order
-  // the explicit triple loop did.
-  const ComplexMatrix schur = zsg * zgg_inv_zgs;
+  std::vector<std::size_t> port(conductors.size(), ns);
+  for (std::size_t i = 0; i < ns; ++i) port[sig[i]] = i;
+  const ComplexMatrix zp =
+      port_impedance(port_admittance(conductors, port, ns + 1, opt));
   ComplexMatrix zloop(ns, ns);
   for (std::size_t i = 0; i < ns; ++i)
     for (std::size_t j = 0; j < ns; ++j)
-      zloop(i, j) = zss(i, j) - schur(i, j) + cvec[i] * r[j] / denom;
+      zloop(i, j) = zp(i, j) - zp(i, ns) - zp(ns, j) + zp(ns, ns);
 
   const double omega = 2.0 * std::numbers::pi * opt.frequency;
   LoopResult res;

@@ -10,10 +10,12 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "geom/block.h"
 #include "numeric/matrix.h"
+#include "peec/assembly.h"
 #include "solver/options.h"
 
 namespace rlcx::solver {
@@ -37,6 +39,19 @@ PartialResult extract_partial(const geom::Block& block,
 /// Requires at least one ground trace or plane in the block.
 LoopResult extract_loop(const geom::Block& block, const SolveOptions& opt);
 
+/// One extraction conductor: parallel filaments sharing its terminals.
+struct Conductor {
+  std::vector<peec::Filament> filaments;
+  bool is_ground = false;
+  std::size_t block_trace = SIZE_MAX;  ///< index into block; none for strips
+};
+
+/// The conductors extract_loop solves, in fill order: the block's traces
+/// in block order, then the plane strips (below, then above).  Exposed so
+/// tests can rebuild the same filament system for their oracles.
+std::vector<Conductor> block_conductors(const geom::Block& block,
+                                        const SolveOptions& opt);
+
 /// Ground-plane discretisation used by extract_loop, exposed for tests and
 /// for the general network builder: strips covering the block extent plus a
 /// margin, in the given layer.
@@ -44,13 +59,13 @@ std::vector<peec::Bar> plane_strips(const geom::Block& block, int plane_layer,
                                     const PlaneOptions& opt);
 
 /// Analytic resident-byte estimate of one impedance solve over `filaments`
-/// unknowns and `conductors` terminals: the real fill, the complex LU and
-/// the multi-RHS blocks.  conductor_impedance reserves exactly this much
+/// unknowns and `ports` terminals: the real fill, the complex LDLᵀ factor
+/// and the n x ports reduction block.  The solve reserves exactly this much
 /// from the memory budget before solving (refusing the solve when it does
 /// not fit), and serve's cost-based admission prices requests with it
 /// (docs/robustness.md "Resource governance").
 std::size_t estimate_dense_solve_bytes(std::size_t filaments,
-                                       std::size_t conductors);
+                                       std::size_t ports);
 
 /// Cost of extracting `block` without solving anything: meshes the
 /// conductors exactly as extraction would (cheap — no field solves),

@@ -103,9 +103,10 @@ TEST(TableCache, MissOnChangedFrequency) {
 }
 
 TEST(TableCache, EntryKeyedUnderOlderVersionIsAMiss) {
-  // Table values moved (the engine's shared z-slices) while no keyed input
-  // changed, so the key version was bumped: an entry stored under the
-  // version-3 key text must never be served for today's inputs.
+  // Table values moved (the LDLᵀ impedance solve with a merged return)
+  // while no keyed input changed, so the key version was bumped: an entry
+  // stored under the version-4 key text must never be served for today's
+  // inputs.
   const ScratchDir dir("rlcx_cache_version");
   const geom::Technology tech = geom::Technology::generic_025um();
   const TableGrid grid = tiny_grid();
@@ -113,10 +114,10 @@ TEST(TableCache, EntryKeyedUnderOlderVersionIsAMiss) {
 
   const std::string key =
       TableCache::key_text(tech, 6, geom::PlaneConfig::kNone, grid, opt);
-  const std::string current = "rlcx-cache-key 4\n";
+  const std::string current = "rlcx-cache-key 5\n";
   ASSERT_EQ(key.compare(0, current.size(), current), 0);
   const std::string old_key =
-      "rlcx-cache-key 3\n" + key.substr(current.size());
+      "rlcx-cache-key 4\n" + key.substr(current.size());
 
   TableCache cache(dir.path);
   ASSERT_TRUE(cache.store(
@@ -235,7 +236,7 @@ TEST(TableCache, CliDefaultClassKeyIdIsPinned) {
   const std::string key = TableCache::key_text(
       geom::Technology::generic_025um(), 6, geom::PlaneConfig::kNone,
       default_clock_grid(3), opt);
-  EXPECT_EQ(TableCache::key_id(key), "db743e3759b39ca2") << key;
+  EXPECT_EQ(TableCache::key_id(key), "07a6ebb4b4cf3703") << key;
 }
 
 TEST(TableCache, KeyHashIsStableFnv1a64) {

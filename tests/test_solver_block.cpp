@@ -16,6 +16,7 @@
 #include "run/fault_injection.h"
 #include "solver/block_solver.h"
 #include "solver/frequency.h"
+#include "support/loop_reference.h"
 #include "support/partial_reference.h"
 
 namespace rlcx::solver {
@@ -323,6 +324,77 @@ TEST(ExtractLoop, AllGroundBlockIsAGeometryError) {
                    {geom::TraceRole::kGround, um(10), um(20), "g2"}},
                   PlaneConfig::kNone);
   EXPECT_THROW(extract_loop(blk, low_freq()), rlcx::diag::GeometryError);
+}
+
+// ---- Merged return port against the bordered Schur reduction ----------
+
+/// Largest |a - b| over the block, relative to its largest |a|.
+double max_rel_diff(const RealMatrix& a, const RealMatrix& b) {
+  double scale = 0.0, worst = 0.0;
+  for (std::size_t i = 0; i < a.rows(); ++i)
+    for (std::size_t j = 0; j < a.cols(); ++j) {
+      scale = std::max(scale, std::abs(a(i, j)));
+      worst = std::max(worst, std::abs(a(i, j) - b(i, j)));
+    }
+  return worst / scale;
+}
+
+void expect_matches_bordered(const Block& blk, const SolveOptions& opt,
+                             const std::string& what) {
+  const LoopResult merged = extract_loop(blk, opt);
+  const LoopResult bordered = bordered_loop_reference(blk, opt);
+  ASSERT_EQ(merged.signal_traces, bordered.signal_traces) << what;
+  EXPECT_LT(max_rel_diff(bordered.inductance, merged.inductance), 1e-12)
+      << what;
+  EXPECT_LT(max_rel_diff(bordered.resistance, merged.resistance), 1e-12)
+      << what;
+}
+
+TEST(MergedReturn, MatchesBorderedReductionOnGroundTraces) {
+  SolveOptions opt;
+  opt.frequency = significant_frequency(150e-12);
+  expect_matches_bordered(
+      geom::coplanar_waveguide(tech(), 6, um(2000), um(10), um(5), um(1)),
+      opt, "cpw layer 6");
+  expect_matches_bordered(
+      geom::coplanar_waveguide(tech(), 5, um(775), um(1), um(20), um(10)),
+      opt, "cpw layer 5");
+  expect_matches_bordered(
+      geom::coplanar_waveguide(tech(), 6, um(1000), um(10), um(5), um(1)),
+      low_freq(), "cpw uniform current");
+}
+
+TEST(MergedReturn, MatchesBorderedReductionOverPlanes) {
+  SolveOptions opt;
+  opt.frequency = significant_frequency(150e-12);
+  expect_matches_bordered(
+      geom::uniform_array(tech(), 6, um(6000), 2, um(20), um(10),
+                          PlaneConfig::kBelow),
+      opt, "two signals, plane below");
+  expect_matches_bordered(
+      geom::microstrip(tech(), 6, um(1000), um(4), um(4), um(2)), opt,
+      "microstrip");
+  expect_matches_bordered(
+      geom::uniform_array(tech(), 6, um(2000), 2, um(4.47), um(0.5),
+                          PlaneConfig::kBothSides),
+      opt, "two signals, planes both sides");
+  expect_matches_bordered(
+      geom::stripline(tech(), 6, um(1000), um(10), um(5), um(1)), opt,
+      "stripline");
+}
+
+TEST(MergedReturn, MatchesBorderedReductionWithThreeSignals) {
+  SolveOptions opt;
+  opt.frequency = significant_frequency(150e-12);
+  const Block bus = geom::bus_block(tech(), 6, um(1500),
+                                    {um(5), um(2), um(3), um(2), um(5)},
+                                    {um(1), um(2), um(2), um(1)});
+  ASSERT_EQ(extract_loop(bus, opt).signal_traces.size(), 3u);
+  expect_matches_bordered(bus, opt, "g s s s g");
+  expect_matches_bordered(
+      geom::uniform_array(tech(), 5, um(1000), 3, um(2), um(2),
+                          PlaneConfig::kBelow),
+      opt, "three signals, plane below");
 }
 
 TEST(SolverWiring, CancellationMidSolveIsClean) {
