@@ -31,15 +31,11 @@ int main() {
   const core::InductanceTables tables = core::build_tables(
       tech, 6, geom::PlaneConfig::kNone, grid, sopt);
 
-  // Persist and reload (round-trip through a stream; a file works the same
-  // via save_file/load_file).
-  std::stringstream buf;
-  tables.self.save(buf);
-  tables.mutual.save(buf);
-  core::InductanceTables reloaded = tables;
-  reloaded.self = core::NdTable::load(buf);
-  reloaded.mutual = core::NdTable::load(buf);
-  const core::TableInductanceModel model(reloaded);
+  // Persist and reload the RLXB bundle (round-trip through a stream; a
+  // file works the same via save_file/load_file).
+  std::stringstream buf(std::ios::in | std::ios::out | std::ios::binary);
+  tables.save(buf);
+  const core::TableInductanceModel model(core::InductanceTables::load(buf));
   std::printf("tables saved and reloaded (%zu + %zu entries)\n",
               tables.self.values().size(), tables.mutual.values().size());
 

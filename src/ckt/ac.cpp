@@ -3,6 +3,7 @@
 #include <numbers>
 #include <stdexcept>
 
+#include "ckt/mna.h"
 #include "numeric/lu.h"
 #include "numeric/matrix.h"
 
@@ -12,86 +13,33 @@ namespace {
 
 using Complex = std::complex<double>;
 
-constexpr double kGmin = 1e-12;
-
-/// Assemble and solve the complex MNA system for one excitation.
-/// `vsource_amplitudes` has one entry per voltage source; `inject` adds a
-/// 1 A current source between two nodes (pass {-1,-1} for none).
+/// Assemble and solve the complex MNA system A = G + jwC for one
+/// excitation.  `vsource_amplitudes` has one entry per voltage source;
+/// `inject` adds a 1 A current source between two nodes (pass {-1,-1} for
+/// none).
 std::vector<Complex> solve_mna(const Netlist& nl, double frequency,
                                const std::vector<double>& vsource_amplitudes,
                                std::pair<NodeId, NodeId> inject) {
   if (frequency <= 0.0) throw std::invalid_argument("ac: frequency");
-  const double omega = 2.0 * std::numbers::pi * frequency;
-
-  const int nn = nl.node_count() - 1;
-  const std::size_t nv = nl.vsources().size();
-  const std::size_t nli = nl.inductors().size();
-  const std::size_t dim = static_cast<std::size_t>(nn) + nv + nli;
+  const Mna mna(nl);
+  const std::size_t dim = mna.dim();
   if (dim == 0) throw std::invalid_argument("ac: empty netlist");
 
-  auto vrow = [](NodeId n) { return static_cast<std::size_t>(n - 1); };
-  const std::size_t vsrc0 = static_cast<std::size_t>(nn);
-  const std::size_t ind0 = vsrc0 + nv;
-
+  std::vector<numeric::Triplet> g, c;
+  mna.stamp_g(g);
+  mna.stamp_c(2.0 * std::numbers::pi * frequency, c);
   ComplexMatrix a(dim, dim);
-  for (int n = 1; n <= nn; ++n) a(vrow(n), vrow(n)) += kGmin;
-
-  auto stamp_admittance = [&](NodeId p, NodeId q, Complex y) {
-    if (p != kGround) a(vrow(p), vrow(p)) += y;
-    if (q != kGround) a(vrow(q), vrow(q)) += y;
-    if (p != kGround && q != kGround) {
-      a(vrow(p), vrow(q)) -= y;
-      a(vrow(q), vrow(p)) -= y;
-    }
-  };
-
-  for (const Resistor& r : nl.resistors())
-    stamp_admittance(r.a, r.b, Complex(1.0 / r.ohms, 0.0));
-  for (const Capacitor& c : nl.capacitors())
-    stamp_admittance(c.a, c.b, Complex(0.0, omega * c.farads));
-
-  for (std::size_t k = 0; k < nv; ++k) {
-    const VoltageSource& vs = nl.vsources()[k];
-    const std::size_t row = vsrc0 + k;
-    if (vs.a != kGround) {
-      a(vrow(vs.a), row) += 1.0;
-      a(row, vrow(vs.a)) += 1.0;
-    }
-    if (vs.b != kGround) {
-      a(vrow(vs.b), row) -= 1.0;
-      a(row, vrow(vs.b)) -= 1.0;
-    }
-  }
-
-  // Inductor branches: v_a - v_b - jw sum_m L_km i_m = 0.
-  RealMatrix lmat(nli, nli);
-  for (std::size_t j = 0; j < nli; ++j)
-    lmat(j, j) = nl.inductors()[j].henries;
-  for (const MutualInductance& m : nl.mutuals()) {
-    lmat(m.l1, m.l2) += m.henries;
-    lmat(m.l2, m.l1) += m.henries;
-  }
-  for (std::size_t j = 0; j < nli; ++j) {
-    const Inductor& l = nl.inductors()[j];
-    const std::size_t row = ind0 + j;
-    if (l.a != kGround) {
-      a(vrow(l.a), row) += 1.0;
-      a(row, vrow(l.a)) += 1.0;
-    }
-    if (l.b != kGround) {
-      a(vrow(l.b), row) -= 1.0;
-      a(row, vrow(l.b)) -= 1.0;
-    }
-    for (std::size_t m = 0; m < nli; ++m)
-      a(row, ind0 + m) -= Complex(0.0, omega * lmat(j, m));
-  }
+  for (const numeric::Triplet& t : g) a(t.row, t.col) += t.value;
+  for (const numeric::Triplet& t : c)
+    a(t.row, t.col) += Complex(0.0, t.value);
 
   std::vector<Complex> rhs(dim, Complex(0.0, 0.0));
-  for (std::size_t k = 0; k < nv && k < vsource_amplitudes.size(); ++k)
-    rhs[vsrc0 + k] = vsource_amplitudes[k];
+  for (std::size_t k = 0;
+       k < nl.vsources().size() && k < vsource_amplitudes.size(); ++k)
+    rhs[mna.vsource_row(k)] = vsource_amplitudes[k];
   if (inject.first >= 0) {
-    if (inject.first != kGround) rhs[vrow(inject.first)] += 1.0;
-    if (inject.second != kGround) rhs[vrow(inject.second)] -= 1.0;
+    if (inject.first != kGround) rhs[mna.node_row(inject.first)] += 1.0;
+    if (inject.second != kGround) rhs[mna.node_row(inject.second)] -= 1.0;
   }
 
   LuDecomposition<Complex> lu(std::move(a));
@@ -99,8 +47,8 @@ std::vector<Complex> solve_mna(const Netlist& nl, double frequency,
 
   std::vector<Complex> node_v(static_cast<std::size_t>(nl.node_count()),
                               Complex(0.0, 0.0));
-  for (int n = 1; n <= nn; ++n)
-    node_v[static_cast<std::size_t>(n)] = x[vrow(n)];
+  for (NodeId n = 1; n < nl.node_count(); ++n)
+    node_v[static_cast<std::size_t>(n)] = x[mna.node_row(n)];
   return node_v;
 }
 

@@ -3,7 +3,7 @@
 // Unknowns: node voltages 1..N-1 (ground is eliminated), then one branch
 // current per voltage source, then one per inductor.  The DC operating
 // point and the moment recursion factor some  A = G + s C  over this layout
-// (ckt/ac.cpp and the dense transient oracle stamp it densely):
+// (AC analysis densifies it at s = jw, ckt/ac.cpp):
 //   G — Gmin from every node to ground, resistor conductances, and the
 //       +-1 incidence of voltage-source and inductor branches (an inductor
 //       row reads v_a - v_b, a short at DC);

@@ -126,7 +126,7 @@ geom::Block make_custom(const geom::Technology& tech, const Args& args,
 
 geom::Block make_structure(const geom::Technology& tech, const Args& args) {
   const std::string kind = args.get("structure", "cpw");
-  const int layer = static_cast<int>(args.get_num("layer", 6));
+  const int layer = args.get_int("layer", 6, 1);
   const double len = um(args.get_num("length-um", 1000.0));
   const double ws = um(args.get_num("signal-um", 10.0));
   const double wg = um(args.get_num("ground-um", 5.0));
@@ -157,15 +157,10 @@ solver::SolveOptions solve_options(const Args& args) {
 // The characterisation grid the `tables` command and the --table-cache
 // paths share: --points samples per axis over the clock-wiring ranges.
 core::TableGrid grid_from_args(const Args& args) {
-  // Checked before the cast: a negative, NaN or huge value would make the
-  // conversion undefined, and a fraction would be truncated silently.  The
-  // cap keeps the grid's byte estimate (points^4 values) from overflowing.
-  constexpr double kMaxPoints = 1024;
-  const double n = args.get_num("points", 4);
-  if (!(n >= 2 && n <= kMaxPoints) || n != std::floor(n))
-    throw diag::UsageError("cli",
-                           "--points must be an integer from 2 to 1024");
-  return core::default_clock_grid(static_cast<std::size_t>(n));
+  // The cap keeps the grid's byte estimate (points^4 values) from
+  // overflowing.
+  return core::default_clock_grid(
+      static_cast<std::size_t>(args.get_int("points", 4, 2, 1024)));
 }
 
 /// Ends a command's cache line with the store-retry and crash-recovery
@@ -268,7 +263,7 @@ int cmd_help(std::ostream& out) {
          "  0 = unlimited.  Work that cannot fit exits 7)\n\n"
          "extract: [--spice FILE] [--ac-resistance] [--table-cache DIR]\n"
          "tables:  --out FILE [--planes none|below|above|both] [--points N]\n"
-         "         [--threads N] (0 = RLCX_THREADS/all cores) [--binary]\n"
+         "         [--threads N] (0 = RLCX_THREADS/all cores)\n"
          "         [--table-cache DIR]\n"
          "batch:   --table-cache DIR [--layers 5,6] [--planes-list\n"
          "         none,below,...] [--points N] [--journal FILE]\n"
@@ -299,6 +294,8 @@ int cmd_help(std::ostream& out) {
 }
 
 int cmd_extract(const Args& args, std::ostream& out, ProviderSource* warm) {
+  core::LadderOptions lopt;  // the --spice deck's ladder
+  lopt.sections = args.get_int("sections", 4, 1);
   const geom::Technology tech = geom::Technology::generic_025um();
   const geom::Block blk = make_structure(tech, args);
   const solver::SolveOptions sopt = solve_options(args);
@@ -362,8 +359,6 @@ int cmd_extract(const Args& args, std::ostream& out, ProviderSource* warm) {
   if (args.has("spice")) {
     ckt::Netlist nl;
     const ckt::NodeId in = nl.add_node("in");
-    core::LadderOptions lopt;
-    lopt.sections = static_cast<int>(args.get_num("sections", 4));
     core::stamp_segment(nl, blk, seg, {in}, lopt);
     ckt::SpiceExportOptions xopt;
     xopt.title = "rlcx extract deck";
@@ -383,7 +378,7 @@ int cmd_tables(const Args& args, std::ostream& out) {
   const geom::Technology tech = geom::Technology::generic_025um();
   const geom::PlaneConfig planes =
       parse_planes(args.get("planes", "none"));
-  const int layer = static_cast<int>(args.get_num("layer", 6));
+  const int layer = args.get_int("layer", 6, 1);
   const core::TableGrid grid = grid_from_args(args);
   const solver::SolveOptions sopt = solve_options(args);
 
@@ -399,15 +394,11 @@ int cmd_tables(const Args& args, std::ostream& out) {
     tables = core::build_tables(tech, layer, planes, grid, sopt,
                                 /*threads=*/0);
   }
-  if (args.has("binary"))
-    tables.save_file_binary(args.get("out", ""));
-  else
-    tables.save_file(args.get("out", ""));
+  tables.save_file(args.get("out", ""));
   out << "built " << tables.self.values().size() << " self + "
       << tables.mutual.values().size() << " mutual entries at "
       << units::to_ghz(tables.frequency) << " GHz; saved to "
-      << args.get("out", "") << (args.has("binary") ? " (binary)" : "")
-      << "\n";
+      << args.get("out", "") << "\n";
   return 0;
 }
 
@@ -530,6 +521,9 @@ int cmd_batch(const Args& args, const run::RunControl& rc,
 }
 
 int cmd_delay(const Args& args, std::ostream& out, ProviderSource* warm) {
+  core::LadderOptions lopt;
+  lopt.sections = args.get_int("sections", 8, 1);
+  lopt.include_inductance = !args.has("no-inductance");
   const geom::Technology tech = geom::Technology::generic_025um();
   const geom::Block blk = make_structure(tech, args);
   const solver::SolveOptions sopt = solve_options(args);
@@ -545,9 +539,6 @@ int cmd_delay(const Args& args, std::ostream& out, ProviderSource* warm) {
   const ckt::NodeId buf = nl.add_node("buf");
   nl.add_vsource(vin, ckt::kGround, ckt::SourceWaveform::ramp(vdd, tr));
   nl.add_resistor(vin, buf, args.get_num("rs", 25.0));
-  core::LadderOptions lopt;
-  lopt.sections = static_cast<int>(args.get_num("sections", 8));
-  lopt.include_inductance = !args.has("no-inductance");
   const auto outs = core::stamp_segment(nl, blk, seg, {buf}, lopt);
   nl.add_capacitor(outs[0], ckt::kGround,
                    args.get_num("sink-ff", 200.0) * 1e-15);
@@ -607,11 +598,27 @@ double Args::get_num(const std::string& key, double fallback) const {
   const auto it = options.find(key);
   if (it == options.end()) return fallback;
   std::size_t pos = 0;
-  const double v = std::stod(it->second, &pos);
+  double v = 0.0;
+  try {
+    v = std::stod(it->second, &pos);
+  } catch (const std::logic_error&) {  // no number, or beyond double range
+    pos = std::string::npos;
+  }
   if (pos != it->second.size())
     throw diag::UsageError("cli", "bad numeric value for --" + key + ": " +
                                       it->second);
   return v;
+}
+
+int Args::get_int(const std::string& key, int fallback, int lo,
+                  int hi) const {
+  const double v = get_num(key, fallback);
+  if (!(v >= lo && v <= hi) || v != std::floor(v))
+    throw diag::UsageError("cli", "--" + key + " must be an integer from " +
+                                      std::to_string(lo) + " to " +
+                                      std::to_string(hi) + ", got " +
+                                      options.at(key));
+  return static_cast<int>(v);
 }
 
 std::size_t estimate_request_bytes(const std::vector<std::string>& argv) {
@@ -679,8 +686,7 @@ int run(const std::vector<std::string>& argv, std::ostream& out,
     // A CLI --threads outranks RLCX_THREADS: size the process-global pool
     // before any command touches it.
     if (args.has("threads"))
-      rt::Pool::set_global_threads(
-          static_cast<int>(args.get_num("threads", 0)));
+      rt::Pool::set_global_threads(args.get_int("threads", 0, 0, 4096));
     // --mem-budget MiB outranks RLCX_MEM_BUDGET the same way: resize the
     // process budget before any command reserves against it (0 =
     // unlimited, docs/robustness.md "Resource governance").

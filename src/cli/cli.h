@@ -9,6 +9,7 @@
 #pragma once
 
 #include <iosfwd>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -29,6 +30,11 @@ struct Args {
   bool has(const std::string& key) const { return options.count(key) != 0; }
   std::string get(const std::string& key, const std::string& fallback) const;
   double get_num(const std::string& key, double fallback) const;
+  /// An integer flag in [lo, hi], checked before the cast: a fraction, NaN
+  /// or out-of-range value is a usage error, never a truncation or an
+  /// undefined conversion.
+  int get_int(const std::string& key, int fallback, int lo,
+              int hi = std::numeric_limits<int>::max()) const;
 };
 
 /// Parse ["extract", "--length-um", "6000", ...]; throws
@@ -104,7 +110,8 @@ void print_engine_report(const core::BuildStats& stats, std::ostream& out);
 ///            --trise-ps N --spice FILE --ac-resistance]
 ///           [--traces g:W,s:W,... --spacings S,S,...]  (custom bus, um)
 ///   tables  --planes none|below|above|both --out FILE
-///           [--layer N --trise-ps N --points N]
+///           [--layer N --trise-ps N --points N]  (FILE is an RLXB bundle,
+///           byte-identical to the --table-cache entry of the same class)
 ///   batch   --table-cache DIR [--layers 5,6 --planes-list none,below
 ///            --points N --journal FILE --resume [FILE] --deadline-s N]
 ///   delay   (extract flags) [--rs N --sink-ff N --vdd N --sections N

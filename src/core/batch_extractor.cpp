@@ -296,9 +296,6 @@ BatchResult characterize_batch(const geom::Technology& tech,
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     if (canonical[i] != i) res.tables[i] = res.tables[canonical[i]];
   }
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    if (canonical[i] == i) res.library.add_tables(res.tables[i]);
-  }
   return res;
 }
 

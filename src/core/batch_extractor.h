@@ -72,8 +72,6 @@ struct BatchResult {
   /// (engine_counters(); a shared aggregate when other extraction work
   /// runs concurrently).
   BuildStats totals;
-  /// All result tables registered under their (layer, plane-config).
-  InductanceLibrary library;
   /// Canonical jobs skipped because the journal recorded them complete
   /// and the cache served their tables (a --resume relaunch's "no work
   /// re-done" evidence; cache hits without a journal entry don't count).

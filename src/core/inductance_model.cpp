@@ -1,6 +1,5 @@
 #include "core/inductance_model.h"
 
-#include <cstring>
 #include <fstream>
 #include <istream>
 #include <ostream>
@@ -21,9 +20,9 @@ constexpr std::uint32_t kBundleVersion = 1;
 /// Load one of the bundle's three tables, rewriting any failure so the
 /// diagnostic names WHICH table is bad ("mutual-L") — the acceptance test
 /// for a NaN-poisoned table keys on this.  The category is preserved.
-NdTable load_component(std::istream& is, const char* which, bool binary) {
+NdTable load_component(std::istream& is, const char* which) {
   try {
-    NdTable t = binary ? NdTable::load_binary(is) : NdTable::load(is);
+    NdTable t = NdTable::load(is);
     t.set_name(which);
     return t;
   } catch (const diag::Error& e) {
@@ -46,40 +45,17 @@ TableKind table_kind_for(geom::PlaneConfig planes) {
 }
 
 void InductanceTables::save(std::ostream& os) const {
-  os << "rlcx-tables 1 " << layer << " " << static_cast<int>(planes) << " "
-     << frequency << "\n";
+  using namespace detail;
+  write_header(os, kBundleMagic, kBundleVersion);
+  put_i32(os, layer);
+  put_i32(os, static_cast<std::int32_t>(planes));
+  put_f64(os, frequency);
   self.save(os);
   mutual.save(os);
   series_r.save(os);
 }
 
 InductanceTables InductanceTables::load(std::istream& is) {
-  std::string magic;
-  int version = 0;
-  InductanceTables t;
-  int planes_int = 0;
-  is >> magic >> version >> t.layer >> planes_int >> t.frequency;
-  if (!is || magic != "rlcx-tables" || version != 1)
-    throw std::runtime_error("InductanceTables: bad header");
-  t.planes = static_cast<geom::PlaneConfig>(planes_int);
-  t.self = load_component(is, "self-L", false);
-  t.mutual = load_component(is, "mutual-L", false);
-  t.series_r = load_component(is, "series-R", false);
-  return t;
-}
-
-void InductanceTables::save_binary(std::ostream& os) const {
-  using namespace detail;
-  write_header(os, kBundleMagic, kBundleVersion);
-  put_i32(os, layer);
-  put_i32(os, static_cast<std::int32_t>(planes));
-  put_f64(os, frequency);
-  self.save_binary(os);
-  mutual.save_binary(os);
-  series_r.save_binary(os);
-}
-
-InductanceTables InductanceTables::load_binary(std::istream& is) {
   using namespace detail;
   check_header(is, kBundleMagic, kBundleVersion, "InductanceTables");
   InductanceTables t;
@@ -90,9 +66,9 @@ InductanceTables InductanceTables::load_binary(std::istream& is) {
     throw std::runtime_error("InductanceTables: bad plane config");
   t.planes = static_cast<geom::PlaneConfig>(planes_int);
   t.frequency = get_f64(is, "frequency");
-  t.self = load_component(is, "self-L", true);
-  t.mutual = load_component(is, "mutual-L", true);
-  t.series_r = load_component(is, "series-R", true);
+  t.self = load_component(is, "self-L");
+  t.mutual = load_component(is, "mutual-L");
+  t.series_r = load_component(is, "series-R");
   return t;
 }
 
@@ -109,26 +85,14 @@ void InductanceTables::set_extrapolation_policy(ExtrapolationPolicy p) {
 }
 
 void InductanceTables::save_file(const std::string& path) const {
-  std::ofstream os(path);
-  if (!os) throw std::runtime_error("InductanceTables: cannot open " + path);
-  save(os);
-}
-
-void InductanceTables::save_file_binary(const std::string& path) const {
   std::ofstream os(path, std::ios::binary);
   if (!os) throw std::runtime_error("InductanceTables: cannot open " + path);
-  save_binary(os);
+  save(os);
 }
 
 InductanceTables InductanceTables::load_file(const std::string& path) {
   std::ifstream is(path, std::ios::binary);
   if (!is) throw std::runtime_error("InductanceTables: cannot open " + path);
-  char magic[4] = {};
-  is.read(magic, 4);
-  is.clear();
-  is.seekg(0);
-  if (is.gcount() == 4 && std::memcmp(magic, kBundleMagic, 4) == 0)
-    return load_binary(is);
   return load(is);
 }
 
@@ -210,13 +174,6 @@ void InductanceLibrary::add(
     std::shared_ptr<const InductanceProvider> provider) {
   if (!provider) throw std::invalid_argument("InductanceLibrary: provider");
   providers_[{layer, static_cast<int>(planes)}] = std::move(provider);
-}
-
-void InductanceLibrary::add_tables(InductanceTables tables) {
-  const int layer = tables.layer;
-  const geom::PlaneConfig planes = tables.planes;
-  add(layer, planes,
-      std::make_shared<TableInductanceModel>(std::move(tables)));
 }
 
 bool InductanceLibrary::has(int layer, geom::PlaneConfig planes) const {

@@ -57,19 +57,14 @@ struct InductanceTables {
            series_r.resident_bytes();
   }
 
-  /// Bundle (de)serialisation: header + the three tables.
+  /// Binary bundle ("RLXB" magic + version header wrapping three RLXT
+  /// NdTables) — the one table file format: what `rlcx tables --out`
+  /// writes and what a table-cache entry holds; layout in
+  /// docs/table-format.md.  Round trips bit-exactly.
   void save(std::ostream& os) const;
   static InductanceTables load(std::istream& is);
 
-  /// Binary bundle ("RLXB" magic + version header wrapping three binary
-  /// NdTables) — the table-cache on-disk entry format; layout in
-  /// docs/table-format.md.  Round trips bit-exactly.
-  void save_binary(std::ostream& os) const;
-  static InductanceTables load_binary(std::istream& is);
-
   void save_file(const std::string& path) const;
-  void save_file_binary(const std::string& path) const;
-  /// Loads either format: sniffs the magic bytes and dispatches.
   static InductanceTables load_file(const std::string& path);
 
   /// Label the three tables ("self-L", "mutual-L", "series-R") so
@@ -129,10 +124,6 @@ class InductanceLibrary {
  public:
   void add(int layer, geom::PlaneConfig planes,
            std::shared_ptr<const InductanceProvider> provider);
-
-  /// Registers pre-characterised (e.g. cache-loaded) tables under their own
-  /// (layer, plane-config), wrapped in a TableInductanceModel.
-  void add_tables(InductanceTables tables);
   const InductanceProvider& provider(int layer,
                                      geom::PlaneConfig planes) const;
   bool has(int layer, geom::PlaneConfig planes) const;

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
-#include <iomanip>
 #include <sstream>
 #include <stdexcept>
 
@@ -131,57 +129,6 @@ double NdTable::at(const std::vector<std::size_t>& idx) const {
 }
 
 void NdTable::save(std::ostream& os) const {
-  os << "rlcx-table 1\n";
-  os << axes_.size() << "\n";
-  if (axes_.empty()) {
-    os << 0 << "\n";  // empty (un-characterised) table: zero values
-    return;
-  }
-  os << std::setprecision(17);
-  for (std::size_t d = 0; d < axes_.size(); ++d) {
-    os << names_[d] << " " << axes_[d].size();
-    for (double v : axes_[d]) os << " " << v;
-    os << "\n";
-  }
-  os << values_.size();
-  for (double v : values_) os << " " << v;
-  os << "\n";
-}
-
-NdTable NdTable::load(std::istream& is) {
-  std::string magic;
-  int version = 0;
-  is >> magic >> version;
-  if (magic != "rlcx-table" || version != 1)
-    throw diag::IoError("table", "bad file header (not an rlcx-table v1 file)");
-  std::size_t dims = 0;
-  is >> dims;
-  if (!is || dims > 8)
-    throw diag::IoError("table", "bad dimension count");
-  if (dims == 0) {
-    std::size_t zero = 0;
-    is >> zero;
-    if (!is || zero != 0) throw diag::IoError("table", "bad empty-table record");
-    return NdTable();
-  }
-  std::vector<std::string> names(dims);
-  std::vector<std::vector<double>> axes(dims);
-  for (std::size_t d = 0; d < dims; ++d) {
-    std::size_t n = 0;
-    is >> names[d] >> n;
-    if (!is || n < 2) throw diag::IoError("table", "bad axis record (need >= 2 grid points)");
-    axes[d].resize(n);
-    for (double& v : axes[d]) is >> v;
-  }
-  std::size_t count = 0;
-  is >> count;
-  std::vector<double> values(count);
-  for (double& v : values) is >> v;
-  if (!is) throw diag::IoError("table", "truncated file");
-  return NdTable(std::move(names), std::move(axes), std::move(values));
-}
-
-void NdTable::save_binary(std::ostream& os) const {
   using namespace detail;
   write_header(os, kBinaryMagic, kBinaryVersion);
   put_u32(os, static_cast<std::uint32_t>(axes_.size()));
@@ -196,7 +143,7 @@ void NdTable::save_binary(std::ostream& os) const {
   if (!os) throw diag::IoError("table", "binary write failed");
 }
 
-NdTable NdTable::load_binary(std::istream& is) {
+NdTable NdTable::load(std::istream& is) {
   using namespace detail;
   check_header(is, kBinaryMagic, kBinaryVersion, "NdTable");
   const std::uint32_t dims = get_u32(is, "dims");
@@ -238,30 +185,6 @@ NdTable NdTable::load_binary(std::istream& is) {
   }
   if (dims == 0) return NdTable();
   return NdTable(std::move(names), std::move(axes), std::move(values));
-}
-
-void NdTable::save_file(const std::string& path) const {
-  std::ofstream os(path);
-  if (!os) throw diag::IoError("table", "cannot open " + path);
-  save(os);
-}
-
-void NdTable::save_file_binary(const std::string& path) const {
-  std::ofstream os(path, std::ios::binary);
-  if (!os) throw diag::IoError("table", "cannot open " + path);
-  save_binary(os);
-}
-
-NdTable NdTable::load_file(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) throw diag::IoError("table", "cannot open " + path);
-  char magic[4] = {};
-  is.read(magic, 4);
-  is.clear();
-  is.seekg(0);
-  if (is.gcount() == 4 && std::memcmp(magic, kBinaryMagic, 4) == 0)
-    return load_binary(is);
-  return load(is);
 }
 
 }  // namespace rlcx::core

@@ -1,4 +1,4 @@
-// N-dimensional inductance table with spline lookup and text persistence.
+// N-dimensional inductance table with spline lookup and binary persistence.
 //
 // Section III of the paper: "The self inductance table has two dimensions:
 // width and length.  The mutual inductance table has [four] dimensions:
@@ -116,22 +116,12 @@ class NdTable {
   /// as the entry cost.
   std::size_t resident_bytes() const;
 
-  /// Plain-text round-trippable serialisation.
+  /// Binary serialisation ("RLXT" magic + version header, raw
+  /// little-endian IEEE-754 doubles).  Bit-exact round trip; the normative
+  /// layout is docs/table-format.md.  Loading rejects bad magic,
+  /// unsupported versions, foreign byte order and non-finite entries.
   void save(std::ostream& os) const;
   static NdTable load(std::istream& is);
-
-  /// Compact binary serialisation ("RLXT" magic + version header, raw
-  /// little-endian IEEE-754 doubles).  Bit-exact round trip, ~3x smaller
-  /// and much faster to parse than the text form; the normative layout is
-  /// docs/table-format.md.  Loading rejects bad magic, unsupported
-  /// versions, foreign byte order and non-finite entries.
-  void save_binary(std::ostream& os) const;
-  static NdTable load_binary(std::istream& is);
-
-  void save_file(const std::string& path) const;
-  void save_file_binary(const std::string& path) const;
-  /// Loads either format: sniffs the magic bytes and dispatches.
-  static NdTable load_file(const std::string& path);
 
  private:
   using Clamped = std::array<double, TensorSpline::kMaxDims>;

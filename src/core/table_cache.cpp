@@ -341,7 +341,7 @@ bool TableCache::store(const std::string& key_text,
                        const InductanceTables& tables) {
   const std::uint64_t hash = key_hash(key_text);
   std::ostringstream blob(std::ios::binary);
-  tables.save_binary(blob);
+  tables.save(blob);
   // Transient write failures (an interrupted write, a directory briefly
   // unwritable) must not kill an hours-long campaign over one entry: retry
   // with a small bounded backoff, then degrade per the recovery policy —

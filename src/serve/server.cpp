@@ -561,7 +561,7 @@ int serve_main(const std::vector<std::string>& argv, std::ostream& out,
           "serve", "serve requires exactly one of --socket PATH or "
                    "--stdio");
     cfg.max_tables =
-        static_cast<std::size_t>(args.get_num("max-tables", 16));
+        static_cast<std::size_t>(args.get_int("max-tables", 16, 1));
     const double table_mib = args.get_num("max-table-mib", 0.0);
     if (table_mib < 0.0)
       throw diag::UsageError("serve",
@@ -575,8 +575,8 @@ int serve_main(const std::vector<std::string>& argv, std::ostream& out,
       res::Budget::global().set_limit(
           static_cast<std::uint64_t>(budget_mib * 1024.0 * 1024.0));
     }
-    cfg.max_active = static_cast<int>(args.get_num("max-active", 4));
-    cfg.queue_depth = static_cast<int>(args.get_num("queue-depth", 64));
+    cfg.max_active = args.get_int("max-active", 4, 1);
+    cfg.queue_depth = args.get_int("queue-depth", 64, 0);
     cfg.request_deadline_s = args.get_num("request-deadline-s", 0.0);
     cfg.idle_timeout_s = args.get_num("idle-timeout-s", 0.0);
     cfg.log_path = args.get("log", "");

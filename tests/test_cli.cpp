@@ -7,6 +7,7 @@
 
 #include "cli/cli.h"
 #include "run/fault_injection.h"
+#include "serve/server.h"
 #include "support/scratch_dir.h"
 
 namespace rlcx::cli {
@@ -22,6 +23,11 @@ Result drive(const std::vector<std::string>& argv) {
   std::ostringstream out, err;
   const int code = run(argv, out, err);
   return {code, out.str(), err.str()};
+}
+
+std::string read_bytes(const std::string& path) {
+  std::ifstream f(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(f), std::istreambuf_iterator<char>()};
 }
 
 TEST(CliParse, CommandAndFlags) {
@@ -180,7 +186,7 @@ TEST(Cli, TableCacheColdWarmAndMaintenance) {
 
   const std::vector<std::string> build{"tables", "--out", out_path,
                                        "--points", "2", "--table-cache",
-                                       dir, "--binary"};
+                                       dir};
   const Result cold = drive(build);
   ASSERT_EQ(cold.code, 0) << cold.err;
   EXPECT_NE(cold.out.find("cache miss"), std::string::npos);
@@ -189,11 +195,15 @@ TEST(Cli, TableCacheColdWarmAndMaintenance) {
   ASSERT_EQ(warm.code, 0) << warm.err;
   EXPECT_NE(warm.out.find("cache hit, 0 field solves"), std::string::npos);
 
-  // The binary bundle written via --binary starts with the RLXB magic.
-  std::ifstream f(out_path, std::ios::binary);
-  char magic[4] = {};
-  f.read(magic, 4);
-  EXPECT_EQ(std::string(magic, 4), "RLXB");
+  // The file `tables --out` writes is the cache entry, byte for byte.
+  std::vector<std::string> entries;
+  for (const auto& de : std::filesystem::directory_iterator(dir))
+    if (de.path().extension() == ".tbl") entries.push_back(de.path());
+  ASSERT_EQ(entries.size(), 1u);
+  const std::string written = read_bytes(out_path);
+  EXPECT_EQ(written.substr(0, 4), "RLXB");
+  EXPECT_TRUE(written == read_bytes(entries[0]))
+      << out_path << " differs from " << entries[0];
 
   // extract answers from the same cache entry (same tech/grid/frequency).
   const Result ext = drive({"extract", "--structure", "cpw", "--length-um",
@@ -224,15 +234,12 @@ TEST(Cli, TablesRequireOutAndBuild) {
   const Result missing = drive({"tables"});
   EXPECT_EQ(missing.code, 2);
   const testing::ScratchDir scratch("rlcx_cli");
-  const std::string path = scratch.file("tables.txt");
+  const std::string path = scratch.file("tables.tbl");
   const Result r = drive({"tables", "--out", path, "--points", "2",
                           "--planes", "none"});
   EXPECT_EQ(r.code, 0) << r.err;
   EXPECT_NE(r.out.find("saved to"), std::string::npos);
-  std::ifstream f(path);
-  std::string magic;
-  f >> magic;
-  EXPECT_EQ(magic, "rlcx-tables");
+  EXPECT_EQ(read_bytes(path).substr(0, 4), "RLXB");
 }
 
 TEST(Cli, PointsMustBeAnIntegerFromTwo) {
@@ -244,6 +251,39 @@ TEST(Cli, PointsMustBeAnIntegerFromTwo) {
     EXPECT_EQ(r.code, 2) << "--points " << points << ": " << r.err;
     EXPECT_NE(r.err.find("--points"), std::string::npos) << r.err;
   }
+}
+
+TEST(Cli, IntegerFlagsRefuseFractionsNanAndOutOfRange) {
+  // Each value is refused as a usage error before the cast it would make
+  // undefined or lossy, and before any pool, solve or daemon starts.
+  const testing::ScratchDir scratch("rlcx_cli_int_flags");
+  const std::string cache = scratch.file("cache");
+  for (const char* v : {"-3", "nan", "2.5", "1e30", "1e400"}) {
+    const std::vector<std::pair<std::string, std::vector<std::string>>>
+        cases = {
+            {"--layer", {"extract", "--layer", v}},
+            {"--layer", {"tables", "--out", "/dev/null", "--layer", v}},
+            {"--sections", {"delay", "--sections", v}},
+            {"--sections",
+             {"extract", "--spice", "/dev/null", "--sections", v}},
+            {"--threads", {"tables", "--out", "/dev/null", "--threads", v}},
+        };
+    for (const auto& [flag, argv] : cases) {
+      const Result r = drive(argv);
+      EXPECT_EQ(r.code, 2) << argv[0] << " " << flag << " " << v << ": "
+                           << r.err;
+      EXPECT_NE(r.err.find(flag), std::string::npos) << r.err;
+      EXPECT_EQ(r.out, "") << "refused after work began: " << r.out;
+    }
+    for (const char* flag : {"--max-tables", "--max-active", "--queue-depth"}) {
+      std::ostringstream out, err;
+      const int code = serve::serve_main(
+          {"serve", "--table-cache", cache, "--stdio", flag, v}, out, err);
+      EXPECT_EQ(code, 2) << flag << " " << v << ": " << err.str();
+      EXPECT_NE(err.str().find(flag), std::string::npos) << err.str();
+    }
+  }
+  EXPECT_FALSE(std::filesystem::exists(cache));
 }
 
 // ---- Exit-code contract (see cli.h): 2 usage, 3 invalid input, 4 numeric.

@@ -1,6 +1,7 @@
 // Tests for the AC-resistance tables and the bundled table persistence.
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <sstream>
 
 #include "cap/models.h"
@@ -95,12 +96,16 @@ TEST(AcResistanceTable, FallsBackWhenUncharacterised) {
 }
 
 TEST(TablesBundle, RoundTripThroughStream) {
-  std::stringstream ss;
+  std::stringstream ss(std::ios::in | std::ios::out | std::ios::binary);
   tables().save(ss);
+  EXPECT_EQ(ss.str().substr(0, 4), "RLXB");
   const InductanceTables r = InductanceTables::load(ss);
   EXPECT_EQ(r.layer, tables().layer);
   EXPECT_EQ(r.planes, tables().planes);
-  EXPECT_DOUBLE_EQ(r.frequency, tables().frequency);
+  EXPECT_EQ(r.frequency, tables().frequency);
+  EXPECT_EQ(r.self.values(), tables().self.values());
+  EXPECT_EQ(r.mutual.values(), tables().mutual.values());
+  EXPECT_EQ(r.series_r.values(), tables().series_r.values());
   const TableInductanceModel a(tables());
   const TableInductanceModel b(r);
   EXPECT_NEAR(a.self(um(4), um(700)), b.self(um(4), um(700)), 1e-18);
@@ -113,7 +118,7 @@ TEST(TablesBundle, RoundTripThroughStream) {
 TEST(TablesBundle, EmptyResistanceTableRoundTrips) {
   InductanceTables bare = tables();
   bare.series_r = NdTable();
-  std::stringstream ss;
+  std::stringstream ss(std::ios::in | std::ios::out | std::ios::binary);
   bare.save(ss);
   const InductanceTables r = InductanceTables::load(ss);
   EXPECT_EQ(r.series_r.dims(), 0u);
@@ -121,14 +126,35 @@ TEST(TablesBundle, EmptyResistanceTableRoundTrips) {
 
 TEST(TablesBundle, FileRoundTripAndErrors) {
   const testing::ScratchDir scratch("rlcx_tables_bundle");
-  const std::string path = scratch.file("bundle.txt");
+  const std::string path = scratch.file("bundle.tbl");
   tables().save_file(path);
   const InductanceTables r = InductanceTables::load_file(path);
   EXPECT_EQ(r.self.dims(), 2u);
-  EXPECT_THROW(InductanceTables::load_file("/nonexistent/x.txt"),
+  EXPECT_EQ(r.mutual.values(), tables().mutual.values());
+  EXPECT_THROW(InductanceTables::load_file("/nonexistent/x.tbl"),
                std::runtime_error);
-  std::stringstream bad("garbage 1 6 0 1e9\n");
+  std::stringstream bad("garbage 1 6 0 1e9\n",
+                        std::ios::in | std::ios::binary);
   EXPECT_THROW(InductanceTables::load(bad), std::runtime_error);
+}
+
+TEST(TablesBundle, LoadFileRefusesTextFormat) {
+  // RLXB is the one table format: an `rlcx-tables 1` text bundle is
+  // refused on its magic, not parsed.
+  const testing::ScratchDir scratch("rlcx_tables_bundle");
+  const std::string path = scratch.file("bundle.txt");
+  {
+    std::ofstream os(path);
+    os << "rlcx-tables 1 6 0 1.6e9\nrlcx-table 1\n2\n"
+          "width 2 1 2\nlength 2 10 20\n4 1 2 3 4\n";
+  }
+  try {
+    InductanceTables::load_file(path);
+    FAIL() << "a text-format bundle must be refused";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("magic"), std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace

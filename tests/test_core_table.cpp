@@ -1,5 +1,5 @@
 // Tests for the N-D inductance table: lookup, range checks, persistence
-// (text and versioned binary formats, docs/table-format.md).
+// (the versioned binary format, docs/table-format.md).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -16,7 +16,6 @@
 #include "diag/error.h"
 #include "diag/warnings.h"
 #include "numeric/units.h"
-#include "support/scratch_dir.h"
 #include "support/spline_reference.h"
 
 namespace {
@@ -94,39 +93,6 @@ TEST(NdTable, ExtrapolationCounterTracksCoverage) {
   EXPECT_EQ(copy.extrapolation_count(), 0u);
 }
 
-TEST(NdTable, SaveLoadRoundTrip) {
-  const NdTable t = make_2d();
-  std::stringstream ss;
-  t.save(ss);
-  const NdTable r = NdTable::load(ss);
-  EXPECT_EQ(r.dims(), 2u);
-  EXPECT_EQ(r.axis_names()[0], "width");
-  EXPECT_EQ(r.axis_names()[1], "length");
-  for (double w = 1.0; w <= 3.0; w += 0.37)
-    for (double l = 10.0; l <= 20.0; l += 2.3)
-      EXPECT_NEAR(r.lookup({w, l}), t.lookup({w, l}), 1e-12);
-}
-
-TEST(NdTable, LoadRejectsGarbage) {
-  std::stringstream bad1("not-a-table 1\n");
-  EXPECT_THROW(NdTable::load(bad1), std::runtime_error);
-  std::stringstream bad2("rlcx-table 9\n");
-  EXPECT_THROW(NdTable::load(bad2), std::runtime_error);
-  std::stringstream bad3("rlcx-table 1\n2\nwidth 3 1 2 3\n");
-  EXPECT_THROW(NdTable::load(bad3), std::runtime_error);
-}
-
-TEST(NdTable, FileRoundTrip) {
-  const NdTable t = make_2d();
-  const testing::ScratchDir scratch("rlcx_table");
-  const std::string path = scratch.file("table.txt");
-  t.save_file(path);
-  const NdTable r = NdTable::load_file(path);
-  EXPECT_NEAR(r.lookup({2.0, 15.0}), t.lookup({2.0, 15.0}), 1e-12);
-  EXPECT_THROW(NdTable::load_file("/nonexistent/nope.txt"),
-               std::runtime_error);
-}
-
 TEST(NdTable, ConstructorValidation) {
   EXPECT_THROW(NdTable({"a"}, {{1.0, 2.0}, {1.0, 2.0}}, {1, 2, 3, 4}),
                std::invalid_argument);
@@ -147,8 +113,8 @@ NdTable make_4d() {
 TEST(NdTableBinary, RoundTripIsBitExact) {
   const NdTable t = make_2d();
   std::stringstream ss(std::ios::in | std::ios::out | std::ios::binary);
-  t.save_binary(ss);
-  const NdTable r = NdTable::load_binary(ss);
+  t.save(ss);
+  const NdTable r = NdTable::load(ss);
   ASSERT_EQ(r.dims(), 2u);
   EXPECT_EQ(r.axis_names(), t.axis_names());
   EXPECT_EQ(r.axes(), t.axes());
@@ -163,16 +129,16 @@ TEST(NdTableBinary, RoundTripIsBitExact) {
 TEST(NdTableBinary, RoundTripEmptyTable) {
   const NdTable t;
   std::stringstream ss(std::ios::in | std::ios::out | std::ios::binary);
-  t.save_binary(ss);
-  const NdTable r = NdTable::load_binary(ss);
+  t.save(ss);
+  const NdTable r = NdTable::load(ss);
   EXPECT_EQ(r.dims(), 0u);
 }
 
 TEST(NdTableBinary, RoundTripOneDimensional) {
   const NdTable t({"width"}, {{1.0, 2.0, 4.0}}, {1.0, 4.0, 16.0});
   std::stringstream ss(std::ios::in | std::ios::out | std::ios::binary);
-  t.save_binary(ss);
-  const NdTable r = NdTable::load_binary(ss);
+  t.save(ss);
+  const NdTable r = NdTable::load(ss);
   ASSERT_EQ(r.dims(), 1u);
   EXPECT_EQ(r.lookup({3.0}), t.lookup({3.0}));
 }
@@ -180,8 +146,8 @@ TEST(NdTableBinary, RoundTripOneDimensional) {
 TEST(NdTableBinary, RoundTripFourDimensionalMutual) {
   const NdTable t = make_4d();
   std::stringstream ss(std::ios::in | std::ios::out | std::ios::binary);
-  t.save_binary(ss);
-  const NdTable r = NdTable::load_binary(ss);
+  t.save(ss);
+  const NdTable r = NdTable::load(ss);
   ASSERT_EQ(r.dims(), 4u);
   EXPECT_EQ(r.values(), t.values());
   EXPECT_EQ(r.lookup({1.5, 2.5, 1.2, 2.9}), t.lookup({1.5, 2.5, 1.2, 2.9}));
@@ -190,19 +156,19 @@ TEST(NdTableBinary, RoundTripFourDimensionalMutual) {
 TEST(NdTableBinary, RejectsCorruptedHeader) {
   std::stringstream garbage("XXXXjunkjunkjunk",
                             std::ios::in | std::ios::binary);
-  EXPECT_THROW(NdTable::load_binary(garbage), std::runtime_error);
+  EXPECT_THROW(NdTable::load(garbage), std::runtime_error);
   std::stringstream empty("", std::ios::in | std::ios::binary);
-  EXPECT_THROW(NdTable::load_binary(empty), std::runtime_error);
+  EXPECT_THROW(NdTable::load(empty), std::runtime_error);
 }
 
 TEST(NdTableBinary, RejectsVersionMismatch) {
   std::stringstream ss(std::ios::in | std::ios::out | std::ios::binary);
-  make_2d().save_binary(ss);
+  make_2d().save(ss);
   std::string bytes = ss.str();
   bytes[4] = 99;  // u32 version lives at offset 4 (docs/table-format.md)
   std::stringstream patched(bytes, std::ios::in | std::ios::binary);
   try {
-    NdTable::load_binary(patched);
+    NdTable::load(patched);
     FAIL() << "version 99 must be rejected";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("version"), std::string::npos);
@@ -211,11 +177,11 @@ TEST(NdTableBinary, RejectsVersionMismatch) {
 
 TEST(NdTableBinary, RejectsTruncation) {
   std::stringstream ss(std::ios::in | std::ios::out | std::ios::binary);
-  make_2d().save_binary(ss);
+  make_2d().save(ss);
   const std::string bytes = ss.str();
   std::stringstream cut(bytes.substr(0, bytes.size() - 5),
                         std::ios::in | std::ios::binary);
-  EXPECT_THROW(NdTable::load_binary(cut), std::runtime_error);
+  EXPECT_THROW(NdTable::load(cut), std::runtime_error);
 }
 
 TEST(NdTable, ConstructorRejectsNonFiniteValues) {
@@ -229,29 +195,16 @@ TEST(NdTable, ConstructorRejectsNonFiniteValues) {
 TEST(NdTableBinary, RejectsNonFiniteValues) {
   const NdTable t = make_2d();
   std::stringstream ss(std::ios::in | std::ios::out | std::ios::binary);
-  t.save_binary(ss);
+  t.save(ss);
   // Poison the last stored double (values are the file's tail) with NaN.
   std::string blob = ss.str();
   const double nan = std::numeric_limits<double>::quiet_NaN();
   std::memcpy(blob.data() + blob.size() - sizeof nan, &nan, sizeof nan);
   std::stringstream bad(blob, std::ios::in | std::ios::binary);
-  EXPECT_THROW(NdTable::load_binary(bad), std::runtime_error);
+  EXPECT_THROW(NdTable::load(bad), std::runtime_error);
   // The category is numeric — a poisoned value, not a framing problem.
   std::stringstream bad2(blob, std::ios::in | std::ios::binary);
-  EXPECT_THROW(NdTable::load_binary(bad2), rlcx::diag::NumericError);
-}
-
-TEST(NdTableBinary, LoadFileSniffsBothFormats) {
-  const NdTable t = make_2d();
-  const testing::ScratchDir scratch("rlcx_table");
-  const std::string bin_path = scratch.file("bin.tbl");
-  const std::string txt_path = scratch.file("txt.tbl");
-  t.save_file_binary(bin_path);
-  t.save_file(txt_path);
-  const NdTable rb = NdTable::load_file(bin_path);
-  const NdTable rt = NdTable::load_file(txt_path);
-  EXPECT_EQ(rb.values(), t.values());
-  EXPECT_NEAR(rt.lookup({2.0, 15.0}), t.lookup({2.0, 15.0}), 1e-12);
+  EXPECT_THROW(NdTable::load(bad2), rlcx::diag::NumericError);
 }
 
 TEST(NdTable, FourDimensionalMutualShape) {

@@ -143,14 +143,14 @@ core::InductanceTables small_bundle() {
 
 TEST(FaultInjectionTables, NaNPoisonedBundleNamesTheTable) {
   std::stringstream ss(std::ios::in | std::ios::out | std::ios::binary);
-  small_bundle().save_binary(ss);
+  small_bundle().save(ss);
   std::string blob = ss.str();
   // The bundle's tail is the series-R value block; poison its last double.
   const double nan = std::numeric_limits<double>::quiet_NaN();
   std::memcpy(blob.data() + blob.size() - sizeof nan, &nan, sizeof nan);
   std::stringstream bad(blob, std::ios::in | std::ios::binary);
   try {
-    core::InductanceTables::load_binary(bad);
+    core::InductanceTables::load(bad);
     FAIL() << "NaN payload must be rejected";
   } catch (const diag::NumericError& e) {
     EXPECT_NE(std::string(e.what()).find("table 'series-R'"),
@@ -162,11 +162,11 @@ TEST(FaultInjectionTables, NaNPoisonedBundleNamesTheTable) {
 
 TEST(FaultInjectionTables, TruncatedBundleIsAnIoError) {
   std::stringstream ss(std::ios::in | std::ios::out | std::ios::binary);
-  small_bundle().save_binary(ss);
+  small_bundle().save(ss);
   const std::string blob = ss.str();
   std::stringstream cut(blob.substr(0, blob.size() - 7),
                         std::ios::in | std::ios::binary);
-  EXPECT_THROW(core::InductanceTables::load_binary(cut), diag::IoError);
+  EXPECT_THROW(core::InductanceTables::load(cut), diag::IoError);
 }
 
 // ---- Singular linear systems -----------------------------------------
