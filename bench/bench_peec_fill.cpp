@@ -1,5 +1,5 @@
 // P2 — the PEEC hot path: relative-geometry kernel memoization and the
-// blocked complex LU.
+// impedance solve's dense phase.
 //
 // Part 1 times the partial-inductance matrix fill on a uniform skin-depth
 // style mesh, memo off (the direct-fill oracle of tests/support) vs memo on
@@ -8,16 +8,13 @@
 // a uniform mesh).  Part 2 times the cold (memo-off) direct fill through
 // the batch engine against the scalar libm kernels.  Part 3 runs one
 // serial planes-below table build on a small grid and records its
-// deterministic kernel counters.  Part 4 times complex LU factorisation
-// plus a multi-RHS solve, blocked LuDecomposition vs the textbook
-// ReferenceLu, and checks the solutions agree to 1e-13 relative.  Part 5
-// times the impedance solve's dense phase at the two plane sizes (76 and
-// 196 filaments): the pivoted LU plus the multi-RHS solve over one column
-// per conductor, against the complex-symmetric LDLᵀ plus the forward-only
-// reduction over the signals and the merged return, and checks the two
-// merged port admittances agree to 1e-12 relative.  Output is JSON so CI
-// and plotting scripts can consume it directly; the committed baseline
-// lives in BENCH_peec.json.
+// deterministic kernel counters.  Part 4 times the impedance solve's dense
+// phase at the two plane sizes (76 and 196 filaments): the pivoted LU plus
+// the multi-RHS solve over one column per conductor, against the
+// complex-symmetric LDLᵀ plus the forward-only reduction over the signals
+// and the merged return, and checks the two merged port admittances agree
+// to 1e-12 relative.  Output is JSON so CI and plotting scripts can consume
+// it directly; the committed baseline lives in BENCH_peec.json.
 //
 // Flags / environment:
 //   --smoke               tiny sizes, for the CI tier-1 job (seconds, not
@@ -29,7 +26,6 @@
 //                         with or without --smoke, and wall time is never
 //                         gated
 //   RLCX_BENCH_MESH=N     override the cross-section mesh to N x N cells
-//   RLCX_BENCH_LU=N       override the LU system size
 #include <chrono>
 #include <cmath>
 #include <complex>
@@ -55,7 +51,6 @@
 #include "rt/pool.h"
 #include "solver/frequency.h"
 #include "support/direct_fill_reference.h"
-#include "support/lu_reference.h"
 #include "support/partial_reference.h"
 
 using namespace rlcx;
@@ -67,19 +62,6 @@ double now_wall(const std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
       .count();
 }
-
-/// Deterministic LCG in [-1, 1); benches must not depend on libc rand.
-class Rng {
- public:
-  explicit Rng(std::uint64_t seed) : s_(seed) {}
-  double next() {
-    s_ = s_ * 6364136223846793005ull + 1442695040888963407ull;
-    return 2.0 * static_cast<double>(s_ >> 11) / 9007199254740992.0 - 1.0;
-  }
-
- private:
-  std::uint64_t s_;
-};
 
 int env_int(const char* name, int fallback) {
   if (const char* env = std::getenv(name)) {
@@ -315,52 +297,6 @@ std::string read_file(const char* path) {
   return s.str();
 }
 
-struct LuResult {
-  double wall_ref = 0.0;
-  double wall_blocked = 0.0;
-  double max_rel_dev = 0.0;
-  std::size_t n = 0;
-  std::size_t nrhs = 0;
-};
-
-LuResult run_lu(std::size_t n, std::size_t nrhs) {
-  Rng rng(20250805);
-  Matrix<C> a(n, n);
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = 0; j < n; ++j) a(i, j) = C(rng.next(), rng.next());
-  for (std::size_t i = 0; i < n; ++i)
-    a(i, i) += C(0.25, static_cast<double>(n));
-  Matrix<C> rhs(n, nrhs);
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = 0; j < nrhs; ++j)
-      rhs(i, j) = C(rng.next(), rng.next());
-
-  rt::SerialRegion serial;
-  LuResult r;
-  r.n = n;
-  r.nrhs = nrhs;
-
-  const auto t0 = std::chrono::steady_clock::now();
-  const ReferenceLu<C> ref(a);
-  const Matrix<C> xr = ref.solve(rhs);
-  r.wall_ref = now_wall(t0);
-
-  const auto t1 = std::chrono::steady_clock::now();
-  const LuDecomposition<C> blocked(a);
-  const Matrix<C> xb = blocked.solve(rhs);
-  r.wall_blocked = now_wall(t1);
-
-  double scale = 0.0;
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = 0; j < nrhs; ++j)
-      scale = std::max(scale, std::abs(xr(i, j)));
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = 0; j < nrhs; ++j)
-      r.max_rel_dev =
-          std::max(r.max_rel_dev, std::abs(xr(i, j) - xb(i, j)) / scale);
-  return r;
-}
-
 struct LdltResult {
   std::size_t n = 0;
   std::size_t conductors = 0;  ///< LU path: one port per conductor
@@ -468,23 +404,14 @@ int main(int argc, char** argv) {
 
   const std::size_t mesh = static_cast<std::size_t>(
       env_int("RLCX_BENCH_MESH", smoke ? 8 : 16));
-  std::vector<std::size_t> lu_sizes =
-      smoke ? std::vector<std::size_t>{48, 96}
-            : std::vector<std::size_t>{128, 256, 512};
-  if (const int n = env_int("RLCX_BENCH_LU", 0); n > 0)
-    lu_sizes = {static_cast<std::size_t>(n)};
-  const std::size_t lu_nrhs = smoke ? 16 : 64;
-
-  std::fprintf(stderr, "bench_peec_fill: %zux%zu mesh, LU nrhs=%zu%s\n", mesh,
-               mesh, lu_nrhs, smoke ? " (smoke)" : "");
+  std::fprintf(stderr, "bench_peec_fill: %zux%zu mesh%s\n", mesh, mesh,
+               smoke ? " (smoke)" : "");
 
   const FillResult fill = run_fill(mesh, mesh);
   // Cold-fill kernel throughput on the 8x8 (64-strip) microstrip mesh —
   // the acceptance case for the batch engine; smoke keeps one rep.
   const ColdResult cold = run_cold(8, 8, smoke ? 1 : 5);
   const TableBuildResult build = run_table_build();
-  std::vector<LuResult> lus;
-  for (const std::size_t n : lu_sizes) lus.push_back(run_lu(n, lu_nrhs));
   // The production plane sizes: layer 6 over one plane (2 traces + 15
   // strips, 76 filaments) and between two (2 + 30 strips, 196).
   const int ldlt_reps = smoke ? 3 : 50;
@@ -526,17 +453,6 @@ int main(int argc, char** argv) {
   std::printf("  },\n");
   std::printf("  \"table_build\": {%s, \"wall_s\": %.4f},\n",
               build.counters().c_str(), build.wall_s);
-  std::printf("  \"lu\": [\n");
-  for (std::size_t i = 0; i < lus.size(); ++i) {
-    const LuResult& lu = lus[i];
-    std::printf("    {\"n\": %zu, \"nrhs\": %zu, "
-                "\"wall_s_reference\": %.4f, \"wall_s_blocked\": %.4f, "
-                "\"speedup\": %.2f, \"max_rel_dev\": %.3e}%s\n",
-                lu.n, lu.nrhs, lu.wall_ref, lu.wall_blocked,
-                lu.wall_ref / lu.wall_blocked, lu.max_rel_dev,
-                i + 1 < lus.size() ? "," : "");
-  }
-  std::printf("  ],\n");
   std::printf("  \"ldlt\": [\n");
   for (std::size_t i = 0; i < ldlts.size(); ++i) {
     const LdltResult& l = ldlts[i];
@@ -579,12 +495,6 @@ int main(int argc, char** argv) {
                  check, build.counters().c_str());
     return 1;
   }
-  for (const LuResult& lu : lus)
-    if (lu.max_rel_dev > 1e-13) {
-      std::fprintf(stderr, "FAIL: blocked LU deviates beyond 1e-13 at n=%zu\n",
-                   lu.n);
-      return 1;
-    }
   // The merged-return identity is exact; the two paths differ by
   // round-off only (docs/performance.md "Complex-symmetric LDLᵀ and the
   // merged return").

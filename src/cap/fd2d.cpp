@@ -1,16 +1,17 @@
 #include "cap/fd2d.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 
 #include "cap/extractor.h"
 #include "diag/error.h"
-#include "diag/warnings.h"
+#include "numeric/sparse_lu.h"
 #include "numeric/units.h"
 #include "run/control.h"
-#include "run/fault_injection.h"
 
 namespace rlcx::cap {
 
@@ -23,7 +24,6 @@ struct Grid {
   double x0 = 0.0, z0 = 0.0, h = 0.0;
   bool plane_bottom = false;
   std::vector<int> owner;       // conductor index per node, -1 = free
-  std::vector<double> phi;
 
   int idx(int ix, int iz) const { return iz * nx + ix; }
 };
@@ -66,13 +66,13 @@ Grid build_grid(const std::vector<FdConductor>& conductors, double plane_z,
   g.z0 = g.plane_bottom ? plane_z : z_lo - opt.margin;
   g.nx = static_cast<int>(std::ceil((x_hi + opt.margin - g.x0) / g.h)) + 1;
   g.nz = static_cast<int>(std::ceil((z_hi + opt.margin - g.z0) / g.h)) + 1;
-  if (static_cast<long long>(g.nx) * g.nz > 4'000'000)
+  if (static_cast<long long>(g.nx) * g.nz > kFdMaxGridNodes)
     throw diag::UsageError("fd2d", "grid " + std::to_string(g.nx) + "x" +
-                                       std::to_string(g.nz) +
-                                       " too large; coarsen the cell");
+                                       std::to_string(g.nz) + " exceeds " +
+                                       std::to_string(kFdMaxGridNodes) +
+                                       " nodes; coarsen the cell");
 
   g.owner.assign(static_cast<std::size_t>(g.nx) * g.nz, -1);
-  g.phi.assign(g.owner.size(), 0.0);
   for (std::size_t c = 0; c < conductors.size(); ++c) {
     const FdConductor& k = conductors[c];
     int ix0 = static_cast<int>(std::lround((k.x_min - g.x0) / g.h));
@@ -100,120 +100,89 @@ Grid build_grid(const std::vector<FdConductor>& conductors, double plane_z,
   return g;
 }
 
-/// Convergence record of one SOR attempt.
-struct SorAttempt {
-  bool converged = false;
-  int iterations = 0;     ///< sweeps actually performed
-  double residual = 0.0;  ///< max update of the final sweep [V]
+/// The 5-point Laplacian over the grid's unknowns, factored once and
+/// solved once per driven conductor.
+///
+/// Conductor nodes are fixed at their drive potential and the bottom row
+/// (plane or far box) at 0 V.  Without a plane every box edge is the far
+/// ground (Dirichlet 0); with one the sides and top are Neumann: an
+/// out-of-range neighbour is mirrored back onto the grid.  Every other node
+/// is an unknown with 4 phi_c - (phi_w + phi_e + phi_s + phi_n) = 0, fixed
+/// neighbours moved to the right-hand side.
+class Laplacian {
+ public:
+  explicit Laplacian(const Grid& g) : g_(g), unknown_(g.owner.size(), -1) {
+    for (int iz = 0; iz < g.nz; ++iz)
+      for (int ix = 0; ix < g.nx; ++ix)
+        if (is_unknown(ix, iz)) unknown_[at(ix, iz)] = static_cast<long>(n_++);
+    std::vector<numeric::Triplet> entries;
+    entries.reserve(5 * n_);
+    for (int iz = 0; iz < g.nz; ++iz)
+      for (int ix = 0; ix < g.nx; ++ix) {
+        const long row = unknown_[at(ix, iz)];
+        if (row < 0) continue;
+        const auto r = static_cast<std::size_t>(row);
+        entries.push_back({r, r, 4.0});
+        for (const std::size_t nb : neighbours(ix, iz))
+          if (unknown_[nb] >= 0)
+            entries.push_back(
+                {r, static_cast<std::size_t>(unknown_[nb]), -1.0});
+      }
+    run::checkpoint("fd2d");
+    lu_.emplace(numeric::CscMatrix::from_triplets(n_, entries));
+  }
+
+  /// Potential of every grid node with conductor `drive` at 1 V and the
+  /// rest at 0 V.
+  std::vector<double> field(int drive) {
+    std::vector<double> b(n_, 0.0);
+    for (int iz = 0; iz < g_.nz; ++iz)
+      for (int ix = 0; ix < g_.nx; ++ix) {
+        const long row = unknown_[at(ix, iz)];
+        if (row < 0) continue;
+        for (const std::size_t nb : neighbours(ix, iz))
+          if (g_.owner[nb] == drive) b[static_cast<std::size_t>(row)] += 1.0;
+      }
+    lu_->solve(b);
+    std::vector<double> phi(unknown_.size());
+    for (std::size_t i = 0; i < phi.size(); ++i)
+      phi[i] = unknown_[i] >= 0 ? b[static_cast<std::size_t>(unknown_[i])]
+                                : (g_.owner[i] == drive ? 1.0 : 0.0);
+    return phi;
+  }
+
+ private:
+  std::size_t at(int ix, int iz) const {
+    return static_cast<std::size_t>(g_.idx(ix, iz));
+  }
+
+  bool is_unknown(int ix, int iz) const {
+    if (g_.owner[at(ix, iz)] >= 0 || iz == 0) return false;
+    if (g_.plane_bottom) return true;
+    return ix > 0 && ix < g_.nx - 1 && iz < g_.nz - 1;
+  }
+
+  /// West, east, south and north neighbours of unknown (ix, iz), mirrored
+  /// at a Neumann side (an unknown sits on the box edge only then).
+  std::array<std::size_t, 4> neighbours(int ix, int iz) const {
+    return {at(ix == 0 ? ix + 1 : ix - 1, iz),
+            at(ix == g_.nx - 1 ? ix - 1 : ix + 1, iz), at(ix, iz - 1),
+            at(ix, iz == g_.nz - 1 ? iz - 1 : iz + 1)};
+  }
+
+  const Grid& g_;
+  std::vector<long> unknown_;  // grid node -> unknown index, -1 when fixed
+  std::size_t n_ = 0;          // unknowns
+  std::optional<numeric::SparseLu> lu_;
 };
 
-/// One SOR sweep sequence with conductor `drive` at 1 V and relaxation
-/// factor `omega`, up to `max_iterations` sweeps.
-SorAttempt solve_once(Grid& g, int drive, const Fd2dOptions& opt,
-                      double omega, int max_iterations) {
-  // Initialise potentials: conductors fixed, free space 0.
-  for (int iz = 0; iz < g.nz; ++iz)
-    for (int ix = 0; ix < g.nx; ++ix) {
-      const int o = g.owner[static_cast<std::size_t>(g.idx(ix, iz))];
-      g.phi[static_cast<std::size_t>(g.idx(ix, iz))] =
-          (o == drive) ? 1.0 : 0.0;
-    }
-
-  // Boundary handling: bottom row is Dirichlet 0 when a plane is present,
-  // otherwise all four box edges are the far ground (Dirichlet 0).  With a
-  // plane, sides and top are Neumann (mirror).
-  const bool neumann_sides = g.plane_bottom;
-
-  SorAttempt result;
-  for (int it = 0; it < max_iterations; ++it) {
-    // Sweep boundary: the grid state is consistent here, so a cancelled or
-    // deadline-bound run unwinds without leaving a half-relaxed field that
-    // anything downstream could read.
-    run::checkpoint("fd2d");
-    double max_delta = 0.0;
-    for (int iz = 0; iz < g.nz; ++iz) {
-      const bool bottom = iz == 0;
-      const bool top = iz == g.nz - 1;
-      if (bottom) continue;  // Dirichlet 0 (plane or far box)
-      if (top && !neumann_sides) continue;
-      for (int ix = 0; ix < g.nx; ++ix) {
-        const bool left = ix == 0;
-        const bool right = ix == g.nx - 1;
-        if ((left || right) && !neumann_sides) continue;
-        const std::size_t at = static_cast<std::size_t>(g.idx(ix, iz));
-        if (g.owner[at] >= 0) continue;
-        // Mirror out-of-range neighbours (Neumann) where applicable.
-        const double pw = g.phi[static_cast<std::size_t>(
-            g.idx(left ? ix + 1 : ix - 1, iz))];
-        const double pe = g.phi[static_cast<std::size_t>(
-            g.idx(right ? ix - 1 : ix + 1, iz))];
-        const double ps =
-            g.phi[static_cast<std::size_t>(g.idx(ix, iz - 1))];
-        const double pn = g.phi[static_cast<std::size_t>(
-            g.idx(ix, top ? iz - 1 : iz + 1))];
-        const double target = 0.25 * (pw + pe + ps + pn);
-        const double next = (1.0 - omega) * g.phi[at] + omega * target;
-        max_delta = std::max(max_delta, std::abs(next - g.phi[at]));
-        g.phi[at] = next;
-      }
-    }
-    result.iterations = it + 1;
-    result.residual = max_delta;
-    if (max_delta < opt.tolerance) {
-      result.converged = true;
-      return result;
-    }
-  }
-  return result;
-}
-
-/// Solve with escalation: the configured omega first; on non-convergence
-/// retry with a more conservative relaxation and a larger sweep budget
-/// (over-relaxed SOR can limit-cycle near omega=2, while omega=1 is plain
-/// Gauss-Seidel — slow but unconditionally convergent for this Laplacian).
-/// A drive that exhausts the ladder is accepted with a `numeric` warning:
-/// degraded accuracy, never a silent lie.
-SorAttempt solve(Grid& g, int drive, const Fd2dOptions& opt,
-                 SorReport& report) {
-  SorAttempt attempt = solve_once(g, drive, opt, opt.omega,
-                                  opt.max_iterations);
-  // Injection site `sor_diverge`: discard the first attempt's convergence
-  // verdict so the escalation ladder below runs — the deterministic drill
-  // for the omega-1.5/omega-1.0 degradation path (docs/robustness.md).
-  if (run::fault_injection_enabled() && run::fault_point("sor_diverge"))
-    attempt.converged = false;
-  if (!attempt.converged && opt.escalate_on_nonconvergence) {
-    const struct {
-      double omega;
-      int budget_factor;
-    } ladder[] = {{1.5, 2}, {1.0, 4}};
-    for (const auto& rung : ladder) {
-      ++report.retries;
-      attempt = solve_once(g, drive, opt, rung.omega,
-                           opt.max_iterations * rung.budget_factor);
-      if (attempt.converged) break;
-    }
-  }
-  if (!attempt.converged) {
-    std::ostringstream msg;
-    msg << "SOR drive " << drive << " not converged after "
-        << attempt.iterations << " sweeps (residual " << attempt.residual
-        << " V, tolerance " << opt.tolerance
-        << " V); capacitances from this solve carry reduced accuracy";
-    diag::emit_warning(diag::Category::kNumeric, "fd2d", msg.str());
-  }
-  report.converged = report.converged && attempt.converged;
-  report.iterations = std::max(report.iterations, attempt.iterations);
-  report.residual = std::max(report.residual, attempt.residual);
-  return attempt;
-}
-
-/// Boundary charge of every conductor for the current potential field.
-std::vector<double> charges(const Grid& g, std::size_t n, double eps_r) {
+/// Boundary charge of every conductor for the potential field `phi`.
+std::vector<double> charges(const Grid& g, const std::vector<double>& phi,
+                            std::size_t n, double eps_r) {
   std::vector<double> q(n, 0.0);
   const double eps = kEps0 * eps_r;
   auto phi_at = [&](int ix, int iz) {
-    return g.phi[static_cast<std::size_t>(g.idx(ix, iz))];
+    return phi[static_cast<std::size_t>(g.idx(ix, iz))];
   };
   for (int iz = 0; iz < g.nz; ++iz)
     for (int ix = 0; ix < g.nx; ++ix) {
@@ -238,21 +207,22 @@ std::vector<double> charges(const Grid& g, std::size_t n, double eps_r) {
 
 RealMatrix fd_capacitance_matrix(const std::vector<FdConductor>& conductors,
                                  double eps_r, double ground_plane_z,
-                                 const Fd2dOptions& opt, SorReport* report) {
+                                 const Fd2dOptions& opt) {
   if (eps_r <= 0.0)
     throw diag::UsageError("fd2d", "eps_r must be positive, got " +
                                        std::to_string(eps_r));
-  Grid g = build_grid(conductors, ground_plane_z, opt);
+  const Grid g = build_grid(conductors, ground_plane_z, opt);
   const std::size_t n = conductors.size();
-  SorReport local;
+  Laplacian laplacian(g);
   RealMatrix c(n, n);
   for (std::size_t j = 0; j < n; ++j) {
-    solve(g, static_cast<int>(j), opt, local);
-    const std::vector<double> q = charges(g, n, eps_r);
+    run::checkpoint("fd2d");
+    const std::vector<double> q =
+        charges(g, laplacian.field(static_cast<int>(j)), n, eps_r);
     for (std::size_t i = 0; i < n; ++i) c(i, j) = q[i];
   }
-  if (report != nullptr) *report = local;
-  // Symmetrise (discretisation leaves ~1e-3 asymmetry).
+  // The exact discrete solution is symmetric to round-off; the mean makes
+  // it exactly so.
   for (std::size_t i = 0; i < n; ++i)
     for (std::size_t j = i + 1; j < n; ++j) {
       const double m = 0.5 * (c(i, j) + c(j, i));
@@ -277,24 +247,12 @@ std::vector<FdConductor> block_conductors(const geom::Block& block) {
 }  // namespace
 
 RealMatrix fd_block_capacitance(const geom::Block& block,
-                                const Fd2dOptions& opt, SorReport* report) {
+                                const Fd2dOptions& opt) {
   const double h = ground_height(block);
   const double plane_z = block.layer().z_bottom - h;
   return fd_capacitance_matrix(block_conductors(block),
-                               block.tech().eps_r(), plane_z, opt, report);
+                               block.tech().eps_r(), plane_z, opt);
 }
-
-namespace {
-
-/// Folds a subproblem's convergence record into the aggregate.
-void merge_report(SorReport& total, const SorReport& sub) {
-  total.converged = total.converged && sub.converged;
-  total.iterations = std::max(total.iterations, sub.iterations);
-  total.residual = std::max(total.residual, sub.residual);
-  total.retries += sub.retries;
-}
-
-}  // namespace
 
 FdCapResult extract_cap_fd(const geom::Block& block,
                            const Fd2dOptions& opt) {
@@ -311,9 +269,7 @@ FdCapResult extract_cap_fd(const geom::Block& block,
     keep.push_back(i);
     if (i + 1 < n) keep.push_back(i + 1);
     const geom::Block sub = block.subproblem(keep);
-    SorReport sub_report;
-    const RealMatrix c = fd_block_capacitance(sub, opt, &sub_report);
-    merge_report(res.sor, sub_report);
+    const RealMatrix c = fd_block_capacitance(sub, opt);
     // Position of trace i within the subproblem.
     std::size_t mid = 0;
     while (keep[mid] != i) ++mid;

@@ -3,10 +3,14 @@
 // solves behind the paper's pre-characterised tables [4].
 //
 // Cross-sections are x-z rectangles of conductors in a uniform dielectric.
-// The Laplace equation is solved by SOR on a regular grid; conductor k is
-// driven to 1 V with the rest grounded, and the Maxwell capacitance matrix
-// follows from the boundary charge of every conductor.  Per-unit-length
-// values [F/m], like everything else in rlcx_cap.
+// The Laplace equation is discretised by the 5-point stencil on a regular
+// grid; the system is assembled once per cross-section and factored once by
+// the sparse LU (numeric/sparse_lu.h), then solved once per conductor k
+// driven to 1 V with the rest grounded.  The Maxwell capacitance matrix
+// follows from the boundary charge of every conductor.  The solution is
+// the exact discrete one, so nothing iterates and nothing needs a
+// convergence verdict.  Per-unit-length values [F/m], like everything else
+// in rlcx_cap.
 #pragma once
 
 #include <vector>
@@ -28,43 +32,31 @@ struct Fd2dOptions {
   /// unresolved and the coupling comes out badly low.
   double cell = 0.25e-6;
   double margin = 8e-6;      ///< simulation margin around the conductors [m]
-  int max_iterations = 40000;
-  double tolerance = 1e-7;   ///< max potential update per sweep [V]
-  double omega = 1.92;       ///< SOR relaxation factor
-  /// When a drive fails to converge within max_iterations, retry with a
-  /// safer relaxation factor and a larger iteration budget (escalation
-  /// ladder: omega 1.5 at 2x, then 1.0 at 4x) before accepting the result
-  /// with a warning.  Disable to reproduce a single fixed-budget solve.
-  bool escalate_on_nonconvergence = true;
 };
 
-/// Convergence record of the SOR solves behind one capacitance extraction.
-/// Aggregated over all drives (and, in extract_cap_fd, all subproblems):
-/// worst residual, largest iteration count, total escalation retries.
-struct SorReport {
-  bool converged = true;     ///< every drive met the tolerance
-  int iterations = 0;        ///< largest per-drive iteration count used
-  double residual = 0.0;     ///< worst final max-update per sweep [V]
-  int retries = 0;           ///< escalation retries performed
-};
+/// Largest grid (nodes) a cross-section may use; a finer cell or a wider
+/// layout is a usage error, refused before anything is allocated.  The
+/// sparse factor grows faster than the grid, worst on a square one: at
+/// 199 k nodes (square) the solve took 10.8 s and 313 MB peak on one
+/// x86-64 core, against ~0.5 s for the ~12 k-node grids the repository's
+/// own experiments use (docs/performance.md "Direct FD capacitance
+/// solve").
+inline constexpr long long kFdMaxGridNodes = 200'000;
 
 /// Maxwell capacitance matrix [F/m] of the conductor set.
 /// `ground_plane_z`: if finite (>= -1e17), a grounded plane forms the
 /// bottom boundary at that height; otherwise the far box is the ground.
-/// A drive that fails to converge escalates per Fd2dOptions and, if still
-/// unconverged, is accepted with a `numeric` warning on the diag channel;
-/// pass `report` to observe iterations/residual programmatically.
+/// Checks the run control (run::checkpoint) before the factor and between
+/// drives.
 RealMatrix fd_capacitance_matrix(const std::vector<FdConductor>& conductors,
                                  double eps_r, double ground_plane_z,
-                                 const Fd2dOptions& options = {},
-                                 SorReport* report = nullptr);
+                                 const Fd2dOptions& options = {});
 
 /// Convenience: run the solver on a geometry Block (all traces), with the
 /// ground plane at the block's capacitive ground height (plane below or the
 /// orthogonal layer N-1, as in extract_cap).
 RealMatrix fd_block_capacitance(const geom::Block& block,
-                                const Fd2dOptions& options = {},
-                                SorReport* report = nullptr);
+                                const Fd2dOptions& options = {});
 
 /// Signal-oriented summary like extract_cap's CapResult: ground capacitance
 /// per trace and adjacent coupling, derived from the Maxwell matrix of the
@@ -72,7 +64,6 @@ RealMatrix fd_block_capacitance(const geom::Block& block,
 struct FdCapResult {
   std::vector<double> cg;  ///< [F/m]
   std::vector<double> cc;  ///< adjacent couplings, size n-1 [F/m]
-  SorReport sor;           ///< aggregated convergence record
 };
 
 FdCapResult extract_cap_fd(const geom::Block& block,

@@ -26,7 +26,7 @@ namespace {
 }  // namespace
 
 NodeId Netlist::add_node() {
-  return add_node("n" + std::to_string(next_node_));
+  return add_node(std::string("n").append(std::to_string(next_node_)));
 }
 
 NodeId Netlist::add_node(const std::string& name) {

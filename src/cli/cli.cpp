@@ -6,6 +6,7 @@
 #include <fstream>
 #include <memory>
 #include <ostream>
+#include <sstream>
 #include <stdexcept>
 
 #include "ckt/spice_export.h"
@@ -610,6 +611,18 @@ double Args::get_num(const std::string& key, double fallback) const {
   return v;
 }
 
+double Args::get_num(const std::string& key, double fallback, double lo,
+                     double hi) const {
+  const double v = get_num(key, fallback);
+  if (!(v >= lo && v <= hi)) {
+    std::ostringstream msg;
+    msg << "--" << key << " must be a number from " << lo << " to " << hi
+        << ", got " << options.at(key);
+    throw diag::UsageError("cli", msg.str());
+  }
+  return v;
+}
+
 int Args::get_int(const std::string& key, int fallback, int lo,
                   int hi) const {
   const double v = get_num(key, fallback);
@@ -691,9 +704,7 @@ int run(const std::vector<std::string>& argv, std::ostream& out,
     // process budget before any command reserves against it (0 =
     // unlimited, docs/robustness.md "Resource governance").
     if (args.has("mem-budget")) {
-      const double mib = args.get_num("mem-budget", 0.0);
-      if (mib < 0.0)
-        throw diag::UsageError("cli", "--mem-budget must be >= 0 MiB");
+      const double mib = args.get_num("mem-budget", 0.0, 0.0, kMaxFlagMib);
       res::Budget::global().set_limit(
           static_cast<std::uint64_t>(mib * 1024.0 * 1024.0));
     }
@@ -711,8 +722,8 @@ int run(const std::vector<std::string>& argv, std::ostream& out,
       rc.deadline = ambient.deadline;
     }
     if (args.has("deadline-s")) {
-      const run::Deadline d =
-          run::Deadline::after(args.get_num("deadline-s", 0.0));
+      const run::Deadline d = run::Deadline::after(
+          args.get_num("deadline-s", 0.0, 0.0, kMaxFlagSeconds));
       if (!rc.deadline.active() || d.when() < rc.deadline.when())
         rc.deadline = d;
     }

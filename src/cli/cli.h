@@ -30,12 +30,23 @@ struct Args {
   bool has(const std::string& key) const { return options.count(key) != 0; }
   std::string get(const std::string& key, const std::string& fallback) const;
   double get_num(const std::string& key, double fallback) const;
+  /// A real flag in [lo, hi], checked before any cast: NaN, an infinity or
+  /// an out-of-range value is a usage error.
+  double get_num(const std::string& key, double fallback, double lo,
+                 double hi) const;
   /// An integer flag in [lo, hi], checked before the cast: a fraction, NaN
   /// or out-of-range value is a usage error, never a truncation or an
   /// undefined conversion.
   int get_int(const std::string& key, int fallback, int lo,
               int hi = std::numeric_limits<int>::max()) const;
 };
+
+/// Upper bounds of the real-valued resource flags (--mem-budget,
+/// --max-table-mib; --deadline-s, --request-deadline-s, --idle-timeout-s):
+/// far beyond any machine or run, and small enough that the byte and
+/// millisecond conversions they feed stay in range.
+inline constexpr double kMaxFlagMib = 1e9;      // ~1 PB
+inline constexpr double kMaxFlagSeconds = 1e6;  // ~11.6 days
 
 /// Parse ["extract", "--length-um", "6000", ...]; throws
 /// std::invalid_argument on malformed input (flag without value, unknown

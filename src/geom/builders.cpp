@@ -83,7 +83,7 @@ Block uniform_array(const Technology& tech, int layer, double length,
   for (std::size_t i = 0; i < n; ++i) {
     traces.push_back({TraceRole::kSignal, width,
                       x0 + static_cast<double>(i) * pitch,
-                      "t" + std::to_string(i + 1)});
+                      std::string("t").append(std::to_string(i + 1))});
   }
   return Block(&tech, layer, length, std::move(traces), planes);
 }

@@ -7,11 +7,19 @@
 #include <vector>
 
 #include "diag/error.h"
-#include "numeric/lu.h"
+#include "numeric/ldlt_simd.h"
 
 namespace rlcx {
 
 namespace {
+
+/// Panel width of the blocked factorisation.  48 columns of
+/// complex<double> are 768 bytes per row — a panel's L21 tile and the
+/// streamed W rows stay L2-resident.
+constexpr std::size_t kPanel = 48;
+/// Column tile of the trailing update; bounds the per-row working set to
+/// kTile elements so it lives in L1.
+constexpr std::size_t kTile = 256;
 
 /// Sub-panel width: columns eliminated by scalar rank-1 steps before the
 /// rest of the panel is updated through the rank-4 micro-kernel at once.
@@ -32,8 +40,8 @@ ComplexSymmetricLdlt::ComplexSymmetricLdlt(ComplexMatrix a) : f_(std::move(a)) {
 
   // src[q] is row k + q of the panel: its strict upper part holds
   // W(q, c) = d_{k+q}·l_{c,k+q}, the rank-update source row.
-  const Complex* src[detail::kLuPanel];
-  constexpr std::size_t nb = detail::kLuPanel;
+  const Complex* src[kPanel];
+  constexpr std::size_t nb = kPanel;
   for (std::size_t k = 0; k < n; k += nb) {
     const std::size_t kend = std::min(n, k + nb);
     for (std::size_t m = k; m < kend; ++m) src[m - k] = row(m);
@@ -74,7 +82,7 @@ ComplexSymmetricLdlt::ComplexSymmetricLdlt(ComplexMatrix a) : f_(std::move(a)) {
       if (send == kend) continue;
       for (std::size_t i = send; i < n; ++i) {
         Complex* rowi = row(i);
-        detail::rank_update(rowi, src + (s - k), rowi + s, send - s, send,
+        numeric::rank_update(rowi, src + (s - k), rowi + s, send - s, send,
                             std::min(i + 1, kend));
       }
     }
@@ -82,11 +90,11 @@ ComplexSymmetricLdlt::ComplexSymmetricLdlt(ComplexMatrix a) : f_(std::move(a)) {
 
     // Trailing update of the lower triangle: A22 -= L21·W, rank-nb, tiled
     // over columns; row i only reaches columns c <= i.
-    for (std::size_t ct = kend; ct < n; ct += detail::kLuTile) {
-      const std::size_t cend = std::min(n, ct + detail::kLuTile);
+    for (std::size_t ct = kend; ct < n; ct += kTile) {
+      const std::size_t cend = std::min(n, ct + kTile);
       for (std::size_t i = ct; i < n; ++i) {
         Complex* rowi = row(i);
-        detail::rank_update(rowi, src, rowi + k, kend - k, ct,
+        numeric::rank_update(rowi, src, rowi + k, kend - k, ct,
                             std::min(i + 1, cend));
       }
     }
@@ -111,7 +119,7 @@ ComplexMatrix ComplexSymmetricLdlt::reduce(ComplexMatrix p) const {
   for (std::size_t i = 0; i < n; ++i) {
     Complex* xi = p.data() + i * m;
     xrows[i] = xi;
-    detail::rank_update(xi, xrows.data(), f_.data() + i * n, i, 0, m);
+    numeric::rank_update(xi, xrows.data(), f_.data() + i * n, i, 0, m);
   }
   // Y = Xᵀ D^{-1} X, lower triangle accumulated in ascending row order and
   // mirrored.

@@ -8,14 +8,14 @@
 // complex symmetric matrices with positive definite real and imaginary
 // parts", Math. Comp. 67, 1998), so Z = L D Lᵀ with L unit lower
 // triangular and D diagonal needs neither a pivot search nor the upper
-// half of the LU's trailing updates: half the flops of numeric/lu.h.
+// half of an LU's trailing updates: half the flops.
 //
-// The factorisation is blocked like the LU (panel kLuPanel, column tile
-// kLuTile) and its trailing update is the LU's complex rank-4 micro-kernel,
-// detail::rank_update, with the source rows W(q, c) = d_q·l_cq kept in the
-// strict upper triangle (the LU's U = D·Lᵀ).  The scalar and AVX2 bodies of
-// that kernel are bit-identical (numeric/lu_simd.h), so the factors do not
-// depend on the ISA that served them.
+// The factorisation is cache-blocked (right-looking, a panel of 48 columns
+// and a column-tiled trailing update) and its updates run through the
+// complex rank-4 micro-kernel numeric::rank_update, with the source rows
+// W(q, c) = d_q·l_cq kept in the strict upper triangle.  The scalar and
+// AVX2 bodies of that kernel are bit-identical (numeric/ldlt_simd.h), so
+// the factors do not depend on the ISA that served them.
 //
 // The conductor reduction never needs Z⁻¹ itself: with X = L⁻¹P,
 // PᵀZ⁻¹P = Xᵀ D⁻¹ X, one forward sweep over P's few columns

@@ -1,14 +1,14 @@
 // Deterministic fault injection for the recovery and refusal paths.
 //
 // The robustness machinery (cache quarantine -> rebuild, cache-store retry
-// -> skip, SOR escalation ladder, cooperative cancellation) only earns
+// -> skip, journal and crash recovery, cooperative cancellation) only earns
 // trust if it can be *driven* on demand, in-process and reproducibly.
 // This injector triggers named faults at scheduled call counts:
 //
-//   RLCX_FAULT_SCHEDULE=cache_write:3,sor_diverge:1
+//   RLCX_FAULT_SCHEDULE=cache_write:3,journal_fsync:1
 //
 // arms the 3rd call to fault_point("cache_write") and the 1st call to
-// fault_point("sor_diverge").  Each entry is `site:N` (fire exactly at the
+// fault_point("journal_fsync").  Each entry is `site:N` (fire exactly at the
 // Nth call, 1-based) or `site:N+` (fire at the Nth and every later call —
 // how a *persistent* failure is modelled, e.g. a full disk).  A trailing
 // `!` (`site:N!`, `site:N+!`) upgrades the entry to a *crash* action: the
@@ -27,8 +27,6 @@
 //   cache_staged   TableCache::store after the tmp file is written and
 //                  fsynced, before the rename publishes it (a crash here
 //                  must leave only an orphan tmp file, never a torn entry)
-//   sor_diverge    cap::fd2d first SOR attempt (forces the escalation
-//                  ladder)
 //   cancel         run::checkpoint (requests cancellation at the Nth
 //                  checkpoint — a reproducible SIGINT)
 //   io_short_write TableCache staging / protocol write loops: the write

@@ -562,23 +562,19 @@ int serve_main(const std::vector<std::string>& argv, std::ostream& out,
                    "--stdio");
     cfg.max_tables =
         static_cast<std::size_t>(args.get_int("max-tables", 16, 1));
-    const double table_mib = args.get_num("max-table-mib", 0.0);
-    if (table_mib < 0.0)
-      throw diag::UsageError("serve",
-                             "--max-table-mib must be >= 0 MiB");
-    cfg.max_table_bytes =
-        static_cast<std::size_t>(table_mib * 1024.0 * 1024.0);
-    if (args.has("mem-budget")) {
-      const double budget_mib = args.get_num("mem-budget", 0.0);
-      if (budget_mib < 0.0)
-        throw diag::UsageError("serve", "--mem-budget must be >= 0 MiB");
-      res::Budget::global().set_limit(
-          static_cast<std::uint64_t>(budget_mib * 1024.0 * 1024.0));
-    }
+    cfg.max_table_bytes = static_cast<std::size_t>(
+        args.get_num("max-table-mib", 0.0, 0.0, cli::kMaxFlagMib) * 1024.0 *
+        1024.0);
+    if (args.has("mem-budget"))
+      res::Budget::global().set_limit(static_cast<std::uint64_t>(
+          args.get_num("mem-budget", 0.0, 0.0, cli::kMaxFlagMib) * 1024.0 *
+          1024.0));
     cfg.max_active = args.get_int("max-active", 4, 1);
     cfg.queue_depth = args.get_int("queue-depth", 64, 0);
-    cfg.request_deadline_s = args.get_num("request-deadline-s", 0.0);
-    cfg.idle_timeout_s = args.get_num("idle-timeout-s", 0.0);
+    cfg.request_deadline_s =
+        args.get_num("request-deadline-s", 0.0, 0.0, cli::kMaxFlagSeconds);
+    cfg.idle_timeout_s =
+        args.get_num("idle-timeout-s", 0.0, 0.0, cli::kMaxFlagSeconds);
     cfg.log_path = args.get("log", "");
     cfg.strict = args.has("strict");
 

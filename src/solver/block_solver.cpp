@@ -79,16 +79,16 @@ std::vector<Conductor> trace_conductors(const geom::Block& block,
   return conductors;
 }
 
-/// Port admittance Y = PᵀZ⁻¹P of the filament system at the solve
-/// frequency, where P is the 0/1 incidence of each conductor's filaments
-/// on port `port_of[c]`.  Filaments on one port are strictly parallel:
-/// they share its voltage drop and their currents sum to its current, so
-/// Y is exact for any terminal conditions.  The filaments are filled in
-/// conductor order whatever the ports are, so the fill does not depend on
-/// how conductors are grouped.
-ComplexMatrix port_admittance(const std::vector<Conductor>& conductors,
-                              const std::vector<std::size_t>& port_of,
-                              std::size_t nports, const SolveOptions& opt) {
+/// Port admittance of conductor groups: the filaments filled in conductor
+/// order whatever the ports are, so the fill does not depend on how
+/// conductors are grouped, and P the 0/1 incidence of each conductor's
+/// filaments on port `port_of[c]`.  Filaments on one port are strictly
+/// parallel: they share its voltage drop and their currents sum to its
+/// current, so Y is exact for any terminal conditions.
+ComplexMatrix conductor_admittance(const std::vector<Conductor>& conductors,
+                                   const std::vector<std::size_t>& port_of,
+                                   std::size_t nports,
+                                   const SolveOptions& opt) {
   std::vector<peec::Filament> all;
   std::vector<std::size_t> port;
   for (std::size_t c = 0; c < conductors.size(); ++c) {
@@ -97,13 +97,36 @@ ComplexMatrix port_admittance(const std::vector<Conductor>& conductors,
       port.push_back(port_of[c]);
     }
   }
-  const std::size_t nf = all.size();
+  ComplexMatrix p(all.size(), nports);
+  for (std::size_t i = 0; i < all.size(); ++i) p(i, port[i]) = 1.0;
+  return port_admittance(all, std::move(p), opt);
+}
+
+/// Port impedance Y⁻¹ of a port admittance.  Y = PᵀZ⁻¹P inherits Z's
+/// complex symmetry and definite real and imaginary parts, so the same
+/// unpivoted LDLᵀ inverts it, as the reduction of the identity.
+ComplexMatrix port_impedance(ComplexMatrix y) {
+  const std::size_t m = y.rows();
+  return ComplexSymmetricLdlt(std::move(y)).reduce(ComplexMatrix::identity(m));
+}
+
+}  // namespace
+
+ComplexMatrix port_admittance(const std::vector<peec::Filament>& filaments,
+                              ComplexMatrix incidence,
+                              const SolveOptions& opt) {
+  const std::size_t nf = filaments.size();
+  if (incidence.rows() != nf)
+    throw diag::UsageError(
+        "solver", "port_admittance: incidence has " +
+                      std::to_string(incidence.rows()) + " rows for " +
+                      std::to_string(nf) + " filaments");
   // The whole solve is charged once, here on the serial spine before any
   // pool fan-out, so the outcome is identical at every pool width.  A
   // solve the budget cannot fit is refused with ResourceExhaustedError
   // (exit code 7; docs/robustness.md "Resource governance").
   const res::ScopedReservation reservation(
-      "solver-dense", estimate_dense_solve_bytes(nf, nports));
+      "solver-dense", estimate_dense_solve_bytes(nf, incidence.cols()));
 
   // Cooperative cancellation before each phase — fill, factor, reduction
   // (docs/robustness.md): a stop never interrupts one mid-write.
@@ -112,13 +135,14 @@ ComplexMatrix port_admittance(const std::vector<Conductor>& conductors,
   // Z is allocated after the fill has released its temporaries, and the
   // real fill is released as soon as Z is built.
   ComplexMatrix z = [&] {
-    const RealMatrix lp = peec::partial_inductance_matrix(all, opt.partial);
+    const RealMatrix lp = peec::partial_inductance_matrix(filaments,
+                                                          opt.partial);
     const double omega = 2.0 * std::numbers::pi * opt.frequency;
     ComplexMatrix zf(nf, nf);
     for (std::size_t i = 0; i < nf; ++i) {
       for (std::size_t j = 0; j <= i; ++j)
         zf(i, j) = Complex(0.0, omega * lp(i, j));
-      zf(i, i) += all[i].resistance;
+      zf(i, i) += filaments[i].resistance;
     }
     return zf;
   }();
@@ -133,22 +157,10 @@ ComplexMatrix port_admittance(const std::vector<Conductor>& conductors,
     }
   }();
   run::checkpoint("solver");
-  ComplexMatrix p(nf, nports);
-  for (std::size_t i = 0; i < nf; ++i) p(i, port[i]) = 1.0;
-  ComplexMatrix y = ldlt.reduce(std::move(p));
+  ComplexMatrix y = ldlt.reduce(std::move(incidence));
   record_solve(nf);
   return y;
 }
-
-/// Port impedance Y⁻¹ of a port admittance.  Y = PᵀZ⁻¹P inherits Z's
-/// complex symmetry and definite real and imaginary parts, so the same
-/// unpivoted LDLᵀ inverts it, as the reduction of the identity.
-ComplexMatrix port_impedance(ComplexMatrix y) {
-  const std::size_t m = y.rows();
-  return ComplexSymmetricLdlt(std::move(y)).reduce(ComplexMatrix::identity(m));
-}
-
-}  // namespace
 
 std::vector<Conductor> block_conductors(const geom::Block& block,
                                         const SolveOptions& opt) {
@@ -245,8 +257,8 @@ PartialResult extract_partial(const geom::Block& block,
   const std::vector<Conductor> conductors = trace_conductors(block, opt);
   std::vector<std::size_t> port(conductors.size());
   for (std::size_t c = 0; c < port.size(); ++c) port[c] = c;
-  const ComplexMatrix z =
-      port_impedance(port_admittance(conductors, port, port.size(), opt));
+  const ComplexMatrix z = port_impedance(
+      conductor_admittance(conductors, port, port.size(), opt));
   const double omega = 2.0 * std::numbers::pi * opt.frequency;
 
   const std::size_t n = block.size();
@@ -296,7 +308,7 @@ LoopResult extract_loop(const geom::Block& block, const SolveOptions& opt) {
   std::vector<std::size_t> port(conductors.size(), ns);
   for (std::size_t i = 0; i < ns; ++i) port[sig[i]] = i;
   const ComplexMatrix zp =
-      port_impedance(port_admittance(conductors, port, ns + 1, opt));
+      port_impedance(conductor_admittance(conductors, port, ns + 1, opt));
   ComplexMatrix zloop(ns, ns);
   for (std::size_t i = 0; i < ns; ++i)
     for (std::size_t j = 0; j < ns; ++j)

@@ -58,6 +58,19 @@ std::vector<Conductor> block_conductors(const geom::Block& block,
 std::vector<peec::Bar> plane_strips(const geom::Block& block, int plane_layer,
                                     const PlaneOptions& opt);
 
+/// Port admittance Y = PᵀZ⁻¹P of a filament system at opt.frequency, with
+/// Z = diag(R) + jωLp over `filaments` (opt.partial sets the fill) and P
+/// the nf x m signed incidence of the filament currents on the m ports.
+/// Z is factored by the complex-symmetric LDLᵀ and P swept through it once
+/// (numeric/ldlt.h).  The solve reserves estimate_dense_solve_bytes from
+/// the memory budget first and checkpoints before the fill, the factor and
+/// the reduction.  extract_partial/extract_loop (0/1 conductor-to-port
+/// incidence) and the general network (±1 filament-to-node incidence) both
+/// solve through it.
+ComplexMatrix port_admittance(const std::vector<peec::Filament>& filaments,
+                              ComplexMatrix incidence,
+                              const SolveOptions& opt);
+
 /// Analytic resident-byte estimate of one impedance solve over `filaments`
 /// unknowns and `ports` terminals: the real fill, the complex LDLᵀ factor
 /// and the n x ports reduction block.  The solve reserves exactly this much

@@ -3,7 +3,9 @@
 #include <numbers>
 #include <stdexcept>
 
-#include "numeric/lu.h"
+#include "diag/error.h"
+#include "numeric/ldlt.h"
+#include "solver/block_solver.h"
 
 namespace rlcx::solver {
 
@@ -49,94 +51,72 @@ std::size_t Network::filament_count() const {
   return n;
 }
 
-ComplexMatrix Network::port_impedance(
-    const std::vector<std::pair<int, int>>& ports, double frequency,
-    const peec::PartialOptions& popt) const {
-  if (ports.empty()) throw std::invalid_argument("network: no ports");
-  if (frequency <= 0.0) throw std::invalid_argument("network: frequency");
-  for (const auto& p : ports) {
-    canonical(p.first);  // validates node ids
-    canonical(p.second);
-  }
+std::vector<Network::Branch> Network::branches() const {
   if (segments_.empty()) throw std::logic_error("network: no segments");
-
-  // Flatten filaments; record each one's (from, to) canonical nodes.
-  std::vector<peec::Filament> fils;
-  std::vector<std::pair<int, int>> fnodes;
+  std::vector<Branch> out;
   for (const Segment& s : segments_) {
     const int cf = canonical(s.from);
     const int ct = canonical(s.to);
     if (cf == ct)
       throw std::logic_error("network: segment endpoints were tied together");
-    for (const peec::Filament& f : s.filaments) {
-      fils.push_back(f);
-      fnodes.emplace_back(cf, ct);
-    }
+    for (const peec::Filament& f : s.filaments) out.push_back({f, cf, ct});
   }
-  const std::size_t nf = fils.size();
+  return out;
+}
 
-  // Reference node: the first port's negative terminal.
+ComplexMatrix Network::port_impedance(
+    const std::vector<std::pair<int, int>>& ports, double frequency,
+    const peec::PartialOptions& popt) const {
+  if (ports.empty()) throw std::invalid_argument("network: no ports");
+  if (frequency <= 0.0) throw std::invalid_argument("network: frequency");
+  for (const auto& p : ports)
+    if (canonical(p.first) == canonical(p.second))
+      throw std::invalid_argument("network: degenerate port");
+  const std::vector<Branch> bs = branches();
+
+  // Row of each canonical node in Y; the first port's negative terminal
+  // is the reference and has none.
   const int ref = canonical(ports[0].second);
-
-  // Map canonical node -> MNA row (reference excluded).
   std::vector<int> row(static_cast<std::size_t>(node_count_), -1);
-  int nv = 0;
-  for (int n = 0; n < node_count_; ++n) {
-    if (canonical(n) != n || n == ref) continue;
-    row[static_cast<std::size_t>(n)] = nv++;
+  std::size_t nv = 0;
+  for (int n = 0; n < node_count_; ++n)
+    if (canonical(n) == n && n != ref)
+      row[static_cast<std::size_t>(n)] = static_cast<int>(nv++);
+  // Signed incidence of a current from `from` to `to`: +1 on the row of
+  // the node it leaves, -1 on the row of the node it enters.
+  const auto stamp = [&](int from, int to, auto&& put) {
+    if (const int r = row[static_cast<std::size_t>(from)]; r >= 0)
+      put(static_cast<std::size_t>(r), 1.0);
+    if (const int r = row[static_cast<std::size_t>(to)]; r >= 0)
+      put(static_cast<std::size_t>(r), -1.0);
+  };
+
+  // Y = A Z⁻¹ Aᵀ, with Aᵀ (filaments x nodes) as the reduction's incidence.
+  std::vector<peec::Filament> fils;
+  ComplexMatrix at(bs.size(), nv);
+  for (std::size_t f = 0; f < bs.size(); ++f) {
+    fils.push_back(bs[f].filament);
+    stamp(bs[f].from, bs[f].to,
+          [&](std::size_t r, double v) { at(f, r) = v; });
   }
+  SolveOptions opt;
+  opt.frequency = frequency;
+  opt.partial = popt;
+  ComplexMatrix y = port_admittance(fils, std::move(at), opt);
 
-  const double omega = 2.0 * std::numbers::pi * frequency;
-  const RealMatrix lp = peec::partial_inductance_matrix(fils, popt);
-
-  // MNA:  [ 0   A ] [v]   [J]
-  //       [ A^T -Z ] [i] = [0]
-  const std::size_t dim = static_cast<std::size_t>(nv) + nf;
-  ComplexMatrix m(dim, dim);
-  for (std::size_t f = 0; f < nf; ++f) {
-    const int rf = row[static_cast<std::size_t>(fnodes[f].first)];
-    const int rt = row[static_cast<std::size_t>(fnodes[f].second)];
-    if (rf >= 0) {
-      m(static_cast<std::size_t>(rf), static_cast<std::size_t>(nv) + f) += 1.0;
-      m(static_cast<std::size_t>(nv) + f, static_cast<std::size_t>(rf)) += 1.0;
-    }
-    if (rt >= 0) {
-      m(static_cast<std::size_t>(rt), static_cast<std::size_t>(nv) + f) -= 1.0;
-      m(static_cast<std::size_t>(nv) + f, static_cast<std::size_t>(rt)) -= 1.0;
-    }
-    for (std::size_t g = 0; g < nf; ++g)
-      m(static_cast<std::size_t>(nv) + f, static_cast<std::size_t>(nv) + g) -=
-          Complex(0.0, omega * lp(f, g));
-    m(static_cast<std::size_t>(nv) + f, static_cast<std::size_t>(nv) + f) -=
-        fils[f].resistance;
+  // Z_ports = Qᵀ Y⁻¹ Q.
+  ComplexMatrix q(nv, ports.size());
+  for (std::size_t k = 0; k < ports.size(); ++k)
+    stamp(canonical(ports[k].first), canonical(ports[k].second),
+          [&](std::size_t r, double v) { q(r, k) = v; });
+  try {
+    return ComplexSymmetricLdlt(std::move(y)).reduce(std::move(q));
+  } catch (const diag::SingularSystem& e) {
+    throw diag::SingularSystem(
+        "network", "node admittance matrix (is every node connected to "
+                   "the reference?): " + e.message(),
+        e.column(), e.dimension(), e.condition_estimate());
   }
-
-  LuDecomposition<Complex> lu(std::move(m));
-
-  const std::size_t np = ports.size();
-  ComplexMatrix z(np, np);
-  for (std::size_t pj = 0; pj < np; ++pj) {
-    const int pos = canonical(ports[pj].first);
-    const int neg = canonical(ports[pj].second);
-    if (pos == neg) throw std::invalid_argument("network: degenerate port");
-    std::vector<Complex> rhs(dim, Complex(0.0, 0.0));
-    if (row[static_cast<std::size_t>(pos)] >= 0)
-      rhs[static_cast<std::size_t>(row[static_cast<std::size_t>(pos)])] += 1.0;
-    if (row[static_cast<std::size_t>(neg)] >= 0)
-      rhs[static_cast<std::size_t>(row[static_cast<std::size_t>(neg)])] -= 1.0;
-    const std::vector<Complex> x = lu.solve(rhs);
-    for (std::size_t pi = 0; pi < np; ++pi) {
-      const int qpos = canonical(ports[pi].first);
-      const int qneg = canonical(ports[pi].second);
-      Complex v = 0.0;
-      if (row[static_cast<std::size_t>(qpos)] >= 0)
-        v += x[static_cast<std::size_t>(row[static_cast<std::size_t>(qpos)])];
-      if (row[static_cast<std::size_t>(qneg)] >= 0)
-        v -= x[static_cast<std::size_t>(row[static_cast<std::size_t>(qneg)])];
-      z(pi, pj) = v;
-    }
-  }
-  return z;
 }
 
 Network::LoopZ Network::loop_impedance(int positive, int negative,

@@ -41,7 +41,8 @@ ComplexMatrix conductor_impedance(const std::vector<Conductor>& conductors,
   ComplexMatrix y(nc, nc);
   for (std::size_t i = 0; i < nf; ++i)
     for (std::size_t b = 0; b < nc; ++b) y(owner[i], b) += zinv_p(i, b);
-  return inverse(y);
+  return LuDecomposition<Complex>(std::move(y)).solve(
+      ComplexMatrix::identity(nc));
 }
 
 }  // namespace

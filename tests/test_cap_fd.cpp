@@ -2,11 +2,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
 
 #include "cap/fd2d.h"
 #include "cap/models.h"
+#include "diag/error.h"
 #include "geom/builders.h"
 #include "numeric/units.h"
+#include "run/control.h"
+#include "run/fault_injection.h"
 
 namespace rlcx::cap {
 namespace {
@@ -129,6 +134,71 @@ TEST(Fd2d, ErrorPaths) {
   // Plane above the conductors is rejected.
   EXPECT_THROW(fd_capacitance_matrix(ok, 3.9, um(5), coarse()),
                std::invalid_argument);
+  // A grid past kFdMaxGridNodes is a usage error, refused before it is
+  // allocated.
+  Fd2dOptions fine = coarse();
+  fine.cell = 0.01e-6;
+  EXPECT_THROW(fd_capacitance_matrix(ok, 3.9, 0.0, fine), diag::UsageError);
+}
+
+TEST(Fd2d, MirrorLayoutGivesMirrorMatrix) {
+  // Three equal traces placed symmetrically on grid nodes (with the coarse
+  // cell the x nodes run 0..72 and the traces span 20-28, 32-40, 44-52):
+  // the discrete problem is its own mirror image, so the exact discrete
+  // solution gives the outer traces equal self capacitance and equal
+  // coupling to the middle one, with or without the ground plane.
+  const std::vector<FdConductor> cs{
+      {0.0, um(4), um(2), um(4)},
+      {um(6), um(10), um(2), um(4)},
+      {um(12), um(16), um(2), um(4)},
+  };
+  for (const double plane_z :
+       {0.0, -std::numeric_limits<double>::infinity()}) {
+    const RealMatrix c = fd_capacitance_matrix(cs, 3.9, plane_z, coarse());
+    EXPECT_LE(std::abs(c(0, 0) - c(2, 2)), 1e-12 * c(0, 0))
+        << "plane_z=" << plane_z;
+    EXPECT_LE(std::abs(c(0, 1) - c(1, 2)), 1e-12 * c(0, 0))
+        << "plane_z=" << plane_z;
+  }
+}
+
+TEST(Fd2d, CancelSiteUnwindsAtEveryCheckpoint) {
+  // The solve checks the run control before its one factorisation and
+  // before each drive; a cancellation at any of them unwinds as
+  // CancelledError, and a rerun under a fresh control is bit-identical.
+  struct InjectorReset {
+    ~InjectorReset() { run::FaultInjector::global().clear(); }
+  } injector_reset;
+  const std::vector<FdConductor> cs{
+      {0.0, um(4), um(2), um(4)},
+      {um(6), um(10), um(2), um(4)},
+  };
+  RealMatrix reference;
+  std::uint64_t checkpoints = 0;
+  {
+    run::CancelToken token;
+    run::ScopedRunControl control(run::RunControl{token, run::Deadline{}});
+    run::FaultInjector::global().set_schedule("cancel:1000000000");
+    reference = fd_capacitance_matrix(cs, 3.9, 0.0, coarse());
+    checkpoints = run::FaultInjector::global().calls("cancel");
+    run::FaultInjector::global().clear();
+  }
+  EXPECT_EQ(checkpoints, 1u + cs.size());
+  for (std::uint64_t k = 1; k <= checkpoints; ++k) {
+    run::CancelToken token;
+    run::ScopedRunControl control(run::RunControl{token, run::Deadline{}});
+    run::FaultInjector::global().set_schedule("cancel:" + std::to_string(k));
+    EXPECT_THROW((void)fd_capacitance_matrix(cs, 3.9, 0.0, coarse()),
+                 diag::CancelledError)
+        << "checkpoint " << k;
+    run::FaultInjector::global().clear();
+  }
+  run::CancelToken token;
+  run::ScopedRunControl control(run::RunControl{token, run::Deadline{}});
+  const RealMatrix rerun = fd_capacitance_matrix(cs, 3.9, 0.0, coarse());
+  for (std::size_t i = 0; i < cs.size(); ++i)
+    for (std::size_t j = 0; j < cs.size(); ++j)
+      EXPECT_EQ(rerun(i, j), reference(i, j));
 }
 
 TEST(Fd2d, GridRefinementConverges) {

@@ -373,7 +373,7 @@ TEST(Transient, SingularInductorGroupWithoutSeriesRIsTyped) {
   nl.add_vsource(in, kGround, SourceWaveform::ramp(1.0, 10e-12));
   std::size_t ind[3];
   for (int j = 0; j < 3; ++j) {
-    const NodeId n = nl.add_node("n" + std::to_string(j));
+    const NodeId n = nl.add_node(std::string("n").append(std::to_string(j)));
     ind[j] = nl.add_inductor(in, n, 1e-9);
     nl.add_resistor(n, kGround, 50.0);
   }
@@ -404,7 +404,7 @@ TEST(Transient, DivergenceNamesTheOraclesFirstRunawayStepAndNode) {
   nl.add_vsource(in, kGround, SourceWaveform::ramp(1.0, 10e-12));
   std::size_t ind[3];
   for (int j = 0; j < 3; ++j) {
-    const NodeId n = nl.add_node("n" + std::to_string(j));
+    const NodeId n = nl.add_node(std::string("n").append(std::to_string(j)));
     nl.add_resistor(in, n, 10.0);
     ind[j] = nl.add_inductor(n, kGround, 1e-9);
   }

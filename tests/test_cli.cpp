@@ -286,6 +286,27 @@ TEST(Cli, IntegerFlagsRefuseFractionsNanAndOutOfRange) {
   EXPECT_FALSE(std::filesystem::exists(cache));
 }
 
+TEST(Cli, RealFlagsRefuseNanInfinityAndOutOfRange) {
+  // --mem-budget and --deadline-s feed a byte count and a clock duration:
+  // NaN, an infinity, a negative or a huge value is a usage error before
+  // the conversion it would make undefined, and before any work.
+  for (const char* v : {"nan", "inf", "-inf", "1e30", "-1"}) {
+    const std::vector<std::pair<std::string, std::vector<std::string>>>
+        cases = {
+            {"--mem-budget",
+             {"delay", "--length-um", "200", "--mem-budget", v}},
+            {"--deadline-s",
+             {"extract", "--structure", "cpw", "--deadline-s", v}},
+        };
+    for (const auto& [flag, argv] : cases) {
+      const Result r = drive(argv);
+      EXPECT_EQ(r.code, 2) << flag << " " << v << ": " << r.err;
+      EXPECT_NE(r.err.find(flag), std::string::npos) << r.err;
+      EXPECT_EQ(r.out, "") << "refused after work began: " << r.out;
+    }
+  }
+}
+
 // ---- Exit-code contract (see cli.h): 2 usage, 3 invalid input, 4 numeric.
 
 TEST(CliExitCodes, ValidationFailureExitsThree) {

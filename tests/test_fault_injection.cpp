@@ -1,8 +1,7 @@
 // Fault-injection harness: deliberately break inputs, caches and numerics
 // and verify every failure surfaces as a categorized, diagnosable report —
-// quarantine-and-rebuild for cache corruption, `numeric` errors naming the
-// poisoned table / diverging node / singular column, and a visible warning
-// (with the residual) for a non-converged field solve.  Zero aborts, zero
+// quarantine-and-rebuild for cache corruption, and `numeric` errors naming
+// the poisoned table / diverging node / singular column.  Zero aborts, zero
 // silent garbage.
 #include <gtest/gtest.h>
 
@@ -16,7 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "cap/fd2d.h"
 #include "ckt/transient.h"
 #include "core/inductance_model.h"
 #include "core/table_builder.h"
@@ -229,84 +227,6 @@ TEST(FaultInjectionTransient, DivergenceGuardNamesStepAndNode) {
   // The same circuit with the default (1 kV) limit completes normally.
   opt.divergence_limit = 1e3;
   EXPECT_NO_THROW(ckt::simulate(nl, opt));
-}
-
-// ---- Non-converged field solves --------------------------------------
-
-TEST(FaultInjectionSor, NonConvergenceWarnsWithResidual) {
-  // Two traces with a starved iteration budget and no escalation: the
-  // solve must complete (degraded, not dead) and say so — once per drive,
-  // with the residual — while the report exposes the same numbers.
-  const std::vector<cap::FdConductor> traces{
-      {0.0, um(2), 0.0, um(0.5)}, {um(4), um(6), 0.0, um(0.5)}};
-  cap::Fd2dOptions opt;
-  opt.max_iterations = 3;
-  opt.escalate_on_nonconvergence = false;
-
-  std::vector<diag::Warning> warnings;
-  cap::SorReport report;
-  {
-    const diag::ScopedWarningHandler capture(
-        [&](const diag::Warning& w) { warnings.push_back(w); });
-    cap::fd_capacitance_matrix(traces, 3.9, -um(1), opt, &report);
-  }
-  EXPECT_FALSE(report.converged);
-  EXPECT_GT(report.residual, 0.0);
-  EXPECT_EQ(report.iterations, 3);
-  ASSERT_EQ(warnings.size(), 2u);  // one per driven conductor
-  for (const diag::Warning& w : warnings) {
-    EXPECT_EQ(w.category, diag::Category::kNumeric);
-    EXPECT_EQ(w.stage, "fd2d");
-    EXPECT_NE(w.message.find("not converged"), std::string::npos);
-    EXPECT_NE(w.message.find("residual"), std::string::npos);
-  }
-}
-
-TEST(FaultInjectionSor, ScheduledDivergenceDrivesTheEscalationLadder) {
-  // The RLCX_FAULT_SCHEDULE path: `sor_diverge:1` discards the first
-  // attempt's convergence verdict, so a perfectly healthy solve must walk
-  // the escalation ladder, recover, and stay silent.
-  struct InjectorReset {
-    ~InjectorReset() { run::FaultInjector::global().clear(); }
-  } injector_reset;
-  const std::vector<cap::FdConductor> traces{
-      {0.0, um(2), 0.0, um(0.5)}, {um(4), um(6), 0.0, um(0.5)}};
-  const cap::Fd2dOptions opt;  // generous default budget
-
-  run::FaultInjector::global().set_schedule("sor_diverge:1");
-  std::vector<diag::Warning> warnings;
-  cap::SorReport report;
-  {
-    const diag::ScopedWarningHandler capture(
-        [&](const diag::Warning& w) { warnings.push_back(w); });
-    cap::fd_capacitance_matrix(traces, 3.9, -um(1), opt, &report);
-  }
-  EXPECT_EQ(run::FaultInjector::global().triggered("sor_diverge"), 1u);
-  EXPECT_GT(report.retries, 0);         // the ladder visibly ran
-  EXPECT_TRUE(report.converged);        // and recovered
-  EXPECT_TRUE(warnings.empty());        // recovery is not warning-worthy
-}
-
-TEST(FaultInjectionSor, EscalationLadderRetriesAStarvedBudget) {
-  // A budget known (from the test above) to starve the first attempt: with
-  // escalation enabled the ladder must visibly retry with safer relaxation
-  // and a larger budget, and warn only if even the ladder fails.
-  const std::vector<cap::FdConductor> traces{
-      {0.0, um(2), 0.0, um(0.5)}, {um(4), um(6), 0.0, um(0.5)}};
-  cap::Fd2dOptions opt;
-  opt.max_iterations = 3;
-  std::vector<diag::Warning> warnings;
-  cap::SorReport report;
-  {
-    const diag::ScopedWarningHandler capture(
-        [&](const diag::Warning& w) { warnings.push_back(w); });
-    cap::fd_capacitance_matrix(traces, 3.9, -um(1), opt, &report);
-  }
-  EXPECT_GT(report.retries, 0);
-  if (report.converged)
-    EXPECT_TRUE(warnings.empty());
-  else
-    EXPECT_FALSE(warnings.empty());
 }
 
 }  // namespace

@@ -3,8 +3,9 @@
 // On Z = diag(R) + jωL with R > 0 and L symmetric positive definite — the
 // PEEC filament impedance — the unpivoted factorisation must reproduce the
 // LU's Z⁻¹ and PᵀZ⁻¹P to 1e-12 relative at sizes that cross the panel
-// boundaries (48), give bit-identical factors on every ISA, and refuse a
-// zero or non-finite pivot with a typed SingularSystem.
+// boundaries (48), give bit-identical factors on every ISA (down to its
+// rank-4 micro-kernel, numeric/ldlt_simd.h), and refuse a zero or
+// non-finite pivot with a typed SingularSystem.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -12,9 +13,11 @@
 #include <cstdint>
 #include <cstdlib>
 #include <limits>
+#include <vector>
 
 #include "diag/error.h"
 #include "numeric/ldlt.h"
+#include "numeric/ldlt_simd.h"
 #include "numeric/lu.h"
 #include "numeric/matrix.h"
 #include "numeric/simd.h"
@@ -92,7 +95,8 @@ TEST(Ldlt, InverseMatchesLuAcrossPanelBoundaries) {
   Rng rng(20261019);
   for (const std::size_t n : kSizes) {
     const ComplexMatrix z = impedance(n, rng);
-    const ComplexMatrix lu_inv = inverse(z);
+    const ComplexMatrix lu_inv =
+        LuDecomposition<C>(z).solve(ComplexMatrix::identity(n));
     const ComplexMatrix ldlt_inv =
         ComplexSymmetricLdlt(z).reduce(ComplexMatrix::identity(n));
     EXPECT_LT(max_rel_diff(lu_inv, ldlt_inv), 1e-12) << "n=" << n;
@@ -101,7 +105,7 @@ TEST(Ldlt, InverseMatchesLuAcrossPanelBoundaries) {
 
 TEST(Ldlt, PortReductionMatchesLuMultiRhs) {
   // PᵀZ⁻¹P through one forward sweep against the LU's forward and backward
-  // multi-RHS solve.
+  // substitutions.
   Rng rng(77);
   for (const std::size_t n : kSizes) {
     const ComplexMatrix z = impedance(n, rng);
@@ -133,9 +137,9 @@ TEST(Ldlt, ReadsOnlyTheLowerTriangle) {
 }
 
 TEST(Ldlt, BitIdenticalAcrossSimdModes) {
-  // The trailing update and the forward sweep run through the LU's
-  // dispatched rank-4 kernel; the factors and the reduction must not
-  // depend on which body served them.
+  // The trailing update and the forward sweep run through the dispatched
+  // rank-4 kernel; the factors and the reduction must not depend on which
+  // body served them.
   if (!numeric::simd_avx2_supported())
     GTEST_SKIP() << "no AVX2 on this machine/build";
   Rng rng(4242);
@@ -157,6 +161,41 @@ TEST(Ldlt, BitIdenticalAcrossSimdModes) {
         EXPECT_EQ(y_scalar(a, b), y_avx2(a, b)) << "n=" << n;
   }
 }
+
+#if defined(RLCX_HAVE_AVX2)
+TEST(LdltSimd, RankUpdateComplexAvx2BitIdenticalToScalar) {
+  // The AVX2 body must be BIT-identical to the portable body — not merely
+  // close — so a factorisation does not depend on which ISA served it.
+  if (!numeric::simd_avx2_supported())
+    GTEST_SKIP() << "no AVX2 on this machine/build";
+  Rng rng(60602);
+  constexpr std::size_t kCols = 31;  // odd: one 128-bit complex tail lane
+  constexpr std::size_t kRows = 6;
+  std::vector<std::vector<C>> rows(kRows, std::vector<C>(kCols));
+  std::vector<const C*> src;
+  for (auto& r : rows) {
+    for (C& v : r) v = C(rng.next(), rng.next());
+    src.push_back(r.data());
+  }
+  std::vector<C> coef(kRows);
+  for (C& v : coef) v = C(rng.next(), rng.next());
+  coef[4] = C(0.0, 0.0);
+  for (const std::size_t m : {1u, 2u, 4u, 6u}) {
+    for (const std::size_t cbeg : {0u, 1u, 4u}) {
+      std::vector<C> ds(kCols), dv(kCols);
+      for (std::size_t c = 0; c < kCols; ++c)
+        ds[c] = dv[c] = C(rng.next(), rng.next());
+      numeric::ldlt_scalar::rank_update(ds.data(), src.data(), coef.data(),
+                                        m, cbeg, kCols);
+      numeric::ldlt_avx2::rank_update(dv.data(), src.data(), coef.data(), m,
+                                      cbeg, kCols);
+      for (std::size_t c = 0; c < kCols; ++c)
+        EXPECT_EQ(ds[c], dv[c]) << "m=" << m << " cbeg=" << cbeg
+                                << " c=" << c;
+    }
+  }
+}
+#endif  // RLCX_HAVE_AVX2
 
 TEST(Ldlt, ZeroPivotBeyondFirstPanelIsTypedSingular) {
   Rng rng(9);

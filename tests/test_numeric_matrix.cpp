@@ -100,7 +100,8 @@ TEST(Lu, ComplexSolve) {
 
 TEST(Lu, InverseRoundTrip) {
   Matrix<double> a{{4, 2, 0.5}, {2, 5, 1}, {0.5, 1, 3}};
-  const auto inv = inverse(a);
+  const auto inv =
+      LuDecomposition<double>(a).solve(Matrix<double>::identity(3));
   const auto prod = a * inv;
   for (std::size_t i = 0; i < 3; ++i)
     for (std::size_t j = 0; j < 3; ++j)

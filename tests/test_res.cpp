@@ -77,7 +77,7 @@ geom::Block make_block(int traces, double trace_um, double spacing_um,
   double center = 0.0;
   for (int i = 0; i < traces; ++i) {
     ts.push_back({geom::TraceRole::kSignal, um(trace_um), center,
-                  "t" + std::to_string(i)});
+                  std::string("t").append(std::to_string(i))});
     center += um(trace_um + spacing_um);
   }
   return geom::Block(&tech(), 6, um(length_um), std::move(ts),

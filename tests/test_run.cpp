@@ -165,10 +165,10 @@ TEST(FaultInjector, PersistentEntryFiresFromTheNthCallOn) {
 
 TEST(FaultInjector, SitesAreIndependentAndUnscheduledSitesDoNotCount) {
   InjectorReset reset;
-  FaultInjector::global().set_schedule("cache_write:1,sor_diverge:2");
-  EXPECT_FALSE(fault_point("sor_diverge"));
+  FaultInjector::global().set_schedule("cache_write:1,journal_fsync:2");
+  EXPECT_FALSE(fault_point("journal_fsync"));
   EXPECT_TRUE(fault_point("cache_write"));
-  EXPECT_TRUE(fault_point("sor_diverge"));
+  EXPECT_TRUE(fault_point("journal_fsync"));
   EXPECT_FALSE(fault_point("cache_read"));  // not scheduled
   EXPECT_EQ(FaultInjector::global().calls("cache_read"), 0u);
 }
@@ -185,7 +185,7 @@ TEST(FaultInjector, BadGrammarIsAUsageError) {
   // set_schedule is parse-then-commit: a rejected schedule arms nothing.
   EXPECT_FALSE(fault_injection_enabled());
   // Whitespace and stray commas are tolerated.
-  EXPECT_NO_THROW(fi.set_schedule(" cache_write:1 , ,sor_diverge:2 "));
+  EXPECT_NO_THROW(fi.set_schedule(" cache_write:1 , ,journal_fsync:2 "));
   EXPECT_TRUE(fault_injection_enabled());
 }
 

@@ -230,6 +230,25 @@ TEST(Admission, BoundsAreValidated) {
   EXPECT_THROW(AdmissionQueue(1, -1), diag::UsageError);
 }
 
+TEST(ServeFlags, RealFlagsRefuseNanInfinityAndOutOfRange) {
+  // Each value would reach a size, budget or millisecond conversion; the
+  // daemon refuses it as a usage error before it binds or opens anything.
+  const testing::ScratchDir scratch("rlcx_serve_real_flags");
+  const std::string cache = scratch.file("cache");
+  const std::uint64_t limit = res::Budget::global().limit();
+  for (const char* v : {"nan", "inf", "1e30", "-1"})
+    for (const char* flag : {"--max-table-mib", "--mem-budget",
+                             "--request-deadline-s", "--idle-timeout-s"}) {
+      std::ostringstream out, err;
+      const int code = serve_main(
+          {"serve", "--table-cache", cache, "--stdio", flag, v}, out, err);
+      EXPECT_EQ(code, 2) << flag << " " << v << ": " << err.str();
+      EXPECT_NE(err.str().find(flag), std::string::npos) << err.str();
+    }
+  EXPECT_EQ(res::Budget::global().limit(), limit);
+  EXPECT_FALSE(std::filesystem::exists(cache));
+}
+
 // ---------------------------------------------------------------------
 // Full request path through Server::handle_connection over an in-memory
 // transport (the same bytes a socket would carry).

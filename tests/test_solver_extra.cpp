@@ -9,6 +9,7 @@
 #include "peec/partial_inductance.h"
 #include "solver/block_solver.h"
 #include "solver/network.h"
+#include "support/network_reference.h"
 
 namespace rlcx::solver {
 namespace {
@@ -209,6 +210,10 @@ TEST(NetworkAxes, PerpendicularLegsAddWithoutCoupling) {
   const double sum =
       straight(peec::Axis::kY, um(500)) + straight(peec::Axis::kX, um(400));
   EXPECT_NEAR(lshape.loop_impedance(a, b, 1e8).inductance, sum, 0.01 * sum);
+  // The nodal reduction matches the KKT formulation on the L-shape.
+  const ComplexMatrix z = lshape.port_impedance({{a, b}}, 1e8);
+  const ComplexMatrix want = kkt_port_impedance(lshape, {{a, b}}, 1e8);
+  EXPECT_LE(std::abs(z(0, 0) - want(0, 0)), 1e-9 * std::abs(want(0, 0)));
 }
 
 }  // namespace
