@@ -5,7 +5,9 @@
 // Per tree the bench records deterministic counters of the system
 // ckt::simulate factors — its dimension, nnz(A) of the condensed
 // trapezoidal matrix, nnz(L+U) of its factors, and steps — plus the MNA
-// dimension (ckt/mna.h) it was condensed from, and wall times: the
+// dimension (ckt/mna.h) it was condensed from, the steps of the same
+// march with analyze_skew's measures registered (certified_steps: equal
+// to steps when the stop rule never fires), and wall times: the
 // factorisation (fill-reducing order plus numeric LU),
 // the per-step share of ckt::simulate after that factorisation, the whole
 // simulate, and, up to 32 sinks, the dense-LU oracle
@@ -34,6 +36,7 @@
 #include "ckt/companion.h"
 #include "ckt/mna.h"
 #include "ckt/transient.h"
+#include "clocktree/skew.h"
 #include "numeric/sparse_lu.h"
 #include "support/dense_transient_reference.h"
 #include "support/htree_fixture.h"
@@ -55,6 +58,7 @@ struct Case {
   std::size_t sinks = 0;
   bool inductance = true;
   std::size_t dim = 0, mna_dim = 0, nnz_a = 0, nnz_lu = 0, steps = 0;
+  std::size_t certified_steps = 0;
   double factor_ms = 0.0, step_us = 0.0, simulate_s = 0.0;
   double dense_s = -1.0, max_dev = -1.0;  // -1: not run
   std::string mismatch;  ///< first sample outside the oracle bound
@@ -64,7 +68,8 @@ struct Case {
     s << "{\"sinks\": " << sinks << ", \"kind\": \""
       << (inductance ? "rlc" : "rc") << "\", \"dim\": " << dim
       << ", \"mna_dim\": " << mna_dim << ", \"nnz_a\": " << nnz_a
-      << ", \"nnz_lu\": " << nnz_lu << ", \"steps\": " << steps;
+      << ", \"nnz_lu\": " << nnz_lu << ", \"steps\": " << steps
+      << ", \"certified_steps\": " << certified_steps;
     return s.str();
   }
 };
@@ -79,7 +84,8 @@ ckt::TransientOptions skew_transient(const clocktree::HTreeSpec& spec) {
 
 Case run_case(std::size_t sinks, bool inductance) {
   const clocktree::HTreeSpec spec = testing::cpw_htree(sinks, false);
-  const ckt::Netlist nl = testing::htree_netlist(spec, inductance).netlist;
+  const clocktree::TreeNetlist tree = testing::htree_netlist(spec, inductance);
+  const ckt::Netlist& nl = tree.netlist;
   const ckt::TransientOptions topt = skew_transient(spec);
   Case c;
   c.sinks = sinks;
@@ -101,6 +107,9 @@ Case run_case(std::size_t sinks, bool inductance) {
   c.steps = res.steps();
   c.step_us = 1e6 * std::max(0.0, c.simulate_s - 1e-3 * c.factor_ms) /
               static_cast<double>(c.steps - 1);
+  ckt::TransientOptions registered = topt;
+  registered.measures = clocktree::skew_measures(tree, spec.driver.vdd);
+  c.certified_steps = ckt::simulate(nl, registered).steps();
 
   if (sinks <= kDenseMaxSinks) {
     t0 = Clock::now();
@@ -155,11 +164,11 @@ int main(int argc, char** argv) {
       cases.push_back(c);
       std::fprintf(stderr,
                    "%3zu sinks %-3s: dim %6zu (MNA %6zu)  nnz(A) %7zu  "
-                   "nnz(L+U) %7zu  steps %5zu  factor %8.3f ms  "
-                   "step %8.2f us  simulate %7.3f s",
+                   "nnz(L+U) %7zu  steps %5zu (certified %5zu)  "
+                   "factor %8.3f ms  step %8.2f us  simulate %7.3f s",
                    c.sinks, c.inductance ? "RLC" : "RC", c.dim, c.mna_dim,
-                   c.nnz_a, c.nnz_lu, c.steps, c.factor_ms, c.step_us,
-                   c.simulate_s);
+                   c.nnz_a, c.nnz_lu, c.steps, c.certified_steps,
+                   c.factor_ms, c.step_us, c.simulate_s);
       if (c.dense_s >= 0.0)
         std::fprintf(stderr, "  dense %7.3f s  max |dv| %.2e V", c.dense_s,
                      c.max_dev);

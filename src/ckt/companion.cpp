@@ -149,8 +149,10 @@ CompanionSystem::CompanionSystem(const Netlist& nl, double dt)
     for (std::size_t c = 0; c < k; ++c) {
       const std::size_t j = grp[c];
       for (std::size_t p = lmat.col_ptr()[j]; p < lmat.col_ptr()[j + 1]; ++p)
-        m[pos[lmat.row_idx()[p]] * k + c] = s * lmat.values()[p];
+        m[pos[lmat.row_idx()[p]] * k + c] = lmat.values()[p];
     }
+    l_.insert(l_.end(), m.begin(), m.end());
+    for (double& v : m) v *= s;
     for (std::size_t r = 0; r < k; ++r) {
       const std::size_t j = grp[r];
       double ohms = 0.0, alpha = 1.0;
@@ -186,6 +188,7 @@ CompanionSystem::CompanionSystem(const Netlist& nl, double dt)
   }
   yh_.assign(nind, 0.0);
   scratch_.assign(2 * nind, 0.0);
+  cur_.assign(nind, 0.0);
 
   // ---- The matrix ----
   // Stamped in Mna's order (Gmin, resistors, sources, capacitors), so an
@@ -300,10 +303,11 @@ namespace {
 /// u and the branch currents stay in registers; K = 0 is the generic loop,
 /// with u and the currents in `scratch` (2 k doubles).  Every instance
 /// does the same arithmetic in the same order: bit-identical waveforms.
+/// A non-null `kept` receives the branch currents.
 template <std::size_t K, typename Branch>
 bool advance_group(const Branch* br, std::size_t k, const double* y,
                    const double* q, double* yh, double* row, double bound,
-                   double* scratch) {
+                   double* scratch, double* kept) {
   if constexpr (K > 0) k = K;
   double local[2 * (K > 0 ? K : 1)];
   double* const u = K > 0 ? local : scratch;
@@ -324,6 +328,7 @@ bool advance_group(const Branch* br, std::size_t k, const double* y,
       ok &= std::abs(v) <= bound;
     }
   }
+  if (kept != nullptr) std::copy(cur, cur + k, kept);
 #pragma GCC unroll 4
   for (std::size_t r = 0; r < k; ++r) {
     double j = -yh[r];
@@ -336,7 +341,8 @@ bool advance_group(const Branch* br, std::size_t k, const double* y,
 
 }  // namespace
 
-bool CompanionSystem::advance(const double* x, double* row, double bound) {
+bool CompanionSystem::advance(const double* x, double* row, double bound,
+                              bool keep_currents) {
   // One comparison per node: NaN and +-inf fail it at any bound.
   bool ok = true;
   for (std::size_t k = 0; k < kept_.size(); ++k) {
@@ -356,15 +362,67 @@ bool CompanionSystem::advance(const double* x, double* row, double bound) {
     const double* q = q_.data() + block_ptr_[g];
     double* yh = yh_.data() + b0;
     double* s = scratch_.data();
+    double* i = keep_currents ? cur_.data() + b0 : nullptr;
     switch (k) {
-      case 1: ok &= advance_group<1>(br, k, y, q, yh, row, bound, s); break;
-      case 2: ok &= advance_group<2>(br, k, y, q, yh, row, bound, s); break;
-      case 3: ok &= advance_group<3>(br, k, y, q, yh, row, bound, s); break;
-      case 4: ok &= advance_group<4>(br, k, y, q, yh, row, bound, s); break;
-      default: ok &= advance_group<0>(br, k, y, q, yh, row, bound, s);
+      case 1: ok &= advance_group<1>(br, k, y, q, yh, row, bound, s, i); break;
+      case 2: ok &= advance_group<2>(br, k, y, q, yh, row, bound, s, i); break;
+      case 3: ok &= advance_group<3>(br, k, y, q, yh, row, bound, s, i); break;
+      case 4: ok &= advance_group<4>(br, k, y, q, yh, row, bound, s, i); break;
+      default: ok &= advance_group<0>(br, k, y, q, yh, row, bound, s, i);
     }
   }
   return ok;
+}
+
+bool CompanionSystem::passive() const {
+  // Cholesky of each group's L block: every pivot must stay positive.
+  for (std::size_t g = 0; g + 1 < group_ptr_.size(); ++g) {
+    const std::size_t k = group_ptr_[g + 1] - group_ptr_[g];
+    std::vector<double> a(l_.data() + block_ptr_[g],
+                          l_.data() + block_ptr_[g + 1]);
+    for (std::size_t c = 0; c < k; ++c) {
+      double d = a[c * k + c];
+      for (std::size_t p = 0; p < c; ++p) d -= a[c * k + p] * a[c * k + p];
+      if (!(d > 0.0)) return false;
+      d = std::sqrt(d);
+      a[c * k + c] = d;
+      for (std::size_t r = c + 1; r < k; ++r) {
+        double v = a[r * k + c];
+        for (std::size_t p = 0; p < c; ++p) v -= a[r * k + p] * a[c * k + p];
+        a[r * k + c] = v / d;
+      }
+    }
+  }
+  return true;
+}
+
+void CompanionSystem::set_reference(const Mna& mna,
+                                    const std::vector<double>& xdc) {
+  auto v = [&](NodeId n) { return n == kGround ? 0.0 : xdc[mna.node_row(n)]; };
+  ref_cap_.clear();
+  for (const CapCompanion& c : caps_) ref_cap_.push_back(v(c.a) - v(c.b));
+  ref_cur_.clear();
+  for (const Branch& b : branches_)
+    ref_cur_.push_back(xdc[mna.inductor_row(b.inductor)]);
+}
+
+double CompanionSystem::deviation_energy(const double* row) const {
+  double e = 0.0;
+  for (std::size_t c = 0; c < caps_.size(); ++c) {
+    const double dv = row[caps_[c].a] - row[caps_[c].b] - ref_cap_[c];
+    e += nl_.capacitors()[c].farads * dv * dv;
+  }
+  for (std::size_t g = 0; g + 1 < group_ptr_.size(); ++g) {
+    const std::size_t b0 = group_ptr_[g], k = group_ptr_[g + 1] - b0;
+    const double* l = l_.data() + block_ptr_[g];
+    for (std::size_t r = 0; r < k; ++r) {
+      double li = 0.0;
+      for (std::size_t c = 0; c < k; ++c)
+        li += l[r * k + c] * (cur_[b0 + c] - ref_cur_[b0 + c]);
+      e += (cur_[b0 + r] - ref_cur_[b0 + r]) * li;
+    }
+  }
+  return 0.5 * e;
 }
 
 }  // namespace rlcx::ckt

@@ -65,7 +65,26 @@ class CompanionSystem {
   /// into `row` — reconstructed mid nodes included — and advances the
   /// inductor history.  False when some node voltage is not finite or
   /// |v| > bound: the divergence guard, over every node in the same pass.
-  bool advance(const double* x, double* row, double bound);
+  /// With `keep_currents` the step's branch currents are kept for
+  /// deviation_energy().
+  bool advance(const double* x, double* row, double bound,
+               bool keep_currents);
+
+  /// Whether every coupled group's inductance block is positive definite.
+  /// R and C are positive by construction, so then every term of
+  /// deviation_energy() is non-negative; an indefinite L (legal pairwise
+  /// couplings that sum to a non-physical matrix) breaks that.
+  bool passive() const;
+
+  /// Sets the DC point, laid out as `mna`, that deviation_energy()
+  /// measures from.
+  void set_reference(const Mna& mna, const std::vector<double>& xdc);
+
+  /// Energy stored in the deviation from the reference point at the step
+  /// whose node row is `row`, which advance() wrote with keep_currents:
+  /// 1/2 sum C (dv)^2 over the capacitors plus 1/2 di^T L di over the
+  /// inductor currents of every coupled group [J].
+  double deviation_energy(const double* row) const;
 
  private:
   struct CapCompanion {
@@ -96,10 +115,15 @@ class CompanionSystem {
   // blocks start at block_ptr_[g].
   std::vector<std::size_t> group_ptr_, block_ptr_;
   std::vector<Branch> branches_;
-  std::vector<double> y_, q_;
+  // Per group: Y, Q and the inductance L [H].
+  std::vector<double> y_, q_, l_;
   // State per branch: the history current J = Y * hist; scratch for the
   // step's u and i.
   std::vector<double> yh_, scratch_;
+  // The energy certificate's view: branch currents of the last step
+  // advanced with keep_currents, and the reference point's branch
+  // currents and capacitor voltages.
+  std::vector<double> cur_, ref_cur_, ref_cap_;
 };
 
 }  // namespace rlcx::ckt

@@ -1,5 +1,7 @@
 #include "ckt/mna.h"
 
+#include <utility>
+
 namespace rlcx::ckt {
 
 Mna::Mna(const Netlist& netlist)
@@ -68,6 +70,24 @@ numeric::CscMatrix Mna::g_matrix() const {
   std::vector<numeric::Triplet> t;
   stamp_g(t);
   return numeric::CscMatrix::from_triplets(dim_, t);
+}
+
+std::vector<std::vector<double>> Mna::dc_points(
+    std::span<const double> times) const {
+  std::vector<numeric::Triplet> t;
+  stamp_g(t);
+  for (std::size_t j = 0; j < nl_.inductors().size(); ++j)
+    t.push_back({inductor_row(j), inductor_row(j), -1e-9});
+  numeric::SparseLu lu(numeric::CscMatrix::from_triplets(dim_, t));
+  std::vector<std::vector<double>> out;
+  for (const double time : times) {
+    std::vector<double> x(dim_, 0.0);
+    for (std::size_t k = 0; k < nl_.vsources().size(); ++k)
+      x[vsource_row(k)] = nl_.vsources()[k].waveform.eval(time);
+    lu.solve(x);
+    out.push_back(std::move(x));
+  }
+  return out;
 }
 
 }  // namespace rlcx::ckt

@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "ckt/netlist.h"
@@ -50,6 +51,13 @@ class Mna {
 
   /// The assembled G.
   numeric::CscMatrix g_matrix() const;
+
+  /// DC operating points in this layout — capacitors open, inductors
+  /// shorted, every source at its value at each of `times` — from one
+  /// factorisation of G.  A -1e-9 ohm series term on every inductor row
+  /// keeps G regular when inductors close a loop (a short circuit at DC).
+  std::vector<std::vector<double>> dc_points(
+      std::span<const double> times) const;
 
  private:
   void stamp_pair(NodeId a, NodeId b, double g,

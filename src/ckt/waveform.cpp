@@ -42,11 +42,6 @@ double Waveform::min() const {
   return *std::min_element(samples_.begin(), samples_.end());
 }
 
-double Waveform::overshoot() const {
-  const double peak = max();
-  return peak > final() ? peak - final() : 0.0;
-}
-
 double Waveform::undershoot() const {
   const double trough = min();
   return trough < 0.0 ? -trough : 0.0;

@@ -31,11 +31,7 @@ class Waveform {
 
   double max() const;
   double min() const;
-  double final() const { return samples_.empty() ? 0.0 : samples_.back(); }
 
-  /// Overshoot above the settled value (0 if none) — the paper's Figure 3
-  /// phenomenon.
-  double overshoot() const;
   /// Undershoot below 0 (positive magnitude, 0 if none).
   double undershoot() const;
 

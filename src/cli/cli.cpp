@@ -547,6 +547,13 @@ int cmd_delay(const Args& args, std::ostream& out, ProviderSource* warm) {
   ckt::TransientOptions topt;
   topt.t_stop = 10.0 * tr + 1e-9;
   topt.dt = tr / 200.0;
+  // The printed measures: both 50 % crossings, the sink's overshoot above
+  // vdd and undershoot below 0.  A CSV wants the whole waveform, so it
+  // registers none and marches to t_stop.
+  if (!args.has("csv")) {
+    topt.measures.crossings = {{buf, 0.5 * vdd}, {outs[0], 0.5 * vdd}};
+    topt.measures.extremes = {{outs[0], vdd, 0.0}};
+  }
   const ckt::TransientResult res = ckt::simulate(nl, topt);
   const ckt::Waveform wbuf = res.waveform(buf);
   const ckt::Waveform wsink = res.waveform(outs[0]);

@@ -5,11 +5,22 @@
 
 namespace rlcx::clocktree {
 
+ckt::MeasureSet skew_measures(const TreeNetlist& tree, double vdd) {
+  ckt::MeasureSet m;
+  m.crossings.push_back({tree.driver_out, 0.5 * vdd});
+  for (const ckt::NodeId sink : tree.sinks) {
+    m.crossings.push_back({sink, 0.5 * vdd});
+    m.extremes.push_back({sink, vdd, 0.0});
+  }
+  return m;
+}
+
 SkewResult analyze_skew(const HTreeSpec& spec, const TreeSegments& segments,
                         const AnalysisOptions& options) {
   const TreeNetlist tree = build_tree_netlist(spec, segments, options.ladder);
 
   ckt::TransientOptions topt;
+  topt.measures = skew_measures(tree, spec.driver.vdd);
   topt.dt = options.dt > 0.0 ? options.dt : spec.driver.t_rise / 50.0;
   if (options.t_stop > 0.0) {
     topt.t_stop = options.t_stop;

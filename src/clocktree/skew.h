@@ -32,6 +32,13 @@ struct AnalysisOptions {
   double dt = 0.0;      ///< 0 -> auto (rise time / 50)
 };
 
+/// What analyze_skew reads from the tree's transient: the 50 % crossing
+/// of the driver output and of every sink, and every sink's max (floored
+/// at vdd: the overshoot) and min (capped at 0: the undershoot).
+/// Registered with the transient, it lets the march stop once they are
+/// final.
+ckt::MeasureSet skew_measures(const TreeNetlist& tree, double vdd);
+
 /// Skew of the tree whose segments are already extracted
 /// (extract_tree_segments of the same spec).
 SkewResult analyze_skew(const HTreeSpec& spec, const TreeSegments& segments,

@@ -170,7 +170,8 @@ TransientResult dense_transient_reference(const Netlist& nl,
     ind_v[j] = 0.0;  // DC: shorted
   }
 
-  for (int n = 1; n <= nn; ++n) result.set_voltage(n, 0, node_v(x0, n));
+  double* row0 = result.append_row().data();
+  for (int n = 1; n <= nn; ++n) row0[n] = node_v(x0, n);
 
   std::vector<double> rhs(dim, 0.0);
   for (std::size_t step = 1; step < steps; ++step) {
@@ -209,7 +210,8 @@ TransientResult dense_transient_reference(const Netlist& nl,
       ind_v[j] = node_v(x, l.a) - node_v(x, l.b);
     }
 
-    for (int n = 1; n <= nn; ++n) result.set_voltage(n, step, node_v(x, n));
+    double* row = result.append_row().data();
+    for (int n = 1; n <= nn; ++n) row[n] = node_v(x, n);
   }
   return result;
 }

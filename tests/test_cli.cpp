@@ -1,6 +1,7 @@
 // Tests for the command-line front end (driven through run()).
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -126,6 +127,32 @@ TEST(Cli, DelayWritesCsv) {
   std::string header;
   std::getline(f, header);
   EXPECT_EQ(header, "time,buf,sink");
+}
+
+TEST(Cli, DelayCsvMarchesInFullAndPrintsTheSameMeasures) {
+  // Without --csv the transient stops once its measures are certified;
+  // with it, the whole waveform to t_stop = 10 t_r + 1 ns is written.  The
+  // printed delay and overshoot lines agree either way.
+  const testing::ScratchDir scratch("rlcx_cli");
+  const std::string path = scratch.file("wave.csv");
+  const std::vector<std::string> base{"delay", "--length-um", "3000",
+                                      "--trise-ps", "100"};
+  const Result stopped = drive(base);
+  ASSERT_EQ(stopped.code, 0) << stopped.err;
+  std::vector<std::string> with_csv = base;
+  with_csv.insert(with_csv.end(), {"--csv", path});
+  const Result full = drive(with_csv);
+  ASSERT_EQ(full.code, 0) << full.err;
+  EXPECT_EQ(full.out.substr(0, stopped.out.size()), stopped.out);
+
+  std::ifstream f(path);
+  std::string line;
+  std::size_t rows = 0;
+  std::getline(f, line);  // header
+  while (std::getline(f, line)) ++rows;
+  const double tr = 100e-12;
+  EXPECT_EQ(rows, static_cast<std::size_t>(
+                      std::ceil((10.0 * tr + 1e-9) / (tr / 200.0))) + 1);
 }
 
 TEST(Cli, ExtractCustomTraces) {

@@ -166,7 +166,8 @@ TEST(StampSegment, SimulatedDcResistanceMatches) {
   topt.t_stop = 20e-9;
   topt.dt = 10e-12;
   const auto res = ckt::simulate(nl, topt);
-  const double v_end = res.waveform(end).final();
+  const ckt::Waveform w_end = res.waveform(end);
+  const double v_end = w_end.sample(w_end.size() - 1);
   // Divider: 100 / (100 + R_wire + 100).
   const double r_wire = seg.resistance[1];
   EXPECT_NEAR(v_end, 100.0 / (200.0 + r_wire), 2e-3);
