@@ -8,7 +8,6 @@
 // single-frequency table approximation matters across rise times.
 #include <cstdio>
 #include <complex>
-#include <vector>
 
 #include "ckt/ac.h"
 #include "core/inductance_model.h"
@@ -32,18 +31,12 @@ int main() {
   std::printf("loop R and L of a 2000 um Figure-1 section vs frequency:\n");
   std::printf("%12s %12s %12s %14s %16s\n", "f (GHz)", "R (ohm)", "L (nH)",
               "skin depth um", "t_rise equiv ps");
-  // The sweep points are independent solves; sweep_loop fans them across
-  // the rt pool and returns them in input order, each bit-identical to a
-  // standalone extract_loop call.
-  const std::vector<double> freqs = {0.05e9, 0.2e9, 0.8e9, 1.6e9, 3.2e9,
-                                     6.4e9, 12.8e9, 25.6e9};
-  solver::SolveOptions sweep_base;
-  sweep_base.max_filaments_per_dim = 5;
-  const std::vector<solver::LoopResult> sweep =
-      solver::sweep_loop(net, sweep_base, freqs);
-  for (std::size_t i = 0; i < freqs.size(); ++i) {
-    const double f = freqs[i];
-    const solver::LoopResult& r = sweep[i];
+  for (double f : {0.05e9, 0.2e9, 0.8e9, 1.6e9, 3.2e9, 6.4e9, 12.8e9,
+                   25.6e9}) {
+    solver::SolveOptions opt;
+    opt.frequency = f;
+    opt.max_filaments_per_dim = 5;
+    const solver::LoopResult r = solver::extract_loop(net, opt);
     std::printf("%12.2f %12.4f %12.4f %14.3f %16.1f\n", units::to_ghz(f),
                 r.resistance(0, 0), units::to_nh(r.inductance(0, 0)),
                 units::to_um(peec::skin_depth(tech.layer(6).rho, f)),

@@ -41,7 +41,6 @@
 #include "core/table_builder.h"
 #include "geom/technology.h"
 #include "numeric/ldlt.h"
-#include "numeric/lu.h"
 #include "numeric/matrix.h"
 #include "numeric/simd.h"
 #include "peec/assembly.h"
@@ -51,6 +50,7 @@
 #include "rt/pool.h"
 #include "solver/frequency.h"
 #include "support/direct_fill_reference.h"
+#include "support/lu_reference.h"
 #include "support/partial_reference.h"
 
 using namespace rlcx;

@@ -91,8 +91,9 @@ Case run_case(std::size_t sinks, bool inductance) {
   c.sinks = sinks;
   c.inductance = inductance;
 
-  c.mna_dim = ckt::Mna(nl).dim();
-  const ckt::CompanionSystem sys(nl, topt.dt);
+  const ckt::Mna mna(nl);
+  c.mna_dim = mna.dim();
+  const ckt::CompanionSystem sys(mna, topt.dt);
   const numeric::CscMatrix& a = sys.matrix();
   c.dim = a.dim();
   c.nnz_a = a.nnz();

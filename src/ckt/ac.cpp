@@ -4,8 +4,7 @@
 #include <stdexcept>
 
 #include "ckt/mna.h"
-#include "numeric/lu.h"
-#include "numeric/matrix.h"
+#include "numeric/sparse_lu.h"
 
 namespace rlcx::ckt {
 
@@ -13,10 +12,17 @@ namespace {
 
 using Complex = std::complex<double>;
 
-/// Assemble and solve the complex MNA system A = G + jwC for one
+/// Assemble and solve the complex MNA system (G + jwC) x = b for one
 /// excitation.  `vsource_amplitudes` has one entry per voltage source;
 /// `inject` adds a 1 A current source between two nodes (pass {-1,-1} for
-/// none).
+/// none).  The system goes through the transient's sparse factor as its
+/// real 2n-equivalent
+///
+///   [ G  -wC ] [x_r]   [b_r]
+///   [ wC   G ] [x_i] = [b_i],
+///
+/// whose work and memory follow the nonzeros of G and C, not n^2.  Every
+/// excitation here is real, so b_i = 0.
 std::vector<Complex> solve_mna(const Netlist& nl, double frequency,
                                const std::vector<double>& vsource_amplitudes,
                                std::pair<NodeId, NodeId> inject) {
@@ -28,27 +34,33 @@ std::vector<Complex> solve_mna(const Netlist& nl, double frequency,
   std::vector<numeric::Triplet> g, c;
   mna.stamp_g(g);
   mna.stamp_c(2.0 * std::numbers::pi * frequency, c);
-  ComplexMatrix a(dim, dim);
-  for (const numeric::Triplet& t : g) a(t.row, t.col) += t.value;
-  for (const numeric::Triplet& t : c)
-    a(t.row, t.col) += Complex(0.0, t.value);
+  std::vector<numeric::Triplet> a;
+  a.reserve(2 * (g.size() + c.size()));
+  for (const numeric::Triplet& t : g) {
+    a.push_back(t);
+    a.push_back({dim + t.row, dim + t.col, t.value});
+  }
+  for (const numeric::Triplet& t : c) {
+    a.push_back({t.row, dim + t.col, -t.value});
+    a.push_back({dim + t.row, t.col, t.value});
+  }
+  numeric::SparseLu lu(numeric::CscMatrix::from_triplets(2 * dim, a));
 
-  std::vector<Complex> rhs(dim, Complex(0.0, 0.0));
+  std::vector<double> x(2 * dim, 0.0);
   for (std::size_t k = 0;
        k < nl.vsources().size() && k < vsource_amplitudes.size(); ++k)
-    rhs[mna.vsource_row(k)] = vsource_amplitudes[k];
+    x[mna.vsource_row(k)] = vsource_amplitudes[k];
   if (inject.first >= 0) {
-    if (inject.first != kGround) rhs[mna.node_row(inject.first)] += 1.0;
-    if (inject.second != kGround) rhs[mna.node_row(inject.second)] -= 1.0;
+    if (inject.first != kGround) x[mna.node_row(inject.first)] += 1.0;
+    if (inject.second != kGround) x[mna.node_row(inject.second)] -= 1.0;
   }
-
-  LuDecomposition<Complex> lu(std::move(a));
-  const std::vector<Complex> x = lu.solve(rhs);
+  lu.solve(x);
 
   std::vector<Complex> node_v(static_cast<std::size_t>(nl.node_count()),
                               Complex(0.0, 0.0));
   for (NodeId n = 1; n < nl.node_count(); ++n)
-    node_v[static_cast<std::size_t>(n)] = x[mna.node_row(n)];
+    node_v[static_cast<std::size_t>(n)] =
+        Complex(x[mna.node_row(n)], x[dim + mna.node_row(n)]);
   return node_v;
 }
 

@@ -1,4 +1,6 @@
-// Small-signal AC analysis: complex MNA at a single frequency.
+// Small-signal AC analysis: complex MNA at a single frequency, solved
+// through the same sparse factor as DC, moments and the transient
+// (numeric/sparse_lu.h).
 //
 // Complements the transient engine: frequency responses, driving-point
 // impedances (what the clock buffer sees looking into the tree), and an

@@ -57,8 +57,9 @@ std::size_t invert(std::vector<double>& m, std::size_t k) {
 
 }  // namespace
 
-CompanionSystem::CompanionSystem(const Netlist& nl, double dt)
-    : nl_(nl), dt_(dt) {
+CompanionSystem::CompanionSystem(const Mna& mna, double dt)
+    : nl_(mna.netlist()), dt_(dt) {
+  const Netlist& nl = nl_;
   const auto nodes = static_cast<std::size_t>(nl.node_count());
   const std::vector<Inductor>& inds = nl.inductors();
   const std::size_t nind = inds.size();
@@ -137,7 +138,7 @@ CompanionSystem::CompanionSystem(const Netlist& nl, double dt)
     members[g].push_back(j);
   }
 
-  const numeric::CscMatrix lmat = Mna(nl).inductance();
+  const numeric::CscMatrix lmat = mna.inductance();
   const double s = 2.0 / dt;  // the MNA transient's scale of C and L
   std::vector<std::size_t> pos(nind);
   group_ptr_.push_back(0);
@@ -256,16 +257,20 @@ void CompanionSystem::start(const Mna& mna, const std::vector<double>& x0) {
   // DC: no capacitor current, i.e. geq v - ieq = 0 exactly on step 1.
   for (CapCompanion& c : caps_) c.ieq = c.geq * (v(c.a) - v(c.b));
   // DC: every inductor is shorted, so its history is -(2/dt) L i alone,
-  // with the MNA march's coefficients.
-  const numeric::CscMatrix lmat = mna.inductance();
+  // with the MNA march's coefficients.  Column r of a group's L block is
+  // inductor r's column of the MNA inductance matrix, rows ascending; the
+  // block's structural zeros leave the sum as it is.
   double* hist = scratch_.data();
-  for (std::size_t b = 0; b < branches_.size(); ++b) {
-    const std::size_t j = branches_[b].inductor;
-    double h = 0.0;
-    for (std::size_t p = lmat.col_ptr()[j]; p < lmat.col_ptr()[j + 1]; ++p)
-      h -= 2.0 * lmat.values()[p] / dt_ *
-           x0[mna.inductor_row(lmat.row_idx()[p])];
-    hist[b] = h;
+  for (std::size_t g = 0; g + 1 < group_ptr_.size(); ++g) {
+    const std::size_t b0 = group_ptr_[g], k = group_ptr_[g + 1] - b0;
+    const double* l = l_.data() + block_ptr_[g];
+    for (std::size_t r = 0; r < k; ++r) {
+      double h = 0.0;
+      for (std::size_t c = 0; c < k; ++c)
+        h -= 2.0 * l[c * k + r] / dt_ *
+             x0[mna.inductor_row(branches_[b0 + c].inductor)];
+      hist[b0 + r] = h;
+    }
   }
   for (std::size_t g = 0; g + 1 < group_ptr_.size(); ++g) {
     const std::size_t b0 = group_ptr_[g], k = group_ptr_[g + 1] - b0;

@@ -41,11 +41,12 @@ namespace rlcx::ckt {
 
 class CompanionSystem {
  public:
-  /// Classifies and condenses `netlist` for the fixed step `dt`.  Throws
+  /// Classifies and condenses the netlist of `mna` for the fixed step `dt`,
+  /// keeping that netlist's address (the Mna itself is not kept).  Throws
   /// diag::SingularSystem, naming an inductor, when a group's
   /// diag(alpha R) + (2/dt) L block has an exactly zero or non-finite pivot
   /// (a singular L with no series R).
-  CompanionSystem(const Netlist& netlist, double dt);
+  CompanionSystem(const Mna& mna, double dt);
 
   /// Unknowns of the condensed system.
   std::size_t dim() const { return dim_; }
@@ -53,7 +54,7 @@ class CompanionSystem {
   const numeric::CscMatrix& matrix() const { return matrix_; }
 
   /// Loads the companion state from the DC operating point `x0`, laid out
-  /// as `mna`.
+  /// as `mna` (the one the system was built from).
   void start(const Mna& mna, const std::vector<double>& x0);
 
   /// Right-hand side of the step ending at time t into `rhs`, which has

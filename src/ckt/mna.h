@@ -3,7 +3,7 @@
 // Unknowns: node voltages 1..N-1 (ground is eliminated), then one branch
 // current per voltage source, then one per inductor.  The DC operating
 // point and the moment recursion factor some  A = G + s C  over this layout
-// (AC analysis densifies it at s = jw, ckt/ac.cpp):
+// (AC analysis factors its real 2n-equivalent at s = jw, ckt/ac.cpp):
 //   G — Gmin from every node to ground, resistor conductances, and the
 //       +-1 incidence of voltage-source and inductor branches (an inductor
 //       row reads v_a - v_b, a short at DC);
@@ -32,6 +32,7 @@ class Mna {
  public:
   explicit Mna(const Netlist& netlist);
 
+  const Netlist& netlist() const { return nl_; }
   std::size_t dim() const { return dim_; }
   std::size_t node_row(NodeId n) const {
     return static_cast<std::size_t>(n - 1);

@@ -206,7 +206,7 @@ TransientResult simulate(const Netlist& nl, const TransientOptions& opt) {
       "transient", result_bytes(steps, nl.node_count()));
 
   // The condensed system: constant for a fixed dt, factored once.
-  CompanionSystem sys(nl, dt);
+  CompanionSystem sys(mna, dt);
   numeric::SparseLu lu(sys.matrix());
   // A registered march also measures from the final DC point: one more
   // solve with the same factor.

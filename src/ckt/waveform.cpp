@@ -56,24 +56,6 @@ double delay_50(const Waveform& from, const Waveform& to, double swing) {
   return *t1 - *t0;
 }
 
-double skew_50(const Waveform& from, const std::vector<Waveform>& sinks,
-               double swing) {
-  if (sinks.empty()) throw std::invalid_argument("skew_50: no sinks");
-  double lo = 0.0, hi = 0.0;
-  bool first = true;
-  for (const Waveform& s : sinks) {
-    const double d = delay_50(from, s, swing);
-    if (first) {
-      lo = hi = d;
-      first = false;
-    } else {
-      lo = std::min(lo, d);
-      hi = std::max(hi, d);
-    }
-  }
-  return hi - lo;
-}
-
 void write_csv(std::ostream& os,
                const std::vector<std::pair<std::string, Waveform>>& waves) {
   if (waves.empty()) throw std::invalid_argument("write_csv: no waveforms");

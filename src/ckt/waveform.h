@@ -1,5 +1,5 @@
-// Simulated waveforms and the measurements the paper reports: 50 % delay,
-// overshoot/undershoot, clock skew.
+// Simulated waveforms and the measurements the paper reports: 50 % delay
+// and overshoot/undershoot (clocktree::analyze_skew measures skew).
 #pragma once
 
 #include <iosfwd>
@@ -44,11 +44,6 @@ class Waveform {
 /// sink waveform, as in the paper's Figures 2-3 (28.01 ps vs 47.6 ps).
 /// Throws if either waveform never crosses the threshold.
 double delay_50(const Waveform& from, const Waveform& to, double swing);
-
-/// Clock skew: max minus min 50 % arrival across sinks, measured from a
-/// common reference waveform.
-double skew_50(const Waveform& from, const std::vector<Waveform>& sinks,
-               double swing);
 
 /// Dump waveforms as CSV ("time,<name1>,<name2>,..."), one row per sample
 /// of the first waveform; all waveforms must share dt and length.

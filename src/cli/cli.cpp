@@ -101,7 +101,7 @@ geom::Block make_custom(const geom::Technology& tech, const Args& args,
     geom::Trace t;
     t.role = tok[0] == 'g' ? geom::TraceRole::kGround
                            : geom::TraceRole::kSignal;
-    t.width = um(std::stod(tok.substr(2)));
+    t.width = um(parse_num("traces", tok.substr(2)));
     t.name = std::string(1, tok[0]) + std::to_string(traces.size());
     traces.push_back(t);
     widths.push_back(t.width);
@@ -109,7 +109,7 @@ geom::Block make_custom(const geom::Technology& tech, const Args& args,
   std::vector<double> spacings;
   if (args.has("spacings"))
     for (const std::string& tok : split_commas(args.get("spacings", "")))
-      spacings.push_back(um(std::stod(tok)));
+      spacings.push_back(um(parse_num("spacings", tok)));
   else
     spacings.assign(traces.size() > 0 ? traces.size() - 1 : 0,
                     um(args.get_num("spacing-um", 1.0)));
@@ -453,14 +453,10 @@ int cmd_batch(const Args& args, const run::RunControl& rc,
   const solver::SolveOptions sopt = solve_options(args);
   const core::TableGrid grid = grid_from_args(args);
 
+  // Each entry takes --layer's range.
   std::vector<int> layers;
-  for (const std::string& tok : split_commas(args.get("layers", "6"))) {
-    std::size_t pos = 0;
-    const int v = std::stoi(tok, &pos);
-    if (pos != tok.size())
-      throw diag::UsageError("cli", "bad --layers entry: " + tok);
-    layers.push_back(v);
-  }
+  for (const std::string& tok : split_commas(args.get("layers", "6")))
+    layers.push_back(parse_int("layers", tok, 1));
   std::vector<geom::PlaneConfig> plane_list;
   for (const std::string& tok : split_commas(args.get("planes-list", "none")))
     plane_list.push_back(parse_planes(tok));
@@ -602,43 +598,59 @@ std::string Args::get(const std::string& key,
   return it == options.end() ? fallback : it->second;
 }
 
-double Args::get_num(const std::string& key, double fallback) const {
-  const auto it = options.find(key);
-  if (it == options.end()) return fallback;
+double parse_num(const std::string& key, const std::string& token) {
   std::size_t pos = 0;
   double v = 0.0;
   try {
-    v = std::stod(it->second, &pos);
+    v = std::stod(token, &pos);
   } catch (const std::logic_error&) {  // no number, or beyond double range
     pos = std::string::npos;
   }
-  if (pos != it->second.size())
+  if (pos != token.size())
     throw diag::UsageError("cli", "bad numeric value for --" + key + ": " +
-                                      it->second);
+                                      token);
   return v;
 }
 
-double Args::get_num(const std::string& key, double fallback, double lo,
-                     double hi) const {
-  const double v = get_num(key, fallback);
+double parse_num(const std::string& key, const std::string& token, double lo,
+                 double hi) {
+  const double v = parse_num(key, token);
   if (!(v >= lo && v <= hi)) {
     std::ostringstream msg;
     msg << "--" << key << " must be a number from " << lo << " to " << hi
-        << ", got " << options.at(key);
+        << ", got " << token;
     throw diag::UsageError("cli", msg.str());
   }
   return v;
 }
 
-int Args::get_int(const std::string& key, int fallback, int lo,
-                  int hi) const {
-  const double v = get_num(key, fallback);
+int parse_int(const std::string& key, const std::string& token, int lo,
+              int hi) {
+  const double v = parse_num(key, token);
   if (!(v >= lo && v <= hi) || v != std::floor(v))
     throw diag::UsageError("cli", "--" + key + " must be an integer from " +
                                       std::to_string(lo) + " to " +
-                                      std::to_string(hi) + ", got " +
-                                      options.at(key));
+                                      std::to_string(hi) + ", got " + token);
   return static_cast<int>(v);
+}
+
+double Args::get_num(const std::string& key, double fallback) const {
+  const auto it = options.find(key);
+  return it == options.end() ? fallback : parse_num(key, it->second);
+}
+
+double Args::get_num(const std::string& key, double fallback, double lo,
+                     double hi) const {
+  const auto it = options.find(key);
+  return it == options.end() ? fallback
+                             : parse_num(key, it->second, lo, hi);
+}
+
+int Args::get_int(const std::string& key, int fallback, int lo,
+                  int hi) const {
+  const auto it = options.find(key);
+  return it == options.end() ? fallback
+                             : parse_int(key, it->second, lo, hi);
 }
 
 std::size_t estimate_request_bytes(const std::vector<std::string>& argv) {

@@ -41,8 +41,21 @@ struct Args {
               int hi = std::numeric_limits<int>::max()) const;
 };
 
+/// The checked conversions behind Args, one token at a time: `token` is
+/// the value of --`key` or one entry of a list-valued flag.  A token that
+/// is not wholly a number, or lies beyond double range, is a usage error
+/// naming the flag and the token.  The ranged forms also refuse NaN, an
+/// infinity and anything outside [lo, hi]; parse_int refuses a fraction.
+/// Each check runs before any cast.
+double parse_num(const std::string& key, const std::string& token);
+double parse_num(const std::string& key, const std::string& token, double lo,
+                 double hi);
+int parse_int(const std::string& key, const std::string& token, int lo,
+              int hi = std::numeric_limits<int>::max());
+
 /// Upper bounds of the real-valued resource flags (--mem-budget,
-/// --max-table-mib; --deadline-s, --request-deadline-s, --idle-timeout-s):
+/// --max-table-mib; --deadline-s, --request-deadline-s, --idle-timeout-s,
+/// and query's --connect-timeout-s, --timeout-s):
 /// far beyond any machine or run, and small enough that the byte and
 /// millisecond conversions they feed stay in range.
 inline constexpr double kMaxFlagMib = 1e9;      // ~1 PB

@@ -2,8 +2,6 @@
 
 #include <stdexcept>
 
-#include "core/batch_extractor.h"
-
 namespace rlcx::clocktree {
 
 namespace {
@@ -41,14 +39,19 @@ struct Builder {
 TreeSegments extract_tree_segments(const geom::Technology& tech,
                                    const HTreeSpec& spec,
                                    const core::InductanceLibrary& inductance,
-                                   const core::ExtractOptions& options,
-                                   rt::Pool* pool) {
+                                   const core::ExtractOptions& options) {
+  // Resolve every level's provider first: a missing structure class fails
+  // before any extraction work is spent.
   TreeSegments segs;
-  segs.blocks.reserve(spec.levels.size());
-  for (std::size_t lv = 0; lv < spec.levels.size(); ++lv)
+  std::vector<const core::InductanceProvider*> providers;
+  for (std::size_t lv = 0; lv < spec.levels.size(); ++lv) {
     segs.blocks.push_back(level_block(tech, spec, lv));
-  segs.rlc =
-      core::extract_segments_batch(segs.blocks, inductance, options, pool);
+    const geom::Block& b = segs.blocks.back();
+    providers.push_back(&inductance.provider(b.layer_index(), b.planes()));
+  }
+  for (std::size_t lv = 0; lv < spec.levels.size(); ++lv)
+    segs.rlc.push_back(
+        core::extract_segment_rlc(segs.blocks[lv], *providers[lv], options));
   return segs;
 }
 

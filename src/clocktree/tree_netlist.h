@@ -15,10 +15,6 @@
 #include "core/netlist_builder.h"
 #include "core/rlc_extractor.h"
 
-namespace rlcx::rt {
-class Pool;
-}
-
 namespace rlcx::clocktree {
 
 struct TreeNetlist {
@@ -34,15 +30,13 @@ struct TreeSegments {
   std::vector<core::SegmentRlc> rlc;
 };
 
-/// Extracts every level's segment in one parallel sweep over the rt pool
-/// (levels are independent blocks; results are bit-identical to extracting
-/// each level serially).  The library must hold a provider for every
-/// (layer, plane-config) the levels use — checked before any work runs.
+/// Extracts every level's segment, one table lookup per level.  The
+/// library must hold a provider for every (layer, plane-config) the levels
+/// use — checked before any work runs.
 TreeSegments extract_tree_segments(const geom::Technology& tech,
                                    const HTreeSpec& spec,
                                    const core::InductanceLibrary& inductance,
-                                   const core::ExtractOptions& options = {},
-                                   rt::Pool* pool = nullptr);
+                                   const core::ExtractOptions& options = {});
 
 /// Build the full netlist from the tree's extracted segments
 /// (extract_tree_segments of the same spec).  The extraction does not

@@ -299,30 +299,4 @@ BatchResult characterize_batch(const geom::Technology& tech,
   return res;
 }
 
-std::vector<SegmentRlc> extract_segments_batch(
-    const std::vector<geom::Block>& blocks,
-    const InductanceLibrary& library, const ExtractOptions& options,
-    rt::Pool* pool) {
-  // Resolve every provider up front: a missing structure class throws the
-  // same deterministic error regardless of pool schedule, before any
-  // extraction work is spent.
-  std::vector<const InductanceProvider*> providers(blocks.size());
-  for (std::size_t i = 0; i < blocks.size(); ++i)
-    providers[i] =
-        &library.provider(blocks[i].layer_index(), blocks[i].planes());
-
-  std::vector<SegmentRlc> out(blocks.size());
-  rt::ParallelOptions popt;
-  popt.grain = 1;
-  popt.pool = pool;
-  rt::parallel_for(0, blocks.size(),
-                   [&](std::size_t lo, std::size_t hi) {
-                     for (std::size_t i = lo; i < hi; ++i)
-                       out[i] = extract_segment_rlc(blocks[i], *providers[i],
-                                                    options);
-                   },
-                   popt);
-  return out;
-}
-
 }  // namespace rlcx::core

@@ -1,5 +1,5 @@
-// Batched characterisation and extraction (the "pre-computation campaign"
-// view of paper Section III).
+// Batched characterisation (the "pre-computation campaign" view of paper
+// Section III).
 //
 // characterize_batch() is the one code path that turns grid points into
 // solve tasks: a single build_tables()/build_tables_cached() is a one-job
@@ -26,7 +26,6 @@
 #include <cstddef>
 #include <vector>
 
-#include "core/rlc_extractor.h"
 #include "core/table_builder.h"
 #include "core/table_cache.h"
 
@@ -86,13 +85,5 @@ BatchResult characterize_batch(const geom::Technology& tech,
                                const std::vector<BatchJob>& jobs,
                                const solver::SolveOptions& opt,
                                const BatchOptions& options = {});
-
-/// Extracts every block's segment RLC concurrently (one task per block;
-/// result[i] corresponds to blocks[i], bit-identical to the serial call).
-/// The library must hold a provider for every block's structure class —
-/// checked up front so a missing provider fails before any work runs.
-std::vector<SegmentRlc> extract_segments_batch(
-    const std::vector<geom::Block>& blocks, const InductanceLibrary& library,
-    const ExtractOptions& options = {}, rt::Pool* pool = nullptr);
 
 }  // namespace rlcx::core

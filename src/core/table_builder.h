@@ -62,7 +62,7 @@ struct BuildStats {
   std::size_t memo_hits = 0;     ///< pairs served from the geometry memo
   // Impedance-solver counters (solver::solve_stats_total(); the filament
   // high-water is sampled, not delta'd).
-  std::size_t dense_solves = 0;   ///< impedance solves (blocked dense LU)
+  std::size_t dense_solves = 0;   ///< impedance solves (dense LDLᵀ)
   std::size_t max_filaments = 0;  ///< largest solve seen, in filaments
   // Batch kernel-engine counters (peec::batch_stats_total()).
   std::size_t batch_runs = 0;            ///< BatchEvaluator::run() calls

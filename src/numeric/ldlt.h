@@ -38,8 +38,8 @@ class ComplexSymmetricLdlt {
   /// or non-finite pivot throws diag::SingularSystem (stage "ldlt").
   explicit ComplexSymmetricLdlt(ComplexMatrix a);
 
-  /// Ratio of the largest to the smallest pivot magnitude — the same cheap
-  /// conditioning proxy LuDecomposition::condition_estimate reports.
+  /// Ratio of the largest to the smallest pivot magnitude: a cheap
+  /// conditioning proxy that lower-bounds the true condition number.
   double condition_estimate() const;
 
   /// PᵀA⁻¹P for an n×m `p`, as (L⁻¹P)ᵀ D⁻¹ (L⁻¹P): one unit-lower forward

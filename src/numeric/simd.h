@@ -1,5 +1,5 @@
 // Runtime SIMD dispatch policy for the explicitly vectorized kernels (the
-// peec batch kernel engine and the LU rank-update micro-kernel).
+// peec batch kernel engine and the LDLᵀ rank-update micro-kernel).
 //
 // The library ships up to three compilations of each engine kernel: a
 // portable baseline TU and (when the compiler supports them) a -mavx2 TU

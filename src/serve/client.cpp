@@ -13,6 +13,7 @@
 #include <random>
 #include <thread>
 
+#include "cli/cli.h"
 #include "diag/error.h"
 
 namespace rlcx::serve {
@@ -147,36 +148,30 @@ int query_main(const std::vector<std::string>& argv, std::ostream& out,
                                             ")");
       return argv[++i];
     };
-    const auto parse_num = [&](const char* flag,
-                               const std::string& text) -> double {
-      try {
-        std::size_t pos = 0;
-        const double v = std::stod(text, &pos);
-        if (pos != text.size() || v < 0) throw std::invalid_argument(text);
-        return v;
-      } catch (const std::exception&) {
-        throw diag::UsageError("serve", std::string(flag) +
-                                            ": expected a non-negative "
-                                            "number, got '" +
-                                            text + "'");
-      }
-    };
+    // The same checked conversions as cli::Args, before any cast: the
+    // timeouts are converted to int milliseconds, and the backoff of the
+    // last retry is 2^kMaxRetries times --backoff-ms.
+    constexpr int kMaxRetries = 30;
     std::string socket_path;
     for (; i < argv.size(); ++i) {
       const std::string& a = argv[i];
       if (a == "--retries")
-        retries = static_cast<int>(parse_num("--retries",
-                                             flag_value("--retries")));
+        retries = cli::parse_int("retries", flag_value("--retries"), 0,
+                                 kMaxRetries);
       else if (a == "--backoff-ms")
-        backoff_ms = parse_num("--backoff-ms", flag_value("--backoff-ms"));
+        backoff_ms = cli::parse_num("backoff-ms", flag_value("--backoff-ms"),
+                                    0.0, cli::kMaxFlagSeconds * 1000.0);
       else if (a == "--connect-timeout-s")
         options.connect_timeout_ms = static_cast<int>(
-            parse_num("--connect-timeout-s",
-                      flag_value("--connect-timeout-s")) *
+            cli::parse_num("connect-timeout-s",
+                           flag_value("--connect-timeout-s"), 0.0,
+                           cli::kMaxFlagSeconds) *
             1000.0);
       else if (a == "--timeout-s")
         options.io_timeout_ms = static_cast<int>(
-            parse_num("--timeout-s", flag_value("--timeout-s")) * 1000.0);
+            cli::parse_num("timeout-s", flag_value("--timeout-s"), 0.0,
+                           cli::kMaxFlagSeconds) *
+            1000.0);
       else if (a == "--socket") {
         socket_path = flag_value("--socket");
         ++i;
@@ -228,7 +223,7 @@ int query_main(const std::vector<std::string>& argv, std::ostream& out,
       const double sleep_ms = base * jitter(rng);
       err << "query: attempt " << (attempt + 1) << "/" << (budget + 1)
           << " failed (" << reason << "); retrying in "
-          << static_cast<int>(sleep_ms) << " ms\n";
+          << static_cast<long long>(sleep_ms) << " ms\n";
       std::this_thread::sleep_for(
           std::chrono::duration<double, std::milli>(sleep_ms));
     }

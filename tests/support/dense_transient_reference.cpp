@@ -17,8 +17,8 @@
 #include <utility>
 #include <vector>
 
-#include "numeric/lu.h"
 #include "numeric/matrix.h"
+#include "support/lu_reference.h"
 
 namespace rlcx::testing {
 

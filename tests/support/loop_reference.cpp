@@ -4,8 +4,8 @@
 #include <numbers>
 #include <vector>
 
-#include "numeric/lu.h"
 #include "peec/assembly.h"
+#include "support/lu_reference.h"
 
 namespace rlcx::solver {
 

@@ -1,9 +1,9 @@
 // Dense LU decomposition with partial pivoting, templated over the scalar
-// type: the textbook right-looking elimination.  In production it factors
-// the small non-symmetric complex systems of the circuit simulator's AC
-// analysis (ckt/ac.cpp); the transient's MNA systems go through
-// numeric/sparse_lu.h and the complex-symmetric filament impedance through
-// numeric/ldlt.h.  Tests use it as the general dense oracle of both.
+// type: the textbook right-looking elimination.  Production factors every
+// MNA system — DC, moments, AC and the transient — with numeric/sparse_lu.h
+// and the complex-symmetric filament impedance with numeric/ldlt.h; this
+// is the general dense oracle both are checked against.  It lives with the
+// tests so production keeps one factorisation per matrix class.
 #pragma once
 
 #include <cmath>

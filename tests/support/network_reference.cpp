@@ -3,8 +3,8 @@
 #include <complex>
 #include <numbers>
 
-#include "numeric/lu.h"
 #include "peec/assembly.h"
+#include "support/lu_reference.h"
 
 namespace rlcx::solver {
 

@@ -1,15 +1,99 @@
-// Validation of the AC small-signal engine against closed forms and against
-// the transient engine.
+// Validation of the AC small-signal engine against closed forms, against
+// the transient engine, and against the dense complex LU on H-tree
+// netlists.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <complex>
 #include <numbers>
+#include <vector>
 
 #include "ckt/ac.h"
+#include "ckt/mna.h"
 #include "ckt/transient.h"
+#include "diag/error.h"
+#include "support/htree_fixture.h"
+#include "support/lu_reference.h"
 
 namespace rlcx::ckt {
 namespace {
+
+using Complex = std::complex<double>;
+
+/// Node voltages of (G + jwC) x = b, with G + jwC densified and factored by
+/// the textbook LU: the oracle of the sparse AC solve.  `rhs` is indexed
+/// by MNA row.
+std::vector<Complex> dense_ac(const Netlist& nl, double frequency,
+                              const std::vector<Complex>& rhs) {
+  const Mna mna(nl);
+  std::vector<numeric::Triplet> g, c;
+  mna.stamp_g(g);
+  mna.stamp_c(2.0 * std::numbers::pi * frequency, c);
+  ComplexMatrix a(mna.dim(), mna.dim());
+  for (const numeric::Triplet& t : g) a(t.row, t.col) += t.value;
+  for (const numeric::Triplet& t : c)
+    a(t.row, t.col) += Complex(0.0, t.value);
+  const std::vector<Complex> x =
+      LuDecomposition<Complex>(std::move(a)).solve(rhs);
+  std::vector<Complex> v(static_cast<std::size_t>(nl.node_count()));
+  for (NodeId n = 1; n < nl.node_count(); ++n)
+    v[static_cast<std::size_t>(n)] = x[mna.node_row(n)];
+  return v;
+}
+
+double max_abs(const std::vector<Complex>& v) {
+  double m = 0.0;
+  for (const Complex& z : v) m = std::max(m, std::abs(z));
+  return m;
+}
+
+TEST(Ac, SparseSolveMatchesDenseLuOnHTrees) {
+  // 4- and 16-sink CPW trees, RLC(K) and RC, from 0.1 to 20 GHz: the
+  // source-driven node voltages and the driving-point impedance agree with
+  // the dense LU to 1e-11 of the largest node voltage.
+  for (const std::size_t sinks : {4u, 16u})
+    for (const bool inductance : {true, false}) {
+      const clocktree::TreeNetlist tree =
+          testing::htree_netlist(testing::cpw_htree(sinks, false), inductance);
+      const Netlist& nl = tree.netlist;
+      const Mna mna(nl);
+      for (const double f : {0.1e9, 2e9, 20e9}) {
+        SCOPED_TRACE(::testing::Message()
+                     << sinks << " sinks, " << (inductance ? "RLC" : "RC")
+                     << ", " << f << " Hz");
+        std::vector<Complex> drive(mna.dim());
+        drive[mna.vsource_row(0)] = 1.0;
+        const std::vector<Complex> want = dense_ac(nl, f, drive);
+        const std::vector<Complex> got = ac_solve(nl, f);
+        ASSERT_EQ(got.size(), want.size());
+        const double tol = 1e-11 * max_abs(want);
+        for (std::size_t n = 0; n < want.size(); ++n)
+          EXPECT_LE(std::abs(got[n] - want[n]), tol) << "node " << n;
+
+        std::vector<Complex> inject(mna.dim());
+        inject[mna.node_row(tree.driver_out)] = 1.0;
+        const std::vector<Complex> port = dense_ac(nl, f, inject);
+        const Complex z_want =
+            port[static_cast<std::size_t>(tree.driver_out)];
+        EXPECT_LE(std::abs(ac_input_impedance(nl, f, tree.driver_out) -
+                           z_want),
+                  1e-11 * max_abs(port));
+      }
+    }
+}
+
+TEST(Ac, LoopOfVoltageSourcesIsSingular) {
+  // Two ideal sources in parallel close a loop of voltage sources: the
+  // system is singular, a typed numeric failure.
+  Netlist nl;
+  const NodeId a = nl.add_node();
+  nl.add_vsource(a, kGround, SourceWaveform::dc(1.0));
+  nl.add_vsource(a, kGround, SourceWaveform::dc(2.0));
+  nl.add_resistor(a, kGround, 50.0);
+  EXPECT_THROW(ac_solve(nl, 1e9), diag::SingularSystem);
+  EXPECT_THROW(ac_input_impedance(nl, 1e9, a), diag::SingularSystem);
+}
 
 TEST(Ac, RcLowPassMagnitudeAndPhase) {
   Netlist nl;

@@ -115,8 +115,6 @@ TEST(WaveformApi, DelayAndSkew) {
   const double d1 = delay_50(ref, s1, 1.0);
   const double d2 = delay_50(ref, s2, 1.0);
   EXPECT_NEAR(d2 - d1, 1e-12, 1e-18);
-  EXPECT_NEAR(skew_50(ref, {s1, s2}, 1.0), 1e-12, 1e-18);
-  EXPECT_THROW(skew_50(ref, {}, 1.0), std::invalid_argument);
   Waveform flat(1e-12, {0.0, 0.0});
   EXPECT_THROW(delay_50(ref, flat, 1.0), std::runtime_error);
   EXPECT_THROW(delay_50(ref, s1, 0.0), std::invalid_argument);

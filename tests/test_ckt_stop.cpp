@@ -286,7 +286,7 @@ TEST(TransientStop, DeviationEnergyNeverRisesAfterTheLastBreakpoint) {
     const Mna mna(nl);
     const std::vector<double> times{0.0, t_final};
     const std::vector<std::vector<double>> dc = mna.dc_points(times);
-    CompanionSystem sys(nl, c.opt.dt);
+    CompanionSystem sys(mna, c.opt.dt);
     numeric::SparseLu lu(sys.matrix());
     sys.start(mna, dc[0]);
     sys.set_reference(mna, dc[1]);
@@ -405,7 +405,7 @@ TEST(TransientStop, IndefiniteInductanceIsNeverCertified) {
   opt.t_stop = 5e-9;
   opt.dt = 1e-12;
   opt.measures.extremes = {{out[0], 1.0, 0.0}};
-  EXPECT_FALSE(CompanionSystem(nl, opt.dt).passive());
+  EXPECT_FALSE(CompanionSystem(Mna(nl), opt.dt).passive());
   EXPECT_THROW(simulate(nl, opt), diag::NumericError);
 }
 

@@ -5,9 +5,11 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <tuple>
 
 #include "cli/cli.h"
 #include "run/fault_injection.h"
+#include "serve/client.h"
 #include "serve/server.h"
 #include "support/scratch_dir.h"
 
@@ -332,6 +334,67 @@ TEST(Cli, RealFlagsRefuseNanInfinityAndOutOfRange) {
       EXPECT_EQ(r.out, "") << "refused after work began: " << r.out;
     }
   }
+}
+
+TEST(Cli, ListFlagEntriesRefuseWhatTheScalarFlagsRefuse) {
+  // Every entry of --layers, --traces and --spacings goes through the
+  // scalar flags' checked conversion: exit 2 naming the flag and the
+  // token, before any work.  --layers entries take --layer's range.
+  const testing::ScratchDir scratch("rlcx_cli_list_flags");
+  const std::string cache = scratch.file("cache");
+  const std::vector<std::tuple<std::string, std::string,
+                               std::vector<std::string>>>
+      cases = {
+          {"--layers", "99999999999",
+           {"batch", "--table-cache", cache, "--layers", "99999999999"}},
+          {"--layers", "abc",
+           {"batch", "--table-cache", cache, "--layers", "6,abc"}},
+          {"--layers", "0", {"batch", "--table-cache", cache, "--layers", "0"}},
+          {"--layers", "2.5",
+           {"batch", "--table-cache", cache, "--layers", "2.5"}},
+          {"--traces", "1e400",
+           {"extract", "--traces", "g:1e400,s:5,g:5"}},
+          {"--traces", "5x", {"extract", "--traces", "g:5,s:5x,g:5"}},
+          {"--spacings", "1e400",
+           {"extract", "--traces", "g:5,s:10,g:5", "--spacings",
+            "1e400,1"}},
+      };
+  for (const auto& [flag, token, argv] : cases) {
+    const Result r = drive(argv);
+    EXPECT_EQ(r.code, 2) << flag << " " << token << ": " << r.err;
+    EXPECT_NE(r.err.find(flag), std::string::npos) << r.err;
+    EXPECT_NE(r.err.find(token), std::string::npos) << r.err;
+    EXPECT_EQ(r.out, "") << "refused after work began: " << r.out;
+  }
+  EXPECT_FALSE(std::filesystem::exists(cache));
+}
+
+TEST(Cli, QueryFlagsRefuseNanHugeAndFractions) {
+  // query's --retries feeds an int and a shift, its timeouts an int of
+  // milliseconds: each is checked like cli::Args' flags and refused with
+  // exit 2 before any connect (a socket that does not exist would exit 3).
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"--retries", "nan"},          {"--retries", "1e30"},
+      {"--retries", "2.5"},          {"--retries", "-1"},
+      {"--connect-timeout-s", "1e30"}, {"--connect-timeout-s", "inf"},
+      {"--timeout-s", "nan"},        {"--timeout-s", "-1"},
+      {"--backoff-ms", "inf"},       {"--backoff-ms", "nan"},
+  };
+  for (const auto& [flag, value] : cases) {
+    std::ostringstream out, err;
+    const int code = serve::query_main(
+        {"query", flag, value, "--socket", "/nonexistent/rlcx.sock", "ping"},
+        out, err);
+    EXPECT_EQ(code, 2) << flag << " " << value << ": " << err.str();
+    EXPECT_NE(err.str().find(flag), std::string::npos) << err.str();
+  }
+  // In-range values get past parsing and fail at the connect.
+  std::ostringstream out, err;
+  EXPECT_EQ(serve::query_main({"query", "--retries", "0", "--timeout-s", "1",
+                               "--socket", "/nonexistent/rlcx.sock", "ping"},
+                              out, err),
+            3)
+      << err.str();
 }
 
 // ---- Exit-code contract (see cli.h): 2 usage, 3 invalid input, 4 numeric.

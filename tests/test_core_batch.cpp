@@ -1,6 +1,6 @@
-// Batched characterisation/extraction: bit-identity with the serial
-// single-job paths, key-level dedup, cache integration, checkpoint/resume
-// via the batch journal, and the parallel per-level tree sweep.
+// Batched characterisation: bit-identity with the serial single-job paths,
+// key-level dedup, cache integration, checkpoint/resume via the batch
+// journal; and the tree extraction's up-front provider check.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -331,89 +331,25 @@ TEST(CharacterizeBatch, OneJobCallsMatchTheBatchAtEveryWidth) {
   EXPECT_EQ(cache.stats().hits, 1u);
 }
 
-TEST(ExtractSegmentsBatch, MatchesSerialExtraction) {
-  const geom::Technology tech = geom::Technology::generic_025um();
-  solver::SolveOptions sopt = fast_options();
-  std::vector<geom::Block> blocks;
-  blocks.push_back(geom::coplanar_waveguide(tech, 6, um(800), um(4), um(6), um(2)));
-  blocks.push_back(geom::coplanar_waveguide(tech, 6, um(400), um(2), um(4), um(1)));
-  blocks.push_back(geom::coplanar_waveguide(tech, 6, um(1500), um(6), um(8), um(3)));
-
-  InductanceLibrary lib;
-  lib.add(6, geom::PlaneConfig::kNone,
-          std::make_shared<DirectInductanceModel>(&tech, 6,
-                                                  geom::PlaneConfig::kNone,
-                                                  sopt));
-
-  rt::Pool pool(3);
-  const std::vector<SegmentRlc> par =
-      extract_segments_batch(blocks, lib, {}, &pool);
-  ASSERT_EQ(par.size(), blocks.size());
-  for (std::size_t i = 0; i < blocks.size(); ++i) {
-    const SegmentRlc serial = extract_segment_rlc(
-        blocks[i], lib.provider(6, geom::PlaneConfig::kNone));
-    ASSERT_EQ(serial.resistance.size(), par[i].resistance.size());
-    for (std::size_t t = 0; t < serial.resistance.size(); ++t)
-      EXPECT_EQ(serial.resistance[t], par[i].resistance[t]);
-    ASSERT_EQ(serial.inductance.rows(), par[i].inductance.rows());
-    for (std::size_t r = 0; r < serial.inductance.rows(); ++r)
-      for (std::size_t c = 0; c < serial.inductance.cols(); ++c)
-        EXPECT_EQ(serial.inductance(r, c), par[i].inductance(r, c));
-    for (std::size_t t = 0; t < serial.cap_ground.size(); ++t)
-      EXPECT_EQ(serial.cap_ground[t], par[i].cap_ground[t]);
-  }
-}
-
-TEST(ExtractSegmentsBatch, MissingProviderFailsBeforeAnyWork) {
-  const geom::Technology tech = geom::Technology::generic_025um();
-  std::vector<geom::Block> blocks;
-  blocks.push_back(geom::coplanar_waveguide(tech, 6, um(800), um(4), um(6), um(2)));
-  const InductanceLibrary empty;
-  EXPECT_THROW(extract_segments_batch(blocks, empty), std::exception);
-}
-
 }  // namespace
 }  // namespace rlcx::core
 
 namespace rlcx::clocktree {
 namespace {
 
-using units::um;
-
-TEST(ExtractTreeSegments, ParallelSweepMatchesPerLevelSerial) {
+TEST(ExtractTreeSegments, MissingProviderFailsBeforeAnyWork) {
+  // The root level's class has a direct-solve provider, the leaf level's
+  // (layer 5) has none: the lookup fails before the root is extracted.
   const geom::Technology tech = geom::Technology::generic_025um();
-  solver::SolveOptions sopt;
-  sopt.frequency = 1e9;
-  sopt.auto_mesh = false;
-  sopt.mesh.nw = 1;
-  sopt.mesh.nt = 1;
-
-  const HTreeSpec spec = example_cpw_tree();  // 3 levels, all (6, none)
+  HTreeSpec spec = example_cpw_tree();
+  spec.levels.back().layer = 5;
   core::InductanceLibrary lib;
-  for (std::size_t lv = 0; lv < spec.levels.size(); ++lv) {
-    const geom::Block blk = level_block(tech, spec, lv);
-    if (!lib.has(blk.layer_index(), blk.planes()))
-      lib.add(blk.layer_index(), blk.planes(),
-              std::make_shared<core::DirectInductanceModel>(
-                  &tech, blk.layer_index(), blk.planes(), sopt));
-  }
-
-  rt::Pool pool(3);
-  const TreeSegments par = extract_tree_segments(tech, spec, lib, {}, &pool);
-  ASSERT_EQ(par.blocks.size(), spec.levels.size());
-  ASSERT_EQ(par.rlc.size(), spec.levels.size());
-  for (std::size_t lv = 0; lv < spec.levels.size(); ++lv) {
-    const geom::Block blk = level_block(tech, spec, lv);
-    const core::SegmentRlc serial = core::extract_segment_rlc(
-        blk, lib.provider(blk.layer_index(), blk.planes()));
-    ASSERT_EQ(serial.inductance.rows(), par.rlc[lv].inductance.rows());
-    for (std::size_t r = 0; r < serial.inductance.rows(); ++r)
-      for (std::size_t c = 0; c < serial.inductance.cols(); ++c)
-        EXPECT_EQ(serial.inductance(r, c), par.rlc[lv].inductance(r, c))
-            << "level " << lv;
-    for (std::size_t t = 0; t < serial.resistance.size(); ++t)
-      EXPECT_EQ(serial.resistance[t], par.rlc[lv].resistance[t]);
-  }
+  lib.add(6, geom::PlaneConfig::kNone,
+          std::make_shared<core::DirectInductanceModel>(
+              &tech, 6, geom::PlaneConfig::kNone, solver::SolveOptions{}));
+  const std::size_t before = core::engine_counters().dense_solves;
+  EXPECT_THROW(extract_tree_segments(tech, spec, lib), std::out_of_range);
+  EXPECT_EQ(core::engine_counters().dense_solves, before);
 }
 
 }  // namespace

@@ -22,9 +22,9 @@
 #include "diag/error.h"
 #include "diag/warnings.h"
 #include "geom/technology.h"
-#include "numeric/lu.h"
 #include "numeric/units.h"
 #include "run/fault_injection.h"
+#include "support/lu_reference.h"
 #include "support/scratch_dir.h"
 
 namespace rlcx {

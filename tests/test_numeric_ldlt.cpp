@@ -18,9 +18,9 @@
 #include "diag/error.h"
 #include "numeric/ldlt.h"
 #include "numeric/ldlt_simd.h"
-#include "numeric/lu.h"
 #include "numeric/matrix.h"
 #include "numeric/simd.h"
+#include "support/lu_reference.h"
 
 namespace rlcx {
 namespace {

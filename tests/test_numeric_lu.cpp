@@ -9,9 +9,9 @@
 #include <vector>
 
 #include "diag/error.h"
-#include "numeric/lu.h"
 #include "numeric/matrix.h"
 #include "numeric/sparse_lu.h"
+#include "support/lu_reference.h"
 
 namespace rlcx {
 namespace {

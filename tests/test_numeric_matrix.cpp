@@ -3,8 +3,8 @@
 
 #include <complex>
 
-#include "numeric/lu.h"
 #include "numeric/matrix.h"
+#include "support/lu_reference.h"
 
 namespace rlcx {
 namespace {
